@@ -2,7 +2,7 @@
 """Print the Verblunsky-type trajectory with its recurrence residuals
 and tail comparators.
 
-The x column comes from elevated-precision Toeplitz determinants; the
+The x column comes from the certified Szego recursion; the
 residual column evaluates the q-difference recurrence at each index and
 the tail_ratio column divides by the explicit q-Bessel comparator, which
 tends to 1.
@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from qpart.oppainleve import painleve_trajectory, x_recurrence_rhs
+from qpart.oppainleve import painleve_trajectory, recurrence_residuals
 from qpart.qspecial import QParams, q_bessel
 
 
@@ -25,19 +25,12 @@ def main() -> int:
 
     p = QParams(q=args.q, xi=args.xi)
     state = painleve_trajectory("x", "determinant", p, args.n_max + 1)
+    residuals = [0.0, *recurrence_residuals(state)]
     print(f"{'n':>3} {'x_n':>24} {'residual':>12} {'tail_ratio':>14}")
     for n in range(args.n_max + 1):
-        if 1 <= n <= args.n_max:
-            lhs = (state.values[n] * state.values[n + 1] - 1.0) * (
-                state.values[n - 1] * state.values[n] - 1.0
-            )
-            rhs = x_recurrence_rhs(state.values[n], n, p)
-            residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        else:
-            residual = 0.0
         comp = math.sqrt(p.xi) * q_bessel(3, -n, 2.0 * p.xi, p.q)
         ratio = state.values[n] / comp if comp else float("nan")
-        print(f"{n:>3} {state.values[n]:>24.16e} {residual:>12.2e} "
+        print(f"{n:>3} {state.values[n]:>24.16e} {residuals[n]:>12.2e} "
               f"{ratio:>14.10f}")
     return 0
 

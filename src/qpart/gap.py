@@ -5,9 +5,10 @@ determinants of the correlation kernel, and direct partition enumeration.
 Shifted Toeplitz determinants are exposed as well since the Painleve
 variables are built from their ratios.
 
-Symbol moments are taken from the FFT of the positive circle weights; the
-hypergeometric route through the modified q-Bessel functions is kept as a
-cross-check in the test suite rather than the production path.
+The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
+Szego recursion (`oppainleve.szego_recursion`), so it does not overflow
+near q = 1. `symbol_table` keeps the FFT moments of the circle weights as
+an independent cross-check for the tests.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, toeplitz
 
 from .kernels import q_bessel_kernel
+from .oppainleve import szego_recursion
 from .partitions import cell_stats, enumerate_partitions
-from .qspecial import KernelTable, QParams, fourier_coefficients, macmahon
+from .qspecial import KernelTable, QParams, fourier_coefficients, log_macmahon, macmahon
 
 __all__ = [
     "ToeplitzResult",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 VARIANTS = ("I", "I_check")
+_OP_VARIANT = {"I": "plain", "I_check": "check"}
 GAP_VARIANTS = ("length", "first-part")
 MAX_ENUM = 40
 
@@ -46,7 +48,6 @@ class ToeplitzResult:
     value: float
     symbol_variant: str
     params: QParams
-    near_singular: bool = False
 
 
 @dataclass(frozen=True)
@@ -70,82 +71,48 @@ def symbol_table(variant: str, params: QParams, n_span: int) -> KernelTable:
     return fourier_coefficients(variant, params, -n_span, n_span, grid=512)
 
 
-def _span_for(params: QParams, n: int, shift: int) -> int:
-    # moments decay super-exponentially past the same edge scale as the kernel
-    q, xi = params.q, params.xi
-    edge = 0.0
-    if xi > 0.0 and q > 0.0:
-        edge = -2.0 * math.log(1.0 - xi) / (-math.log(q))
-    return int(n + abs(shift) + edge + 60)
-
-
 def toeplitz_det(
     variant: str, N: int, shift: int, params: QParams
 ) -> ToeplitzResult:
-    """det of the N x N matrix with entries c_{-i+j-shift} by pivoted LU."""
+    """det of the N x N matrix with entries c_{-i+j-shift}, shift 0 or 1.
+
+    Read off the Szego recursion: Z_N = exp(log Z_N) and
+    Z_N^{(1)} = (-1)^N x_N Z_N.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if N == 0:
-        return ToeplitzResult(N=0, shift=shift, value=1.0,
-                              symbol_variant=variant, params=params)
-    table = symbol_table(variant, params, _span_for(params, N, shift))
-    col = np.array([table[-i - shift] for i in range(N)])
-    row = np.array([table[j - shift] for j in range(N)])
-    mat = toeplitz(col, row)
-    lu, piv = lu_factor(mat)
-    diag = np.diag(lu)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    value = sign * float(np.prod(diag))
-    near_singular = bool(
-        np.min(np.abs(diag)) < 1e-14 * max(1.0, np.max(np.abs(diag)))
-    )
+    if shift not in (0, 1):
+        raise ValueError("shift must be 0 or 1")
+    seq = szego_recursion(_OP_VARIANT[variant], params, N)
+    value = math.exp(seq.log_z[N])
+    if shift:
+        value *= (-1) ** N * seq.x[N]
     return ToeplitzResult(N=N, shift=shift, value=value,
-                          symbol_variant=variant, params=params,
-                          near_singular=near_singular)
+                          symbol_variant=variant, params=params)
 
 
-def _fredholm_first_part(params: QParams, N: int, m_init: int = 40) -> float:
-    """det(1 - K) on the section l^2([N+1/2, N+M-1/2]), growing M as needed."""
-    m = max(10, m_init)
-    while True:
-        pts = [Fraction(2 * (N + k) + 1, 2) for k in range(m)]
-        mat = np.empty((m, m))
-        for i, r in enumerate(pts):
-            for j, s in enumerate(pts):
-                mat[i, j] = q_bessel_kernel(params, r, s)
-        dropped = q_bessel_kernel(
-            params, Fraction(2 * (N + m) + 1, 2), Fraction(2 * (N + m) + 1, 2)
-        )
-        if dropped < 1e-12:
-            return float(np.linalg.det(np.eye(m) - mat))
-        m *= 2
-        if m > 2048:
-            raise RuntimeError("fredholm truncation failed to converge")
+def _fredholm(params: QParams, N: int, first_part: bool, m_init: int = 40) -> float:
+    """The gap probability from the kernel on a section of m sites, m doubled
+    until the site past the section is negligible.
 
-
-def _fredholm_length(params: QParams, N: int, m_init: int = 40) -> float:
-    """P[l(lambda) <= N] as det(K) on a section of (-inf, -N-1/2].
-
-    The length constraint says every site at or below -N-1/2 is occupied, a
+    first part: det(1 - K) on l^2([N+1/2, N+m-1/2]), done once K(r, r) < 1e-12
+    at the next site. length: det(K) on [-N-m+1/2, -N-1/2]. The length
+    constraint says every site at or below -N-1/2 is occupied, a
     full-occupation event, whose probability is the determinant of the
     kernel restricted to that set (particle-hole complement of the gap
-    event). The section is grown until the occupation deficit at the far
-    end is negligible.
+    event); done once the occupation deficit 1 - K(r, r) < 1e-12.
     """
+    sign = 1 if first_part else -1
     m = max(10, m_init)
     while True:
-        pts = [Fraction(-2 * (N + k) - 1, 2) for k in range(m)]
-        mat = np.empty((m, m))
-        for i, r in enumerate(pts):
-            for j, s in enumerate(pts):
-                mat[i, j] = q_bessel_kernel(params, r, s)
-        deep = Fraction(-2 * (N + m) - 1, 2)
-        deficit = 1.0 - q_bessel_kernel(params, deep, deep)
-        if deficit < 1e-12:
-            return float(np.linalg.det(mat))
+        pts = [Fraction(sign * (2 * (N + k) + 1), 2) for k in range(m + 1)]
+        mat = np.array([[q_bessel_kernel(params, r, s) for s in pts[:m]]
+                        for r in pts[:m]])
+        far = q_bessel_kernel(params, pts[m], pts[m])
+        if (far if first_part else 1.0 - far) < 1e-12:
+            return float(np.linalg.det(np.eye(m) - mat if first_part else mat))
         m *= 2
         if m > 2048:
             raise RuntimeError("fredholm truncation failed to converge")
@@ -207,20 +174,19 @@ def gap_probability(
 ) -> float:
     """P[l(lambda) <= N] or P[lambda_1 <= N] for the squared-type measure.
 
-    method "toeplitz": Z_N / M(xi;q) with the variant-appropriate symbol;
+    method "toeplitz": exp(log Z_N - log M(xi;q)) with the variant's symbol;
     method "fredholm": discrete Fredholm determinant of the kernel;
     method "enumeration": direct sum over partitions up to max_size.
     """
     if method == "toeplitz":
-        variant = "I" if query.variant == "length" else "I_check"
-        z_n = toeplitz_det(variant, query.N, 0, query.params).value
-        return z_n / macmahon(query.params)
+        variant = "plain" if query.variant == "length" else "check"
+        seq = szego_recursion(variant, query.params, query.N)
+        return math.exp(seq.log_z[query.N] - log_macmahon(query.params))
     if method == "fredholm":
         if truncation < 10:
             raise ValueError("fredholm truncation must be >= 10")
-        if query.variant == "first-part":
-            return _fredholm_first_part(query.params, query.N, truncation)
-        return _fredholm_length(query.params, query.N, truncation)
+        return _fredholm(query.params, query.N, query.variant == "first-part",
+                         truncation)
     if method == "enumeration":
         return _enumeration_gap(query, max_size)
     raise ValueError(f"unknown method {method!r}")

@@ -12,29 +12,31 @@ Two weight variants run through everything here:
             quantities for this branch are the real bilinears ys_n^2 and
             ys_n ys_{n+1}, so storage stays real.
 
-The determinant route (shifted Toeplitz ratios) is the ground truth; the
-forward recurrence is validated against it, not trusted standalone.
+All OPUC data come from one Szego recursion with an a-posteriori precision
+check (`szego_recursion`). This determinant route is the ground truth; the
+forward q-Painleve recurrence is validated against it, not trusted
+standalone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from mpmath import mp
 
-from .gap import symbol_table
-from .qspecial import QParams, q_pochhammer
+from .qspecial import NonconvergenceError, QParams, q_pochhammer
 
 __all__ = [
     "OPSequence",
     "PainleveState",
     "LaxMatrices",
     "RHPSample",
+    "szego_recursion",
     "op_sequence",
     "monic_coefficients",
     "inner_product_series",
@@ -46,22 +48,29 @@ __all__ = [
     "lax_checks",
     "rhp_sample",
     "tau_relation_check",
+    "recurrence_residuals",
 ]
 
 OP_VARIANTS = ("plain", "check")
-_SYMBOL_OF = {"plain": "I", "check": "I_check"}
 MAX_N = 25
+_SHARED_TOP = 16   # every request up to this index shares one run per symbol
+_AGREE = 1e-17     # relative agreement that certifies a working precision
+_MAX_RAISES = 8    # precision raises, by a factor 1.5 each, before giving up
 
 
 @dataclass(frozen=True)
 class OPSequence:
+    """Szego recursion output: x, kappa_sq, monic for n <= n_max + 1, log_z
+    for n <= n_max + 2."""
+
     variant: str
     params: QParams
     n_max: int
-    z: tuple[float, ...]        # Z_0 .. Z_{n_max+2} (shift 0)
-    z_shift1: tuple[float, ...]  # Z_0^{(1)} .. Z_{n_max+1}^{(1)}
-    kappa_sq: tuple[float, ...]  # kappa_n^2 = Z_n / Z_{n+1}, n = 0..n_max+1
+    dps: int                     # mp working precision the values came from
     x: tuple[float, ...]         # x_n = pi_n(0) = (-1)^n Z_n^{(1)} / Z_n
+    kappa_sq: tuple[float, ...]  # kappa_n^2 = 1 / E_n = Z_n / Z_{n+1}
+    log_z: tuple[float, ...]     # log Z_n, Z_n the n x n Toeplitz determinant
+    monic: tuple[tuple[float, ...], ...]  # coefficients of pi_n, low to high
 
 
 @dataclass(frozen=True)
@@ -103,44 +112,49 @@ class RHPSample:
     det_y: complex
 
 
-def _mp_moment(variant: str, n: int, q: "mp.mpf", xi: "mp.mpf") -> "mp.mpf":
-    """Symbol moment at the working precision from its q-series.
+def _mp_moments(variant: str, top: int, q: "mp.mpf", xi: "mp.mpf") -> list:
+    """Symbol moments c_0..c_top (c_{-m} = c_m) at the working precision.
 
-    plain:  sum_k u^{2k+|n|} / ((q;q)_k (q;q)_{k+|n|}), u = xi sqrt(q);
-    check:  q^{n^2/2} sum_k q^{k(k+|n|)} u^{2k+|n|} / ((q;q)_k (q;q)_{k+|n|}),
+    plain:  c_m = sum_k u^{2k+m} / ((q;q)_k (q;q)_{k+m}), u = xi sqrt(q);
+    check:  c_m = q^{m^2/2} sum_k q^{k(k+m)} u^{2k+m} / ((q;q)_k (q;q)_{k+m}),
             u = xi.
-    All terms are positive, so the evaluation carries no cancellation even
-    as q approaches 1. Both symbols are even, so only |n| enters.
+    All terms are positive, so no cancellation even as q approaches 1. Row k
+    is added to every moment at once; the pass ends when a row falls below
+    the working precision in every moment.
     """
-    m = abs(n)
-    u = xi * mp.sqrt(q) if variant == "plain" else xi
+    check = variant == "check"
+    u = xi if check else xi * mp.sqrt(q)
     floor = mp.mpf(10) ** (-mp.dps - 5)
-    fac_k = mp.mpf(1)          # (q; q)_k
-    fac_km = mp.mpf(1)         # (q; q)_{k+m}
-    for j in range(1, m + 1):
-        fac_km *= 1 - q**j
-    upow = u**m
-    total = mp.mpf(0)
+    inv_poch = [mp.mpf(1)]              # 1 / (q;q)_j
+    for j in range(1, top + 1):
+        inv_poch.append(inv_poch[-1] / (1 - q**j))
+    q_m = [q**m for m in range(top + 1)]
+    q_km = [mp.mpf(1)] * (top + 1)      # q^{km}, check only
+    sums = [mp.mpf(0)] * (top + 1)
+    row = mp.mpf(1)                     # u^{2k} q^{k^2 [check]} / (q;q)_k
     k = 0
     while True:
-        if variant == "plain":
-            term = upow / (fac_k * fac_km)
-        else:
-            term = q ** (k * (k + m)) * upow / (fac_k * fac_km)
-        total += term
-        if term < floor * total:
+        converged = True
+        for m in range(top + 1):
+            term = row * inv_poch[k + m]
+            if check:
+                term *= q_km[m]
+                q_km[m] *= q_m[m]
+            sums[m] += term
+            converged = converged and term < floor * sums[m]
+        if converged:
             break
         k += 1
-        fac_k *= 1 - q**k
-        fac_km *= 1 - q ** (k + m)
-        upow *= u * u
-    if variant == "check":
-        total *= q ** (mp.mpf(m * m) / 2)
-    return total
+        inv_poch.append(inv_poch[-1] / (1 - q ** (k + top)))
+        row *= u * u / (1 - q**k)
+        if check:
+            row *= q ** (2 * k - 1)
+    return [u**m * (q ** (mp.mpf(m * m) / 2) if check else 1) * s
+            for m, s in enumerate(sums)]
 
 
 def _mp_dps_for(variant: str, params: QParams, n_max: int) -> int:
-    """Working precision covering the cancellation in the shifted dets.
+    """Starting precision for the recursion, before its a-posteriori check.
 
     Two sources of lost digits: the shifted determinant of size n shrinks
     roughly like q^{n^2/2} xi^n (plain) or (xi sqrt(q))^n (check) while the
@@ -148,7 +162,7 @@ def _mp_dps_for(variant: str, params: QParams, n_max: int) -> int:
     large interior term peak before its q^{k^2/2} decay takes over.
     """
     q, xi = params.q, params.xi
-    if xi == 0.0:
+    if xi == 0.0 or q == 0.0:
         return 25
     lost_plain = -(n_max * n_max / 2.0) * math.log10(q) - n_max * math.log10(xi)
     lost_check = -n_max * math.log10(xi * math.sqrt(q))
@@ -156,64 +170,88 @@ def _mp_dps_for(variant: str, params: QParams, n_max: int) -> int:
     return 25 + max(0, int(lost))
 
 
-@lru_cache(maxsize=32)
-def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
-    """Toeplitz-determinant route to kappa_n^2 and x_n (or y_n).
+def _szego_mp(variant: str, params: QParams, top: int, dps: int) -> tuple:
+    """One run of the recursion at dps digits: lists x, E, log Z, monic.
 
-    Determinants are evaluated at elevated working precision: the shifted
-    determinant decays super-exponentially in n, so fixed double precision
-    turns it into noise past n around 8. Results are returned as floats
-    with full relative accuracy.
+    pi_{n+1}(z) = z pi_n(z) + x_{n+1} pi_n^*(z), pi_n^* the reversed
+    polynomial, with x_{n+1} = -<z pi_n, 1> / E_n fixed by orthogonality to 1
+    and E_{n+1} = E_n (1 - x_{n+1}^2), E_0 = c_0.
+    """
+    with mp.workdps(dps):
+        c = _mp_moments(variant, top, mp.mpf(params.q), mp.mpf(params.xi))
+        x, e, monic = [mp.mpf(1)], [c[0]], [[mp.mpf(1)]]
+        for n in range(top):
+            a = monic[-1]
+            xn = -mp.fdot(a, c[1 : n + 2]) / e[n]
+            monic.append([s + xn * t for s, t in zip([0, *a], [*a[::-1], 0])])
+            x.append(xn)
+            e.append(e[n] * (1 - xn * xn))
+        log_z = [mp.mpf(0)]
+        for v in e:
+            log_z.append(log_z[-1] + mp.log(v))
+    return x, e, log_z, monic
+
+
+@lru_cache(maxsize=64)
+def _certified(variant: str, params: QParams, top: int) -> OPSequence:
+    dps = _mp_dps_for(variant, params, top)
+    lo = _szego_mp(variant, params, top, dps)
+    for _ in range(_MAX_RAISES):
+        dps = dps * 3 // 2
+        hi = _szego_mp(variant, params, top, dps)
+        # x, E and pi_n relative; log Z absolute, which is relative in Z
+        pairs = [*zip(lo[0], hi[0]), *zip(lo[1], hi[1]),
+                 *(p for r0, r1 in zip(lo[3], hi[3]) for p in zip(r0, r1))]
+        with mp.workdps(dps):
+            if all(abs(a - b) <= _AGREE * abs(b) for a, b in pairs) and all(
+                abs(a - b) <= _AGREE for a, b in zip(lo[2], hi[2])
+            ):
+                x, e, log_z, monic = hi
+                return OPSequence(
+                    variant=variant, params=params, n_max=top - 1, dps=dps,
+                    x=tuple(map(float, x)), kappa_sq=tuple(float(1 / v) for v in e),
+                    log_z=tuple(map(float, log_z)),
+                    monic=tuple(tuple(map(float, r)) for r in monic),
+                )
+        lo = hi
+    raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) "
+                              f"not settled to {_AGREE:g} by {dps} digits")
+
+
+def szego_recursion(variant: str, params: QParams, top: int) -> OPSequence:
+    """x_n, kappa_n^2 = 1/E_n and pi_n for n <= top, log Z_n for n <= top + 1.
+
+    One O(top^2) Szego (Levinson) recursion over the symbol moments (B.
+    Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005, ch. 1.5),
+    run in mpmath at the _mp_dps_for precision and at 1.5 times that,
+    raised by 1.5 until two runs agree to 1e-17 relative in every value, so
+    the floats are correct to the last bit; NonconvergenceError if they
+    never agree. Tops up to _SHARED_TOP share one run, so the sequence may
+    be longer than asked.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")
+    if top < 0:
+        raise ValueError("top must be nonnegative")
+    return _certified(variant, params, max(top, _SHARED_TOP))
+
+
+@lru_cache(maxsize=32)
+def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
+    """The Szego recursion output truncated to n_max (x_n and kappa_n^2 up
+    to n_max + 1, log Z_n up to n_max + 2)."""
     if n_max > MAX_N:
         raise ValueError(f"n_max {n_max} exceeds guard {MAX_N}")
-    top = n_max + 2
-    with mp.workdps(_mp_dps_for(variant, params, top)):
-        q, xi = mp.mpf(params.q), mp.mpf(params.xi)
-        span = top + 2
-        moments = {
-            k: _mp_moment(variant, k, q, xi) for k in range(-span, span + 1)
-        }
-
-        def det(n: int, shift: int) -> "mp.mpf":
-            if n == 0:
-                return mp.mpf(1)
-            mat = mp.matrix(n, n)
-            for i in range(n):
-                for j in range(n):
-                    mat[i, j] = moments[-i + j - shift]
-            return mp.det(mat)
-
-        z_mp = [det(n, 0) for n in range(top + 1)]
-        z1_mp = [det(n, 1) for n in range(top)]
-        # ratios are scale invariant and stay in range even when the raw
-        # determinants overflow a double (moments grow like 1/(q;q)_inf)
-        kappa_sq = tuple(float(z_mp[n] / z_mp[n + 1]) for n in range(top))
-        x = tuple(
-            float((-1) ** n * z1_mp[n] / z_mp[n]) for n in range(top)
-        )
-        z = tuple(float(v) for v in z_mp)
-        z1 = tuple(float(v) for v in z1_mp)
-    return OPSequence(variant=variant, params=params, n_max=n_max,
-                      z=z, z_shift1=z1, kappa_sq=kappa_sq, x=x)
+    seq = szego_recursion(variant, params, n_max + 1)
+    return replace(
+        seq, n_max=n_max, x=seq.x[: n_max + 2], kappa_sq=seq.kappa_sq[: n_max + 2],
+        log_z=seq.log_z[: n_max + 3], monic=seq.monic[: n_max + 2],
+    )
 
 
 def monic_coefficients(variant: str, params: QParams, n: int) -> np.ndarray:
-    """Coefficients (low to high) of the monic orthogonal polynomial pi_n.
-
-    Orthogonality against z^i for i < n reduces to the Toeplitz system
-    sum_j a_j c_{j-i} = -c_{n-i} over the symbol moments c.
-    """
-    if variant not in OP_VARIANTS:
-        raise ValueError(f"variant must be one of {OP_VARIANTS}")
-    if n == 0:
-        return np.array([1.0])
-    table = symbol_table(_SYMBOL_OF[variant], params, n + 4)
-    mat = np.array([[table[j - i] for j in range(n)] for i in range(n)])
-    rhs = -np.array([table[n - i] for i in range(n)])
-    return np.append(np.linalg.solve(mat, rhs), 1.0)
+    """Coefficients (low to high) of the monic orthogonal polynomial pi_n."""
+    return np.array(szego_recursion(variant, params, n).monic[n])
 
 
 def inner_product_series(
@@ -278,7 +316,7 @@ def painleve_trajectory(
 ) -> PainleveState:
     """Painleve variables up to index n_max from either route.
 
-    x branch, determinant: xs_n = (-q^{1/2})^n xi^{1/2} Z_n^{(1)} / Z_n.
+    x branch, determinant: xs_n = q^{n/2} xi^{1/2} x_n, x_n = (-1)^n Z_n^{(1)} / Z_n.
     y branch, determinant: real bilinears ys_n^2 = -xi q^{-n} y_n^2 and
     ys_n ys_{n+1} = -xi q^{-n-1/2} y_n y_{n+1} with
     y_n = (-1)^n Zcheck_n^{(1)} / Zcheck_n.
@@ -287,7 +325,8 @@ def painleve_trajectory(
     reference an undefined index -1). The x branch decays like a minimal
     recurrence solution, so its forward iteration is exponentially
     unstable; expect agreement with the determinant route only for small n.
-    The y branch grows and iterates stably.
+    The y branch grows and iterates stably. n_max above MAX_N raises
+    ValueError.
     """
     if variant not in ("x", "y"):
         raise ValueError("variant must be 'x' or 'y'")
@@ -295,12 +334,11 @@ def painleve_trajectory(
         raise ValueError("source must be 'determinant' or 'recurrence'")
     q, xi = params.q, params.xi
 
-    op = op_sequence("plain" if variant == "x" else "check", params, min(n_max, MAX_N))
+    op = op_sequence("plain" if variant == "x" else "check", params, n_max)
 
     if variant == "x":
         det_vals = [
-            (-math.sqrt(q)) ** n * math.sqrt(xi) * op.z_shift1[n] / op.z[n]
-            for n in range(n_max + 1)
+            math.sqrt(q) ** n * math.sqrt(xi) * op.x[n] for n in range(n_max + 1)
         ]
         if source == "determinant":
             return PainleveState(variant="x", source=source, params=params,
@@ -352,13 +390,11 @@ def dpii_limit_check(
         op_x = op_sequence("plain", params, n_top)
         op_y = op_sequence("check", params, n_top)
         for n in n_range:
-            res_x = (op_x.x[n - 1] + op_x.x[n + 1]) * (1.0 - op_x.x[n] ** 2) \
-                + (n / eta) * op_x.x[n]
-            res_y = (op_y.x[n - 1] + op_y.x[n + 1]) * (1.0 - op_y.x[n] ** 2) \
-                + (n / eta) * op_y.x[n]
-            rows.append({"q": q, "n": n,
-                         "residual_x": abs(res_x) / max(abs(op_x.x[n]), 1e-300),
-                         "residual_y": abs(res_y) / max(abs(op_y.x[n]), 1e-300)})
+            row = {"q": q, "n": n}
+            for key, x in (("residual_x", op_x.x), ("residual_y", op_y.x)):
+                res = (x[n - 1] + x[n + 1]) * (1.0 - x[n] ** 2) + (n / eta) * x[n]
+                row[key] = abs(res) / max(abs(x[n]), 1e-300)
+            rows.append(row)
     return rows
 
 
@@ -551,6 +587,10 @@ def tau_relation_check(
 
     The second difference equals log(kappa_{n-1}^2 / kappa_n^2), which is
     scale invariant and usable even where the raw determinants overflow.
+    Since kappa_n^2 comes from E_{n+1} = E_n (1 - x_{n+1}^2) in the Szego
+    recursion, the relation holds by construction and the residual only
+    measures float rounding; the independent check of the recursion is the
+    mpmath determinant comparison in the tests.
     """
     op = op_sequence(variant, params, max(n_range) + 1)
     rows = []
@@ -559,3 +599,22 @@ def tau_relation_check(
         rhs = math.log1p(-op.x[n] ** 2)
         rows.append({"n": n, "residual": abs(lhs - rhs)})
     return rows
+
+
+def recurrence_residuals(state: PainleveState) -> list[float]:
+    """Relative residuals of the branch's q-difference recurrence at
+    n = 1..n_max-1 (entry n - 1), n_max the last index of the trajectory.
+
+    x: (xs_n xs_{n+1} - 1)(xs_{n-1} xs_n - 1) = x_recurrence_rhs(xs_n);
+    y: (ys_n ys_{n+1} - 1)(ys_{n-1} ys_n - 1) = y_recurrence_rhs(ys_n^2).
+    """
+    v, sq, cross, out = state.values, state.sq, state.cross, []
+    for n in range(1, len(v or sq) - 1):
+        if state.variant == "x":
+            lhs = (v[n] * v[n + 1] - 1.0) * (v[n - 1] * v[n] - 1.0)
+            rhs = x_recurrence_rhs(v[n], n, state.params)
+        else:
+            lhs = (cross[n] - 1.0) * (cross[n - 1] - 1.0)
+            rhs = y_recurrence_rhs(sq[n], n, state.params)
+        out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    return out

@@ -11,9 +11,8 @@ with a tail tolerance is enough at desk scale.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -26,6 +25,7 @@ __all__ = [
     "q_pochhammer",
     "basic_hypergeometric",
     "macmahon",
+    "log_macmahon",
     "q_bessel",
     "modified_q_bessel",
     "fourier_coefficients",
@@ -167,10 +167,16 @@ def basic_hypergeometric(spec: HypergeometricSpec) -> float:
 
 
 def macmahon(params: QParams) -> float:
-    """Modified MacMahon function M(xi;q) = prod_{n>=1} (1 - xi^2 q^n)^-n."""
+    """Modified MacMahon function M(xi;q) = prod_{n>=1} (1 - xi^2 q^n)^-n;
+    overflows near q = 1, where log_macmahon does not."""
+    return math.exp(log_macmahon(params))
+
+
+def log_macmahon(params: QParams) -> float:
+    """log M(xi;q) = -sum_{n>=1} n log(1 - xi^2 q^n)."""
     q, xi = params.q, params.xi
     if xi == 0.0:
-        return 1.0
+        return 0.0
     # log M = sum_n xi^{2n} / (n (q^{n/2} - q^{-n/2})^2); near q = 1 this
     # converges in a handful of terms while the defining product needs
     # O(1/(1-q)) factors, so try it first and fall back to the product
@@ -182,7 +188,7 @@ def macmahon(params: QParams) -> float:
             break
         log_m += term
         if term < params.tail_tol:
-            return math.exp(log_m)
+            return log_m
         prev = term
     log_m = 0.0
     w = xi * xi * q
@@ -192,7 +198,7 @@ def macmahon(params: QParams) -> float:
         # remaining |log| tail is below sum_{m>n} m xi^2 q^m in closed form
         tail = w * ((n + 1.0) - n * q) / (1.0 - q) ** 2 if q < 1.0 else math.inf
         if tail < params.tail_tol:
-            return math.exp(log_m)
+            return log_m
     raise NonconvergenceError("macmahon: product did not converge")
 
 
@@ -212,16 +218,6 @@ def macmahon_series_coefficient(k: int, k_max: int = 64) -> int:
             for i in range(n, k_max + 1):
                 coeffs[i] += coeffs[i - n]
     return coeffs[k]
-
-
-def _phi_series_sum(
-    a: float, b_qnu1: float, q: float, arg: float, tail_tol: float, max_terms: int
-) -> float:
-    """1-phi-1(a; b; q, arg) with the b parameter given directly."""
-    spec = HypergeometricSpec(
-        upper=(a,), lower=(b_qnu1,), q=q, x=arg, tail_tol=tail_tol, max_terms=max_terms
-    )
-    return basic_hypergeometric(spec)
 
 
 def q_bessel(
@@ -327,7 +323,10 @@ def modified_q_bessel(
     u2 = u * u
     if kind == 1 and u2 >= 1.0:
         raise ValueError("kind 1 requires x^2/4 < 1 ((x^2/4;q)_inf prefactor pole)")
-    phi = _phi_series_sum(u2, 0.0, q, q ** (nu + 1), tail_tol, max_terms)
+    phi = basic_hypergeometric(HypergeometricSpec(
+        upper=(u2,), lower=(0.0,), q=q, x=q ** (nu + 1),
+        tail_tol=tail_tol, max_terms=max_terms,
+    ))
     if nu < 0 and not float(nu).is_integer():
         raise ValueError("negative non-integer order not supported")
     pref = u**nu if nu >= 0 else u ** int(nu)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -64,6 +66,17 @@ class TestOutputFormats:
         )
         assert out1 == out2
 
+    def test_csv_rows_have_header_width(self, capsys):
+        # paper_ref strings contain commas, so cells must be quoted
+        code, out, _ = run(
+            ["verify", "--suite", "kernels", "--format", "csv"], capsys
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["check_id", "paper_ref", "measured", "tolerance", "pass"]
+        assert len(rows) > 1
+        assert all(len(r) == 5 for r in rows)
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run(
@@ -95,6 +108,14 @@ class TestGapTable:
         for row in rows:
             assert row["max_discrepancy"] < 1e-6
 
+    def test_near_q_one_exits_0(self, capsys):
+        # log M = 9148 here; M itself overflows a double
+        code, out, _ = run(
+            ["gap-table", "--q", "0.99", "--xi", "0.9"], capsys
+        )
+        assert code == 0
+        assert all(0.0 <= r["toeplitz"] <= 1.0 for r in json.loads(out))
+
     def test_variant_flag(self, capsys):
         _, out_l, _ = run(
             ["gap-table", "--n-max", "2", "--variant", "length"], capsys
@@ -111,6 +132,11 @@ class TestPainleveTable:
         rows = json.loads(out)
         assert set(rows[0]) == {"n", "x", "residual", "tail_ratio"}
         assert all(r["residual"] < 1e-7 for r in rows)
+
+    def test_n_max_past_guard_exits_2(self, capsys):
+        code, _, err = run(["painleve", "--n-max", "30"], capsys)
+        assert code == 2
+        assert "exceeds guard" in err
 
     def test_y_branch_tail_ratio_converges(self, capsys):
         _, out, _ = run(

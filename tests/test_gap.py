@@ -45,6 +45,10 @@ class TestToeplitzDet:
         with pytest.raises(ValueError):
             toeplitz_det("bogus", 3, 0, P)
 
+    def test_only_shifts_zero_and_one(self):
+        with pytest.raises(ValueError):
+            toeplitz_det("I", 3, 2, P)
+
 
 class TestGapProbability:
     def test_n0_length_is_empty_partition_mass(self):
@@ -69,6 +73,13 @@ class TestGapProbability:
             c = gap_probability(query, "enumeration")
             assert abs(a - b) < 1e-10
             assert abs(a - c) < 1e-6
+
+    def test_toeplitz_matches_fredholm_at_stressed_point(self):
+        # the float LU route lost 3.6e-9 here (condition number 7.8e7)
+        query = GapQuery(variant="length", N=10, params=QParams(q=0.9, xi=0.5))
+        a = gap_probability(query, "toeplitz")
+        b = gap_probability(query, "fredholm")
+        assert abs(a - b) < 1e-12
 
     def test_transpose_duality(self):
         # lambda_1 and the length swap under transposition, but the

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
+from qpart import oppainleve
 from qpart.oppainleve import (
     dpii_limit_check,
     inner_product_series,
@@ -19,7 +21,7 @@ from qpart.oppainleve import (
     y_recurrence_rhs,
 )
 from qpart.gap import symbol_table, toeplitz_det
-from qpart.qspecial import QParams, q_bessel
+from qpart.qspecial import NonconvergenceError, QParams, q_bessel
 
 P = QParams(q=0.5, xi=0.3)
 PROBES = [0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j]
@@ -31,13 +33,13 @@ class TestOPSequence:
         seq = op_sequence("plain", P, 6)
         for n in range(0, 7):
             want = toeplitz_det("I", n, 0, P).value
-            assert seq.z[n] == pytest.approx(want, rel=1e-11)
+            assert math.exp(seq.log_z[n]) == pytest.approx(want, rel=1e-11)
 
     def test_kappa_ratios(self):
         seq = op_sequence("plain", P, 6)
         for n in range(0, 6):
             assert seq.kappa_sq[n] == pytest.approx(
-                seq.z[n] / seq.z[n + 1], rel=1e-13
+                math.exp(seq.log_z[n] - seq.log_z[n + 1]), rel=1e-13
             )
 
     def test_x0_is_one(self):
@@ -56,7 +58,7 @@ class TestOPSequence:
         # Z_{n+1} Z_{n-1} / Z_n^2 = 1 - x_n^2
         seq = op_sequence("plain", P, 10)
         for n in range(1, 10):
-            lhs = seq.z[n + 1] * seq.z[n - 1] / seq.z[n] ** 2
+            lhs = math.exp(seq.log_z[n + 1] + seq.log_z[n - 1] - 2 * seq.log_z[n])
             assert lhs == pytest.approx(1.0 - seq.x[n] ** 2, rel=1e-11)
 
     def test_guard(self):
@@ -64,6 +66,85 @@ class TestOPSequence:
             op_sequence("plain", P, 26)
         with pytest.raises(ValueError):
             op_sequence("bogus", P, 5)
+
+
+def _mp_det_reference(variant, q, xi, n_top, dps=300):
+    """Moments summed term by term and Toeplitz determinants by mp.det, at
+    dps digits: x_n, kappa_n^2, Z_n, Z_n^(1) and the monic pi_n for n <= n_top.
+    """
+    with mp.workdps(dps):
+        q, xi = mp.mpf(q), mp.mpf(xi)
+        u = xi * mp.sqrt(q) if variant == "plain" else xi
+        eps = mp.mpf(10) ** (-dps - 10)
+
+        def moment(m):
+            total, k = mp.mpf(0), 0
+            poch_k, poch_km = mp.mpf(1), mp.fprod(1 - q**j for j in range(1, m + 1))
+            while True:
+                term = u ** (2 * k + m) / (poch_k * poch_km)
+                if variant == "check":
+                    term *= q ** (k * (k + m) + mp.mpf(m * m) / 2)
+                total += term
+                if term < eps * total:
+                    return total
+                k += 1
+                poch_k *= 1 - q**k
+                poch_km *= 1 - q ** (k + m)
+
+        c = [moment(m) for m in range(n_top + 2)]
+
+        def toeplitz(n, shift):
+            return mp.matrix([[c[abs(j - i - shift)] for j in range(n)]
+                              for i in range(n)])
+
+        z = [mp.det(toeplitz(n, 0)) if n else mp.mpf(1) for n in range(n_top + 2)]
+        z1 = [mp.det(toeplitz(n, 1)) if n else mp.mpf(1) for n in range(n_top + 1)]
+        monic = [[mp.mpf(1)]] + [
+            [*mp.lu_solve(toeplitz(n, 0), [-c[n - i] for i in range(n)]), mp.mpf(1)]
+            for n in range(1, n_top + 1)
+        ]
+        return {
+            "x": [float((-1) ** n * z1[n] / z[n]) for n in range(n_top + 1)],
+            "kappa_sq": [float(z[n] / z[n + 1]) for n in range(n_top + 1)],
+            "z": [float(v) for v in z],
+            "z1": [float(v) for v in z1],
+            "log_z": [float(mp.log(v)) for v in z],
+            "monic": [[float(v) for v in row] for row in monic],
+        }
+
+
+class TestSzegoRecursion:
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.97, 0.7)])
+    @pytest.mark.parametrize("variant", ["plain", "check"])
+    def test_matches_mp_det_reference(self, variant, q, xi):
+        # floats certified to the last bit: x_n, kappa_n^2, pi_n; Z_n holds
+        # the rounding of the stored log Z_n, |log Z_n| 2^-52 relative
+        params = QParams(q=q, xi=xi)
+        ref = _mp_det_reference(variant, q, xi, 8)
+        seq = op_sequence(variant, params, 7)
+        symbol = "I" if variant == "plain" else "I_check"
+        z = [toeplitz_det(symbol, n, 0, params).value for n in range(9)]
+        z1 = [toeplitz_det(symbol, n, 1, params).value for n in range(9)]
+        assert z == pytest.approx(ref["z"][:9], rel=1e-13)
+        assert z1 == pytest.approx(ref["z1"], rel=1e-13)
+        assert list(seq.x) == pytest.approx(ref["x"], rel=1e-15)
+        assert list(seq.kappa_sq) == pytest.approx(ref["kappa_sq"], rel=1e-15)
+        for n in range(9):
+            np.testing.assert_allclose(
+                monic_coefficients(variant, params, n), ref["monic"][n], rtol=1e-15)
+        assert list(seq.log_z) == pytest.approx(ref["log_z"], abs=1e-13)
+
+    def test_near_scaling_norms_positive_and_tau_relation(self):
+        params = QParams(q=0.97, xi=0.7)
+        for variant in ("plain", "check"):
+            assert all(k > 0.0 for k in op_sequence(variant, params, 25).kappa_sq)
+            for row in tau_relation_check(params, range(1, 25), variant=variant):
+                assert row["residual"] < 1e-9
+
+    def test_raises_when_precision_never_settles(self, monkeypatch):
+        monkeypatch.setattr(oppainleve, "_MAX_RAISES", 0)
+        with pytest.raises(NonconvergenceError):
+            oppainleve.szego_recursion("plain", QParams(q=0.41, xi=0.23), 4)
 
 
 class TestMonicPolynomials:
@@ -187,6 +268,10 @@ class TestPainleveTrajectories:
         rows = dpii_limit_check(1.0, [0.9, 0.99], [3])
         assert rows[1]["residual_x"] < rows[0]["residual_x"]
         assert rows[1]["residual_y"] < rows[0]["residual_y"]
+
+    def test_n_max_past_guard_raises(self):
+        with pytest.raises(ValueError):
+            painleve_trajectory("x", "determinant", P, 30)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

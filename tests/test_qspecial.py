@@ -11,6 +11,7 @@ from qpart.qspecial import (
     QParams,
     basic_hypergeometric,
     fourier_coefficients,
+    log_macmahon,
     macmahon,
     macmahon_series_coefficient,
     modified_q_bessel,
@@ -95,6 +96,18 @@ class TestMacmahon:
                 assert macmahon(QParams(q=q, xi=xi)) == pytest.approx(
                     math.exp(total), rel=1e-12
                 )
+
+    def test_log_near_q_one_where_the_value_overflows(self):
+        # log M = -sum_n n log(1 - xi^2 q^n), summed in mpmath
+        p = QParams(q=0.99, xi=0.9)
+        with mpmath.workdps(30):
+            want = -mpmath.nsum(
+                lambda n: n * mpmath.log(1 - mpmath.mpf(0.9) ** 2 * mpmath.mpf(0.99) ** n),
+                [1, mpmath.inf],
+            )
+        assert log_macmahon(p) == pytest.approx(float(want), rel=1e-12)
+        with pytest.raises(OverflowError):
+            macmahon(p)
 
     def test_series_coefficients(self):
         assert [macmahon_series_coefficient(k) for k in range(4)] == [1, 1, 3, 6]
