@@ -13,6 +13,7 @@ from .kernels import (
     airy_kernel,
     correlation,
     discrete_bessel_kernel,
+    kernel_matrix,
     limit_shape,
     q_bessel_kernel,
     schur_kernel,
@@ -74,6 +75,7 @@ __all__ = [
     "discrete_bessel_kernel",
     "enumerate_partitions",
     "gap_probability",
+    "kernel_matrix",
     "lax_checks",
     "lax_matrices",
     "limit_shape",

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import q_bessel_kernel
+from .kernels import kernel_matrix
 from .oppainleve import szego_recursion
 from .partitions import cell_stats, enumerate_partitions
-from .qspecial import KernelTable, QParams, fourier_coefficients, log_macmahon, macmahon
+from .qspecial import KernelTable, QParams, fourier_coefficients, log_macmahon
 
 __all__ = [
     "ToeplitzResult",
@@ -39,6 +38,7 @@ VARIANTS = ("I", "I_check")
 _OP_VARIANT = {"I": "plain", "I_check": "check"}
 GAP_VARIANTS = ("length", "first-part")
 MAX_ENUM = 40
+_SECTION = 40  # first Fredholm section size
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def symbol_table(variant: str, params: QParams, n_span: int) -> KernelTable:
     """Moments c_n of the circle weight for the requested variant."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    return fourier_coefficients(variant, params, -n_span, n_span, grid=512)
+    return fourier_coefficients(variant, params, -n_span, n_span)
 
 
 def toeplitz_det(
@@ -93,9 +93,9 @@ def toeplitz_det(
                           symbol_variant=variant, params=params)
 
 
-def _fredholm(params: QParams, N: int, first_part: bool, m_init: int = 40) -> float:
+def _fredholm(params: QParams, N: int, first_part: bool) -> float:
     """The gap probability from the kernel on a section of m sites, m doubled
-    until the site past the section is negligible.
+    from _SECTION until the site past the section is negligible.
 
     first part: det(1 - K) on l^2([N+1/2, N+m-1/2]), done once K(r, r) < 1e-12
     at the next site. length: det(K) on [-N-m+1/2, -N-1/2]. The length
@@ -105,14 +105,14 @@ def _fredholm(params: QParams, N: int, first_part: bool, m_init: int = 40) -> fl
     event); done once the occupation deficit 1 - K(r, r) < 1e-12.
     """
     sign = 1 if first_part else -1
-    m = max(10, m_init)
+    m = _SECTION
     while True:
-        pts = [Fraction(sign * (2 * (N + k) + 1), 2) for k in range(m + 1)]
-        mat = np.array([[q_bessel_kernel(params, r, s) for s in pts[:m]]
-                        for r in pts[:m]])
-        far = q_bessel_kernel(params, pts[m], pts[m])
+        sites = [sign * (N + j + 0.5) for j in range(m + 1)]
+        k = kernel_matrix(params, sites, sites)
+        far = k[m, m]
         if (far if first_part else 1.0 - far) < 1e-12:
-            return float(np.linalg.det(np.eye(m) - mat if first_part else mat))
+            section = k[:m, :m]
+            return float(np.linalg.det(np.eye(m) - section if first_part else section))
         m *= 2
         if m > 2048:
             raise RuntimeError("fredholm truncation failed to converge")
@@ -145,7 +145,7 @@ def enumeration_tail_bound(params: QParams, max_size: int) -> float:
     ratio = 2.0 * xi * xi * q / (1.0 - q) ** 2
     if ratio >= 1.0:
         return math.inf
-    norm = 1.0 / macmahon(params)
+    norm = math.exp(-log_macmahon(params))
     return norm * ratio ** (max_size + 1) / (1.0 - ratio)
 
 
@@ -153,7 +153,6 @@ def _enumeration_gap(query: GapQuery, max_size: int) -> float:
     if max_size > MAX_ENUM:
         raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM}")
     q, xi = query.params.q, query.params.xi
-    norm = 1.0 / macmahon(query.params)
     total = 0.0
     for size, b, first, length, hooks in _enum_stats(max_size):
         stat = first if query.variant == "first-part" else length
@@ -163,13 +162,12 @@ def _enumeration_gap(query: GapQuery, max_size: int) -> float:
         for h in hooks:
             val /= (1.0 - q**h) ** 2
         total += val
-    return norm * total
+    return total * math.exp(-log_macmahon(query.params))
 
 
 def gap_probability(
     query: GapQuery,
     method: str = "toeplitz",
-    truncation: int = 40,
     max_size: int = 25,
 ) -> float:
     """P[l(lambda) <= N] or P[lambda_1 <= N] for the squared-type measure.
@@ -183,10 +181,7 @@ def gap_probability(
         seq = szego_recursion(variant, query.params, query.N)
         return math.exp(seq.log_z[query.N] - log_macmahon(query.params))
     if method == "fredholm":
-        if truncation < 10:
-            raise ValueError("fredholm truncation must be >= 10")
-        return _fredholm(query.params, query.N, query.variant == "first-part",
-                         truncation)
+        return _fredholm(query.params, query.N, query.variant == "first-part")
     if method == "enumeration":
         return _enumeration_gap(query, max_size)
     raise ValueError(f"unknown method {method!r}")

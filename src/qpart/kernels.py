@@ -9,7 +9,13 @@ c_n = q^{n/2} J^(3)_n(2 xi; q) of the unimodular generating function, taken
 by FFT on the unit circle. The generating function has modulus 1 there, so
 the coefficients come out with absolute accuracy near machine precision
 even for q close to 1, where the raw hypergeometric series cancels
-catastrophically.
+catastrophically. Each parameter set has one coefficient table, holding
+c_n and the reversed cumulative sum of c_n^2. Its order range is certified
+by Parseval (sum c_n^2 = 1): the FFT grid grows until the squared mass of
+the orders left outside is below 1e-24. One assembler, `kernel_matrix`,
+builds any block of the kernel from that table; `q_bessel_kernel` is its
+one-entry view. The Schur series form `schur_kernel` keeps its own
+Miwa-time FFT, so it is an independent check of the closed form.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ from scipy.integrate import quad
 from scipy.special import gamma, jv
 
 from .measures import MiwaTimes
-from .qspecial import KernelTable, QParams, fourier_coefficients
+from .qspecial import NonconvergenceError, QParams, circle_fft
 
 __all__ = [
     "LimitShape",
     "twice",
     "schur_kernel",
+    "kernel_matrix",
     "q_bessel_kernel",
     "discrete_bessel_kernel",
     "correlation",
@@ -40,6 +47,13 @@ __all__ = [
     "sine_kernel",
     "scaling_probe",
 ]
+
+_GRID = 512              # first FFT grid of the J_gen table
+_MAX_GRID = 1 << 18      # the table gives up past this grid
+_OUTSIDE_MASS = 1e-24    # squared J_gen mass the table may drop; the FFT's
+                         # own rounding floor is 1e-32 to 3e-28 up to q = 0.99
+_SCHUR_GRID = 1024       # FFT grid of the Schur-series coefficients
+_SCHUR_TIMES = 128       # Miwa times summed in the Schur symbol
 
 
 def twice(r) -> int:
@@ -52,106 +66,113 @@ def twice(r) -> int:
 
 
 @lru_cache(maxsize=64)
-def _j_gen_table(params: QParams, n_span: int) -> KernelTable:
-    """Coefficients c_n = q^{n/2} J^(3)_n(2 xi;q) for |n| <= n_span."""
-    return fourier_coefficients("J_gen", params, -n_span, n_span, grid=512)
+def _j_gen(params: QParams) -> tuple[int, np.ndarray, np.ndarray]:
+    """The coefficient table of a parameter set: (L, c, tail), c holding
+    c_n = q^{n/2} J^(3)_n(2 xi;q) for |n| <= L at index n + L + 1, with one
+    zero at each end, and tail[i] = sum_{j >= i} c[j]^2.
 
-
-def _tail_span(params: QParams, lo: int, hi: int) -> int:
-    """Span of orders needed so the dropped coefficient tail is negligible.
-
-    Coefficients decay super-exponentially once |n| passes the edge scale
-    -alpha0/log q; add that scale plus a fixed buffer.
+    |J_gen| = 1 on the circle, so sum_n c_n^2 = 1 (Parseval). The FFT grid
+    doubles until the squared mass of its orders past grid/4 falls below
+    _OUTSIDE_MASS, and L = grid/4. Past the edge -2 log(1-xi)/(-log q) the
+    c_n decay only geometrically, at rate xi q^{1/2}, so near q = 1 the
+    range runs hundreds of orders beyond the edge.
     """
+    grid = _GRID
+    while True:
+        c = circle_fft("J_gen", params, grid)
+        if np.sum(c[grid // 4 + 1 : 3 * grid // 4] ** 2) < _OUTSIDE_MASS:
+            break
+        grid *= 2
+        if grid > _MAX_GRID:
+            raise NonconvergenceError(
+                f"J_gen coefficients of {params} not negligible by order {grid // 4}"
+            )
+    span = grid // 4
+    padded = np.concatenate([[0.0], c[-span:], c[: span + 1], [0.0]])
+    return span, padded, np.cumsum(padded[::-1] ** 2)[::-1]
+
+
+def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray:
+    """The block K(r, s), r in rows, s in cols, of the correlation kernel of
+    the squared-type measure on the half-integer lattice.
+
+    With c_n = q^{n/2} J_n, J_n = J^(3)_n(2 xi;q), the Christoffel-Darboux form
+        xi (J_{r+1/2} J_{s-1/2} - J_{r-1/2} J_{s+1/2})
+           / (q^{(r-s)/2} - q^{-(r-s)/2})
+    is -sign(r-s) xi (c_{r+1/2} c_{s-1/2} - c_{r-1/2} c_{s+1/2})
+    q^{-min(r,s)} / (1 - q^{|r-s|}), an outer product over the block; the
+    diagonal q^r sum_{k in Z'_{>0}} q^k J_{r+k}^2 is sum_{n > r} c_n^2, read
+    off the table's reversed cumulative sum. Orders past the table read as 0.
+    """
+    tr = np.array([twice(r) for r in rows], dtype=np.int64)
+    ts = np.array([twice(s) for s in cols], dtype=np.int64)
     q, xi = params.q, params.xi
     if xi == 0.0 or q == 0.0:
-        return max(abs(lo), abs(hi)) + 8
-    edge = -2.0 * math.log(1.0 - xi) / (-math.log(q))
-    return int(max(abs(lo), abs(hi)) + edge + 60)
+        # vacuum projector: c_n = delta_{n,0}
+        return ((tr[:, None] == ts) & (tr[:, None] < 0)).astype(float)
+    span, c, tail = _j_gen(params)
+
+    def at(table: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return table[np.clip(n + span + 1, 0, 2 * span + 2)]
+
+    num = (np.outer(at(c, (tr + 1) // 2), at(c, (ts - 1) // 2))
+           - np.outer(at(c, (tr - 1) // 2), at(c, (ts + 1) // 2)))
+    m = (tr[:, None] - ts) // 2  # r - s
+    lo = np.minimum(tr[:, None], ts) / 2.0  # min(r, s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # q^{-min(r,s)} overflows only far past the table, where num is 0
+        k = np.sign(m) * xi * num * q**-lo / np.expm1(np.abs(m) * math.log(q))
+    return np.where(m == 0, at(tail, (tr + 1) // 2)[:, None],
+                    np.where(num == 0.0, 0.0, k))
 
 
 def q_bessel_kernel(params: QParams, r, s) -> float:
-    """Correlation kernel of the squared-type measure on the half-integer lattice.
-
-    Off the diagonal the Christoffel-Darboux form
-        xi (J_{r+1/2} J_{s-1/2} - J_{r-1/2} J_{s+1/2})
-           / (q^{(r-s)/2} - q^{-(r-s)/2})
-    with J_n = J^(3)_n(2 xi;q); on the diagonal the series
-        q^r sum_{k in Z'_{>0}} q^k J_{r+k}^2,
-    which in terms of c_n = q^{n/2} J_n is sum_k c_{r+k}^2.
-    """
-    tr, ts = twice(r), twice(s)
-    q, xi = params.q, params.xi
-    if xi == 0.0:
-        return 1.0 if (tr == ts and tr < 0) else 0.0
-    span = _tail_span(params, min(tr, ts) // 2 - 1, max(tr, ts) // 2 + 1)
-    table = _j_gen_table(params, span)
-    if tr == ts:
-        # r + k runs over integers > r for half-integer k > 0
-        n0 = (tr + 1) // 2
-        total = 0.0
-        for n in range(n0, span + 1):
-            total += table[n] ** 2
-        return total
-    # indices r +- 1/2 are integers; J_m = q^{-m/2} c_m, and the prefactors
-    # combine into exact half-integer powers of q
-    a = (tr + 1) // 2  # r + 1/2
-    b = (tr - 1) // 2  # r - 1/2
-    c = (ts + 1) // 2  # s + 1/2
-    d = (ts - 1) // 2  # s - 1/2
-    num = table[a] * table[d] - table[b] * table[c]
-    # c_a c_d = q^{(r+s)/2} J_{r+1/2} J_{s-1/2}; divide out the prefactor
-    # and the antisymmetric denominator q^{(r-s)/2} - q^{-(r-s)/2}
-    m = (tr - ts) // 2  # r - s, a nonzero integer
-    den = q ** (m / 2.0) - q ** (-m / 2.0)
-    return xi * num * q ** (-(tr + ts) / 4.0) / den
+    """One entry K(r, s) of `kernel_matrix`."""
+    return float(kernel_matrix(params, [r], [s])[0, 0])
 
 
-def schur_kernel(
-    t: MiwaTimes, t_tilde: MiwaTimes, r, s,
-    tail_tol: float = 1e-16,
-    n_span: int = 128,
-    grid: int = 1024,
-) -> float:
-    """Series form K(r,s) = sum_{k in Z'_{>0}} J_{r+k} Jtilde_{s+k}.
+@lru_cache(maxsize=64)
+def _schur_coefficients(t: MiwaTimes, t_tilde: MiwaTimes) -> tuple:
+    """J_n and Jtilde_n for |n| <= _SCHUR_GRID/4, at index n + _SCHUR_GRID/4.
 
     J and Jtilde are Fourier coefficients of exp(sum t_n z^n - ttilde_n z^-n)
-    and of the same expression with t and ttilde swapped, taken by FFT.
-    The summation index k runs over positive half-integers so that r + k is
-    an integer order.
+    and of the same expression with t and ttilde swapped, taken by FFT on
+    their own grid, independent of the J_gen table.
     """
-    tr, ts = twice(r), twice(s)
+    grid, span = _SCHUR_GRID, _SCHUR_GRID // 4
     theta = 2.0 * math.pi * np.arange(grid) / grid
     z = np.exp(1j * theta)
     log_j = np.zeros_like(z)
-    for n in range(1, n_span + 1):
+    for n in range(1, _SCHUR_TIMES + 1):
         tn, ttn = t.value(n), t_tilde.value(n)
         if tn == 0.0 and ttn == 0.0 and n > 8:
             break
         log_j = log_j + tn * z**n - ttn * z ** (-n)
-    j_coeff = np.fft.fft(np.exp(log_j)) / grid
+    orders = np.arange(-span, span + 1)
+    j = (np.fft.fft(np.exp(log_j)) / grid).real[orders % grid]
     # exp(-log J)(z) is the swapped-times symbol evaluated at 1/z, so its
-    # z^b coefficient is Jtilde_{-b}; read it with the index negated below
-    jt_coeff = np.fft.fft(np.exp(-log_j)) / grid
+    # z^b coefficient is Jtilde_{-b}
+    jt = (np.fft.fft(np.exp(-log_j)) / grid).real[-orders % grid]
+    return j, jt
 
-    def coeff(c: np.ndarray, n: int) -> float:
-        if abs(n) > grid // 4:
-            return 0.0
-        return float(c[n % grid].real)
 
-    total = 0.0
-    k2 = 1  # doubled half-integer k = 1/2
-    stall = 0
-    while k2 < 4 * grid:
-        a = (tr + k2) // 2
-        b = (ts + k2) // 2
-        term = coeff(j_coeff, a) * coeff(jt_coeff, -b)
-        total += term
-        stall = stall + 1 if abs(term) < tail_tol * max(1.0, abs(total)) else 0
-        if stall >= 8:
-            return total
-        k2 += 2
-    return total
+def schur_kernel(t: MiwaTimes, t_tilde: MiwaTimes, r, s) -> float:
+    """Series form K(r,s) = sum_{k in Z'_{>0}} J_{r+k} Jtilde_{s+k}.
+
+    The summation index k runs over positive half-integers so that r + k is
+    an integer order; orders past _SCHUR_GRID/4 are dropped.
+    """
+    j, jt = _schur_coefficients(t, t_tilde)
+    span = _SCHUR_GRID // 4
+    # array indices of the first orders r + 1/2 and s + 1/2; earlier indices
+    # than 0 are orders below the range and read as 0
+    ia = (twice(r) + 1) // 2 + span
+    ib = (twice(s) + 1) // 2 + span
+    skip = max(0, -ia, -ib)
+    n = 2 * span + 1 - max(ia, ib) - skip
+    if n <= 0:
+        return 0.0
+    return float(np.dot(j[ia + skip : ia + skip + n], jt[ib + skip : ib + skip + n]))
 
 
 def discrete_bessel_kernel(eta: float, r, s) -> float:

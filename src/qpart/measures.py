@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import Partition, cell_stats, enumerate_partitions, schur_specialized
-from .qspecial import QParams, macmahon
+from .qspecial import QParams, log_macmahon
 
 __all__ = [
     "MiwaTimes",
@@ -100,9 +100,6 @@ class SchurMeasure:
     t_tilde: MiwaTimes
 
 
-MeasureKind = object  # any of the dataclasses above
-
-
 def _schur_value(times: MiwaTimes, lam: Partition) -> float:
     if times.family == "principal":
         return schur_specialized(lam, "principal", times.xi, times.q)
@@ -125,7 +122,7 @@ def _schur_normalization(t: MiwaTimes, t_tilde: MiwaTimes, max_terms: int = 10_0
     return math.exp(total)
 
 
-def measure(kind: MeasureKind, lam: Partition) -> float:
+def measure(kind: object, lam: Partition) -> float:
     """Probability mass of the partition under the named measure."""
     if isinstance(kind, Plancherel):
         if lam.size != kind.n:
@@ -142,7 +139,7 @@ def measure(kind: MeasureKind, lam: Partition) -> float:
         val = (xi * xi * q) ** lam.size * q ** (2 * stats.b_of_lambda)
         for h in stats.hooks.values():
             val /= (1.0 - q**h) ** 2
-        return val / macmahon(QParams(q=q, xi=xi))
+        return val * math.exp(-log_macmahon(QParams(q=q, xi=xi)))
     if isinstance(kind, QPPMixed):
         xi, q = kind.xi, kind.q
         stats = cell_stats(lam)
@@ -156,7 +153,7 @@ def measure(kind: MeasureKind, lam: Partition) -> float:
     raise TypeError(f"unknown measure kind {kind!r}")
 
 
-def normalization_partial_sum(kind: MeasureKind, max_size: int) -> float:
+def normalization_partial_sum(kind: object, max_size: int) -> float:
     """Sum of the measure over all partitions of size <= max_size."""
     if max_size > MAX_SUM_SIZE:
         raise ValueError(f"max_size {max_size} exceeds guard {MAX_SUM_SIZE}")

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
-from .qspecial import NonconvergenceError, QParams, q_pochhammer
+from .qspecial import NonconvergenceError, QParams, circle_weight, q_pochhammer
 
 __all__ = [
     "OPSequence",
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 OP_VARIANTS = ("plain", "check")
+_WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
 MAX_N = 25
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
@@ -493,23 +494,6 @@ def lax_checks(
 # Riemann-Hilbert samples
 
 
-def _weight_values(variant: str, params: QParams, z: np.ndarray) -> np.ndarray:
-    """Circle weight evaluated at complex points (off its poles/zeros)."""
-    q, xi = params.q, params.xi
-    a = xi * math.sqrt(q)
-    w = np.ones_like(z, dtype=complex)
-    sign = -1.0 if variant == "plain" else 1.0
-    # plain: prod 1/((1 - a q^k z)(1 - a q^k / z)); check: same product with
-    # -a, not inverted
-    aa = a if variant == "plain" else -a
-    for _ in range(params.max_terms):
-        if abs(aa) < params.tail_tol:
-            break
-        w = w * (1.0 - aa * z) * (1.0 - aa / z)
-        aa *= q
-    return 1.0 / w if variant == "plain" else w
-
-
 def rhp_sample(
     n: int,
     z: complex,
@@ -539,7 +523,7 @@ def rhp_sample(
     g = quadrature_points
     theta = 2.0 * math.pi * np.arange(g) / g
     w = contour_radius * np.exp(1j * theta)
-    wv = _weight_values(variant, params, w)
+    wv = circle_weight(_WEIGHT[variant], params, w)
 
     # (1/2pi i) oint f(w)/(w - z) dw with dw = i w dtheta, dtheta = 2 pi / g
     def cauchy(coeffs: np.ndarray) -> complex:
@@ -575,7 +559,7 @@ def rhp_jump_residual(
                         contour_radius=1.0 + radius_offset).y
     y_minus = rhp_sample(n, z, params, variant, quadrature_points,
                          contour_radius=1.0 - radius_offset).y
-    wz = complex(_weight_values(variant, params, np.array([z]))[0])
+    wz = complex(circle_weight(_WEIGHT[variant], params, np.array([z]))[0])
     jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
     return float(np.max(np.abs(y_plus - y_minus @ jump)))
 

@@ -28,6 +28,8 @@ __all__ = [
     "log_macmahon",
     "q_bessel",
     "modified_q_bessel",
+    "circle_weight",
+    "circle_fft",
     "fourier_coefficients",
 ]
 
@@ -351,73 +353,67 @@ class KernelTable:
         return sorted(self.coeffs)
 
 
-def _weight_on_circle(weight: str, params: QParams, theta: np.ndarray) -> np.ndarray:
-    """Evaluate the requested circle weight at the angles theta."""
-    q, xi = params.q, params.xi
-    if weight in ("I", "I_check"):
-        # product over n >= 0 of (1 + xi^2 q^{2n+1} -/+ 2 xi q^{n+1/2} cos)
-        # (inverted for I); all factors positive for q, xi in [0,1)
-        sign = -1.0 if weight == "I" else 1.0
-        cos_t = np.cos(theta)
-        log_w = np.zeros_like(theta)
-        a = xi * math.sqrt(q) if q > 0.0 else 0.0
-        if q == 0.0:
-            a = xi * 0.0  # q^{1/2} = 0: weight is 1
-        for _ in range(params.max_terms):
-            if a < params.tail_tol:
-                break
-            log_w += np.log1p(a * a + sign * 2.0 * a * cos_t)
-            a *= q
-        else:
-            raise NonconvergenceError("weight product did not converge")
-        return np.exp(-log_w if weight == "I" else log_w)
-    if weight == "J_gen":
-        # (xi q^{1/2} z^{-1};q)_inf / (xi q^{1/2} z;q)_inf, |value| = 1 on the
-        # circle, so FFT coefficients carry no cancellation error
-        z = np.exp(1j * theta)
-        a = xi * math.sqrt(q)
-        num = np.ones_like(z)
-        den = np.ones_like(z)
-        for _ in range(params.max_terms):
-            if a < params.tail_tol:
-                break
+WEIGHTS = ("I", "I_check", "J_gen")
+_GRID = 512  # smallest FFT grid; grown to four times the requested orders
+
+
+def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
+    """The circle weight at complex points z, off its poles and zeros.
+
+    With a_k = xi q^{k+1/2}, k >= 0, by the product form:
+      I:       1 / prod (1 - a_k z)(1 - a_k / z), the symbol of the moments I_n;
+      I_check: prod (1 + a_k z)(1 + a_k / z), the dual symbol;
+      J_gen:   prod (1 - a_k / z) / (1 - a_k z), the kernel generating
+               function, of modulus 1 on the circle, so its FFT
+               coefficients carry no cancellation error.
+    """
+    if weight not in WEIGHTS:
+        raise ValueError(f"unknown weight {weight!r}")
+    a = params.xi * math.sqrt(params.q)
+    if weight == "I_check":
+        a = -a
+    num = np.ones_like(z, dtype=complex)
+    den = np.ones_like(z, dtype=complex)
+    for _ in range(params.max_terms):
+        if abs(a) < params.tail_tol:
+            break
+        if weight == "J_gen":
             num *= 1.0 - a / z
             den *= 1.0 - a * z
-            a *= q
         else:
-            raise NonconvergenceError("generating function product did not converge")
-        return num / den
-    raise ValueError(f"unknown weight {weight!r}")
+            den = den * (1.0 - a * z) * (1.0 - a / z)
+        a *= params.q
+    else:
+        raise NonconvergenceError(f"{weight} weight product did not converge")
+    if weight == "I_check":
+        return den
+    return num / den
+
+
+def circle_fft(weight: str, params: QParams, grid: int) -> np.ndarray:
+    """Real parts of the FFT coefficients of the weight on `grid` equispaced
+    points of the circle: entry k holds order k for k < grid/2 and order
+    k - grid above. Values below 1e-300 are flushed to 0."""
+    theta = 2.0 * math.pi * np.arange(grid) / grid
+    c = (np.fft.fft(circle_weight(weight, params, np.exp(1j * theta))) / grid).real
+    c[np.abs(c) < _FLUSH] = 0.0
+    return c
 
 
 def fourier_coefficients(
-    weight: str,
-    params: QParams,
-    n_min: int,
-    n_max: int,
-    grid: int = 512,
+    weight: str, params: QParams, n_min: int, n_max: int
 ) -> KernelTable:
     """Fourier coefficients c_n = (1/2pi) int w(e^{i theta}) e^{-in theta} dtheta.
 
     For weight "I" these are the symbol moments I_n, for "I_check" the
     moments of the dual symbol, and for "J_gen" the coefficients
-    q^{n/2} J^(3)_n(2 xi; q) of the kernel generating function.
+    q^{n/2} J^(3)_n(2 xi; q) of the kernel generating function. The FFT
+    grid has at least four points per requested order, so aliasing stays
+    below the coefficients' own decay.
     """
     if n_min > n_max:
         raise ValueError("n_min must be <= n_max")
-    span = max(abs(n_min), abs(n_max))
-    if grid < 4 * (abs(n_min) + abs(n_max) + 1):
-        grid = 1 << max(9, (4 * (abs(n_min) + abs(n_max) + 1) - 1).bit_length())
-    if span > grid // 4:
-        raise ValueError(
-            f"aliasing: top requested order {span} exceeds grid/4 = {grid // 4}"
-        )
-    theta = 2.0 * math.pi * np.arange(grid) / grid
-    w = _weight_on_circle(weight, params, theta)
-    c = np.fft.fft(w) / grid  # c[k] = (1/G) sum w_j e^{-2pi i jk/G}
-    coeffs: dict[int, float] = {}
-    for n in range(n_min, n_max + 1):
-        v = c[n % grid]
-        val = float(v.real)
-        coeffs[n] = 0.0 if abs(val) < _FLUSH else val
+    grid = max(_GRID, 1 << (4 * (abs(n_min) + abs(n_max) + 1) - 1).bit_length())
+    c = circle_fft(weight, params, grid)
+    coeffs = {n: float(c[n % grid]) for n in range(n_min, n_max + 1)}
     return KernelTable(family=weight, coeffs=coeffs, params=params)

@@ -116,6 +116,17 @@ class TestGapTable:
         assert code == 0
         assert all(0.0 <= r["toeplitz"] <= 1.0 for r in json.loads(out))
 
+    def test_near_q_one_enumeration_has_no_traceback(self, capsys):
+        # M overflows a double here; the partition sum up to size 25 is
+        # still truncated, so only the exit and the output shape are checked
+        code, out, err = run(
+            ["gap-table", "--q", "0.99", "--xi", "0.9", "--method",
+             "enumeration", "--n-max", "1"], capsys
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        assert [r["N"] for r in json.loads(out)] == [0, 1]
+
     def test_variant_flag(self, capsys):
         _, out_l, _ = run(
             ["gap-table", "--n-max", "2", "--variant", "length"], capsys

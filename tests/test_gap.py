@@ -10,6 +10,7 @@ from qpart.gap import (
     symbol_table,
     toeplitz_det,
 )
+from qpart.kernels import _j_gen
 from qpart.measures import QPPSquared, measure
 from qpart.partitions import enumerate_partitions
 from qpart.qspecial import QParams, macmahon
@@ -80,6 +81,14 @@ class TestGapProbability:
         a = gap_probability(query, "toeplitz")
         b = gap_probability(query, "fredholm")
         assert abs(a - b) < 1e-12
+
+    def test_fredholm_builds_one_table_per_params(self):
+        p = QParams(q=0.9, xi=0.45)  # a point no other test uses
+        before = _j_gen.cache_info().misses
+        for variant in ("length", "first-part"):
+            for n in (0, 4):
+                gap_probability(GapQuery(variant, n, p), "fredholm")
+        assert _j_gen.cache_info().misses - before == 1
 
     def test_transpose_duality(self):
         # lambda_1 and the length swap under transposition, but the

@@ -11,6 +11,7 @@ from qpart.kernels import (
     airy_kernel,
     correlation,
     discrete_bessel_kernel,
+    kernel_matrix,
     limit_shape,
     q_bessel_kernel,
     schur_kernel,
@@ -19,7 +20,7 @@ from qpart.kernels import (
     twice,
 )
 from qpart.measures import MiwaTimes
-from qpart.qspecial import QParams
+from qpart.qspecial import QParams, fourier_coefficients
 
 P = QParams(q=0.5, xi=0.3)
 HALF = [Fraction(2 * k + 1, 2) for k in range(-8, 8)]
@@ -65,12 +66,30 @@ class TestQBesselKernel:
         assert q_bessel_kernel(p0, Fraction(-1, 2), Fraction(1, 2)) == 0.0
 
     def test_matches_schur_series_form(self):
-        t = MiwaTimes.principal(P.xi, P.q)
-        for r in HALF:
-            for s in HALF:
-                assert q_bessel_kernel(P, r, s) == pytest.approx(
-                    schur_kernel(t, t, r, s), abs=1e-10
-                )
+        for p in (P, QParams(q=0.9, xi=0.5)):
+            t = MiwaTimes.principal(p.xi, p.q)
+            for r in HALF:
+                for s in HALF:
+                    assert q_bessel_kernel(p, r, s) == pytest.approx(
+                        schur_kernel(t, t, r, s), abs=1e-10
+                    )
+
+    @pytest.mark.parametrize("q, xi", [(0.99, 0.9), (0.95, 0.9)])
+    def test_diagonal_matches_wide_table_near_q_one(self, q, xi):
+        # past the edge c_n decays only like (xi q^{1/2})^n, so a table cut a
+        # fixed number of orders past the edge drops visible mass here
+        p = QParams(q=q, xi=xi)
+        wide = fourier_coefficients("J_gen", p, -2047, 2047)
+        want = sum(wide[n] ** 2 for n in range(1, 2048))
+        assert q_bessel_kernel(p, 0.5, 0.5) == pytest.approx(want, abs=1e-13)
+
+    def test_matrix_entries_match_single_entries(self):
+        p = QParams(q=0.9, xi=0.5)
+        k = kernel_matrix(p, HALF[::2], HALF[1::3])
+        assert k.shape == (len(HALF[::2]), len(HALF[1::3]))
+        for i, r in enumerate(HALF[::2]):
+            for j, s in enumerate(HALF[1::3]):
+                assert k[i, j] == q_bessel_kernel(p, r, s)
 
     def test_trace_equals_mean_size_contribution(self):
         # sum over r > 0 of K(r, r) plus sum over r < 0 of (1 - K(r, r))

@@ -320,9 +320,9 @@ class TestLax:
         z = 0.6 + 0.4j
         seq = op_sequence("plain", P, n + 2)
         m = lax_matrices(n, P, seq)
-        from qpart.oppainleve import _weight_values
+        from qpart.qspecial import circle_weight
 
-        w = complex(_weight_values("plain", P, np.array([z]))[0])
+        w = complex(circle_weight("I", P, np.array([z]))[0])
 
         def psi(k):
             y = rhp_sample(k, z, P, "plain").y
