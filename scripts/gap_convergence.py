@@ -10,7 +10,7 @@ how quickly the distribution saturates.
 import argparse
 import sys
 
-from qpart.gap import GapQuery, gap_probability
+from qpart.gap import METHODS, GapQuery, gap_probability
 from qpart.qspecial import QParams
 
 
@@ -29,10 +29,7 @@ def main() -> int:
           f"{'enumeration':>22} {'spread':>10}")
     for n in range(args.n_max + 1):
         query = GapQuery(variant=args.variant, N=n, params=params)
-        vals = [
-            gap_probability(query, m)
-            for m in ("toeplitz", "fredholm", "enumeration")
-        ]
+        vals = [gap_probability(query, m) for m in METHODS]
         spread = max(vals) - min(vals)
         print(f"{n:>3} {vals[0]:>22.16f} {vals[1]:>22.16f} "
               f"{vals[2]:>22.16f} {spread:>10.2e}")

@@ -9,11 +9,11 @@ tends to 1.
 """
 
 import argparse
-import math
 import sys
 
+from qpart.checks import x_tail_comparator
 from qpart.oppainleve import painleve_trajectory, recurrence_residuals
-from qpart.qspecial import QParams, q_bessel
+from qpart.qspecial import QParams
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
     residuals = [0.0, *recurrence_residuals(state)]
     print(f"{'n':>3} {'x_n':>24} {'residual':>12} {'tail_ratio':>14}")
     for n in range(args.n_max + 1):
-        comp = math.sqrt(p.xi) * q_bessel(3, -n, 2.0 * p.xi, p.q)
+        comp = x_tail_comparator(p, n)
         ratio = state.values[n] / comp if comp else float("nan")
         print(f"{n:>3} {state.values[n]:>24.16e} {residuals[n]:>12.2e} "
               f"{ratio:>14.10f}")

@@ -40,7 +40,6 @@ from .oppainleve import (
 )
 from .partitions import Partition, cell_stats, enumerate_partitions
 from .qspecial import (
-    KernelTable,
     QParams,
     basic_hypergeometric,
     macmahon,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GapQuery",
-    "KernelTable",
     "LaxMatrices",
     "LimitShape",
     "MiwaTimes",

@@ -7,8 +7,7 @@ variables are built from their ratios.
 
 The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
 Szego recursion (`oppainleve.szego_recursion`), so it does not overflow
-near q = 1. `symbol_table` keeps the FFT moments of the circle weights as
-an independent cross-check for the tests.
+near q = 1.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import kernel_matrix
+from .measures import _squared_weight_sum
 from .oppainleve import szego_recursion
 from .partitions import cell_stats, enumerate_partitions
-from .qspecial import KernelTable, QParams, fourier_coefficients, log_macmahon
+from .qspecial import QParams, log_macmahon
 
 __all__ = [
     "ToeplitzResult",
     "GapQuery",
-    "symbol_table",
     "toeplitz_det",
     "gap_probability",
     "enumeration_tail_bound",
@@ -37,6 +36,7 @@ __all__ = [
 VARIANTS = ("I", "I_check")
 _OP_VARIANT = {"I": "plain", "I_check": "check"}
 GAP_VARIANTS = ("length", "first-part")
+METHODS = ("toeplitz", "fredholm", "enumeration")
 MAX_ENUM = 40
 _SECTION = 40  # first Fredholm section size
 
@@ -61,14 +61,6 @@ class GapQuery:
             raise ValueError(f"variant must be one of {GAP_VARIANTS}")
         if self.N < 0:
             raise ValueError("N must be nonnegative")
-
-
-@lru_cache(maxsize=64)
-def symbol_table(variant: str, params: QParams, n_span: int) -> KernelTable:
-    """Moments c_n of the circle weight for the requested variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    return fourier_coefficients(variant, params, -n_span, n_span)
 
 
 def toeplitz_det(
@@ -152,16 +144,10 @@ def enumeration_tail_bound(params: QParams, max_size: int) -> float:
 def _enumeration_gap(query: GapQuery, max_size: int) -> float:
     if max_size > MAX_ENUM:
         raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM}")
-    q, xi = query.params.q, query.params.xi
-    total = 0.0
-    for size, b, first, length, hooks in _enum_stats(max_size):
-        stat = first if query.variant == "first-part" else length
-        if stat > query.N:
-            continue
-        val = (xi * xi * q) ** size * q ** (2 * b)
-        for h in hooks:
-            val /= (1.0 - q**h) ** 2
-        total += val
+    first_part = query.variant == "first-part"
+    rows = [(size, b, hooks) for size, b, first, length, hooks in _enum_stats(max_size)
+            if (first if first_part else length) <= query.N]
+    total = _squared_weight_sum(query.params.xi, query.params.q, rows)
     return total * math.exp(-log_macmahon(query.params))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .partitions import Partition, cell_stats, enumerate_partitions, schur_specialized
 from .qspecial import QParams, log_macmahon
@@ -122,6 +122,20 @@ def _schur_normalization(t: MiwaTimes, t_tilde: MiwaTimes, max_terms: int = 10_0
     return math.exp(total)
 
 
+def _squared_weight_sum(xi: float, q: float, rows: Iterable[tuple]) -> float:
+    """Sum of (xi^2 q)^size q^{2b} / prod_h (1 - q^h)^2 over rows (size, b,
+    hook lengths): the squared-type mass of those partitions before dividing
+    by the MacMahon normalization. One call per sum, not per partition, so
+    the enumeration route pays no call per term."""
+    total = 0.0
+    for size, b, hooks in rows:
+        val = (xi * xi * q) ** size * q ** (2 * b)
+        for h in hooks:
+            val /= (1.0 - q**h) ** 2
+        total += val
+    return total
+
+
 def measure(kind: object, lam: Partition) -> float:
     """Probability mass of the partition under the named measure."""
     if isinstance(kind, Plancherel):
@@ -134,12 +148,10 @@ def measure(kind: object, lam: Partition) -> float:
         dim_ratio = stats.dim_lambda / math.factorial(lam.size)
         return math.exp(-kind.eta**2) * kind.eta ** (2 * lam.size) * dim_ratio**2
     if isinstance(kind, QPPSquared):
-        xi, q = kind.xi, kind.q
         stats = cell_stats(lam)
-        val = (xi * xi * q) ** lam.size * q ** (2 * stats.b_of_lambda)
-        for h in stats.hooks.values():
-            val /= (1.0 - q**h) ** 2
-        return val * math.exp(-log_macmahon(QParams(q=q, xi=xi)))
+        val = _squared_weight_sum(kind.xi, kind.q,
+                                  [(lam.size, stats.b_of_lambda, stats.hooks.values())])
+        return val * math.exp(-log_macmahon(QParams(q=kind.q, xi=kind.xi)))
     if isinstance(kind, QPPMixed):
         xi, q = kind.xi, kind.q
         stats = cell_stats(lam)

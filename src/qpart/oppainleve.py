@@ -57,6 +57,8 @@ MAX_N = 25
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
 _MAX_RAISES = 8    # precision raises, by a factor 1.5 each, before giving up
+_QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
+_RADIUS_OFFSET = 1e-2  # contour distance from the circle for boundary values
 
 
 @dataclass(frozen=True)
@@ -454,7 +456,7 @@ def lax_matrices(n: int, params: QParams, op: OPSequence) -> LaxMatrices:
                        t2=t2, t1=t1, t0=t0, z_pole=pole)
 
 
-def inversion_k(variant: str, x_n: float) -> np.ndarray:
+def inversion_k(x_n: float) -> np.ndarray:
     """Involutive matrix of the T inversion relation; determinant -1."""
     return np.array([[x_n, -1.0], [-(1.0 - x_n * x_n), -x_n]])
 
@@ -473,7 +475,7 @@ def lax_checks(
     q = params.q
     m_n = lax_matrices(n, params, op)
     m_np1 = lax_matrices(n + 1, params, op)
-    k = inversion_k(op.variant, op.x[n])
+    k = inversion_k(op.x[n])
     comp, inv = [], []
     for z in probes:
         if abs(z) < 1e-8 or abs(z - m_n.z_pole) < 1e-8:
@@ -494,14 +496,8 @@ def lax_checks(
 # Riemann-Hilbert samples
 
 
-def rhp_sample(
-    n: int,
-    z: complex,
-    params: QParams,
-    variant: str = "plain",
-    quadrature_points: int = 2048,
-    contour_radius: float = 1.0,
-) -> RHPSample:
+def rhp_sample(n: int, z: complex, params: QParams, variant: str = "plain",
+               contour_radius: float = 1.0) -> RHPSample:
     """The 2x2 Riemann-Hilbert matrix at a probe point by circle quadrature.
 
     Y_n(z) = [[pi_n(z),              C[w^{-n} pi_n w](z)],
@@ -520,7 +516,7 @@ def rhp_sample(
     pstar = pnm1[::-1].copy()  # real coefficients: dual is plain reversal
     k2 = op.kappa_sq[n - 1]
 
-    g = quadrature_points
+    g = _QUADRATURE
     theta = 2.0 * math.pi * np.arange(g) / g
     w = contour_radius * np.exp(1j * theta)
     wv = circle_weight(_WEIGHT[variant], params, w)
@@ -538,27 +534,18 @@ def rhp_sample(
     return RHPSample(variant=variant, n=n, z=z, y=y, det_y=complex(np.linalg.det(y)))
 
 
-def rhp_jump_residual(
-    n: int,
-    z_angle: float,
-    params: QParams,
-    variant: str = "plain",
-    radius_offset: float = 1e-2,
-    quadrature_points: int = 2048,
-) -> float:
+def rhp_jump_residual(n: int, z_angle: float, params: QParams, variant: str) -> float:
     """|Y_+ - Y_- J| at a point of the unit circle, J the upper-triangular
     jump with the weight in the corner.
 
     Both boundary values are taken exactly at z on the circle; the
-    quadrature contour is deformed to radius 1 -/+ radius_offset, which the
+    quadrature contour is deformed to radius 1 -/+ _RADIUS_OFFSET, which the
     analyticity of the integrand in the annulus between the weight poles
     permits. The + value uses the outer contour (z inside), the - value the
     inner one."""
     z = cmath.exp(1j * z_angle)
-    y_plus = rhp_sample(n, z, params, variant, quadrature_points,
-                        contour_radius=1.0 + radius_offset).y
-    y_minus = rhp_sample(n, z, params, variant, quadrature_points,
-                         contour_radius=1.0 - radius_offset).y
+    y_plus = rhp_sample(n, z, params, variant, 1.0 + _RADIUS_OFFSET).y
+    y_minus = rhp_sample(n, z, params, variant, 1.0 - _RADIUS_OFFSET).y
     wz = complex(circle_weight(_WEIGHT[variant], params, np.array([z]))[0])
     jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
     return float(np.max(np.abs(y_plus - y_minus @ jump)))

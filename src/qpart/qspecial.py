@@ -12,7 +12,7 @@ with a tail tolerance is enough at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "QParams",
     "HypergeometricSpec",
-    "KernelTable",
     "NonconvergenceError",
     "q_pochhammer",
     "basic_hypergeometric",
@@ -30,7 +29,6 @@ __all__ = [
     "modified_q_bessel",
     "circle_weight",
     "circle_fft",
-    "fourier_coefficients",
 ]
 
 DEFAULT_TAIL_TOL = 1e-16
@@ -338,23 +336,7 @@ def modified_q_bessel(
     return pref * phi
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """Immutable table of Fourier coefficients indexed by integer order."""
-
-    family: str
-    coeffs: dict[int, float] = field(repr=False)
-    params: QParams | None = None
-
-    def __getitem__(self, n: int) -> float:
-        return self.coeffs.get(n, 0.0)
-
-    def orders(self) -> list[int]:
-        return sorted(self.coeffs)
-
-
 WEIGHTS = ("I", "I_check", "J_gen")
-_GRID = 512  # smallest FFT grid; grown to four times the requested orders
 
 
 def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
@@ -398,22 +380,3 @@ def circle_fft(weight: str, params: QParams, grid: int) -> np.ndarray:
     c = (np.fft.fft(circle_weight(weight, params, np.exp(1j * theta))) / grid).real
     c[np.abs(c) < _FLUSH] = 0.0
     return c
-
-
-def fourier_coefficients(
-    weight: str, params: QParams, n_min: int, n_max: int
-) -> KernelTable:
-    """Fourier coefficients c_n = (1/2pi) int w(e^{i theta}) e^{-in theta} dtheta.
-
-    For weight "I" these are the symbol moments I_n, for "I_check" the
-    moments of the dual symbol, and for "J_gen" the coefficients
-    q^{n/2} J^(3)_n(2 xi; q) of the kernel generating function. The FFT
-    grid has at least four points per requested order, so aliasing stays
-    below the coefficients' own decay.
-    """
-    if n_min > n_max:
-        raise ValueError("n_min must be <= n_max")
-    grid = max(_GRID, 1 << (4 * (abs(n_min) + abs(n_max) + 1) - 1).bit_length())
-    c = circle_fft(weight, params, grid)
-    coeffs = {n: float(c[n % grid]) for n in range(n_min, n_max + 1)}
-    return KernelTable(family=weight, coeffs=coeffs, params=params)

@@ -7,13 +7,12 @@ from qpart.gap import (
     enumeration_tail_bound,
     gap_probability,
     monotonicity_scan,
-    symbol_table,
     toeplitz_det,
 )
 from qpart.kernels import _j_gen
 from qpart.measures import QPPSquared, measure
 from qpart.partitions import enumerate_partitions
-from qpart.qspecial import QParams, macmahon
+from qpart.qspecial import QParams, circle_fft, macmahon
 
 P = QParams(q=0.5, xi=0.3)
 
@@ -23,7 +22,7 @@ class TestToeplitzDet:
         assert toeplitz_det("I", 0, 0, P).value == 1.0
 
     def test_size_one_is_moment(self):
-        table = symbol_table("I", P, 10)
+        table = circle_fft("I", P, 512)
         assert toeplitz_det("I", 1, 0, P).value == pytest.approx(
             table[0], rel=1e-14
         )

@@ -20,7 +20,7 @@ from qpart.kernels import (
     twice,
 )
 from qpart.measures import MiwaTimes
-from qpart.qspecial import QParams, fourier_coefficients
+from qpart.qspecial import QParams, circle_fft
 
 P = QParams(q=0.5, xi=0.3)
 HALF = [Fraction(2 * k + 1, 2) for k in range(-8, 8)]
@@ -79,7 +79,7 @@ class TestQBesselKernel:
         # past the edge c_n decays only like (xi q^{1/2})^n, so a table cut a
         # fixed number of orders past the edge drops visible mass here
         p = QParams(q=q, xi=xi)
-        wide = fourier_coefficients("J_gen", p, -2047, 2047)
+        wide = circle_fft("J_gen", p, 16384)
         want = sum(wide[n] ** 2 for n in range(1, 2048))
         assert q_bessel_kernel(p, 0.5, 0.5) == pytest.approx(want, abs=1e-13)
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from qpart.qspecial import (
     HypergeometricSpec,
-    KernelTable,
     QParams,
     basic_hypergeometric,
-    fourier_coefficients,
+    circle_fft,
     log_macmahon,
     macmahon,
     macmahon_series_coefficient,
@@ -167,15 +166,16 @@ class TestQBessel:
 
 
 class TestFourierCoefficients:
+    # circle_fft entry n holds order n, negative n indexing from the end
     def test_j_gen_matches_direct_series(self):
-        table = fourier_coefficients("J_gen", P, -20, 20)
+        table = circle_fft("J_gen", P, 512)
         for n in range(-6, 7):
             want = P.q ** (n / 2.0) * q_bessel(3, n, 2.0 * P.xi, P.q)
             assert table[n] == pytest.approx(want, abs=1e-14)
 
     def test_generating_function_pointwise(self):
         # sum c_n z^n reproduces the product form on the unit circle
-        table = fourier_coefficients("J_gen", P, -40, 40)
+        table = circle_fft("J_gen", P, 512)
         q, xi = P.q, P.xi
         for k in range(32):
             theta = 2.0 * math.pi * k / 32.0
@@ -186,14 +186,14 @@ class TestFourierCoefficients:
             assert abs(series - num / den) < 1e-10
 
     def test_parseval_unimodular(self):
-        table = fourier_coefficients("J_gen", P, -60, 60)
-        assert sum(v * v for v in table.coeffs.values()) == pytest.approx(
+        table = circle_fft("J_gen", P, 512)
+        assert sum(table[n] ** 2 for n in range(-60, 61)) == pytest.approx(
             1.0, abs=1e-13
         )
 
     def test_symbol_moments_match_modified_bessel(self):
-        t_i = fourier_coefficients("I", P, -8, 8)
-        t_c = fourier_coefficients("I_check", P, -8, 8)
+        t_i = circle_fft("I", P, 512)
+        t_c = circle_fft("I_check", P, 512)
         for n in range(-5, 6):
             want_i = modified_q_bessel(1, abs(n), 2.0 * P.xi * math.sqrt(P.q), P.q)
             want_c = P.q ** (n * n / 2.0) * modified_q_bessel(
@@ -203,16 +203,10 @@ class TestFourierCoefficients:
             assert t_c[n] == pytest.approx(want_c, rel=1e-12)
 
     def test_symbols_even(self):
-        for weight in ("I", "I_check", "J_gen"):
-            table = fourier_coefficients(weight, P, -10, 10)
-            if weight == "J_gen":
-                continue
+        for weight in ("I", "I_check"):
+            table = circle_fft(weight, P, 512)
             for n in range(1, 10):
                 assert table[n] == pytest.approx(table[-n], rel=1e-13)
-
-    def test_out_of_range_is_zero(self):
-        table = KernelTable(family="test", coeffs={0: 1.0}, params=P)
-        assert table[99] == 0.0
 
 
 class TestQParams:
