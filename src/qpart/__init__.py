@@ -6,7 +6,7 @@ polynomials on the unit circle, and the associated Lax pair and discrete
 Painleve recurrences.
 """
 
-from .gap import GapQuery, ToeplitzResult, gap_probability, toeplitz_det
+from .gap import GapQuery, gap_probability
 from .kernels import (
     LimitShape,
     airy,
@@ -64,7 +64,6 @@ __all__ = [
     "QPPSquared",
     "QParams",
     "SchurMeasure",
-    "ToeplitzResult",
     "airy",
     "airy_kernel",
     "basic_hypergeometric",
@@ -88,6 +87,5 @@ __all__ = [
     "rhp_sample",
     "schur_kernel",
     "sine_kernel",
-    "toeplitz_det",
     "__version__",
 ]

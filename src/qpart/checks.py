@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from mpmath import mp
 from scipy.special import airy as scipy_airy
 
 from . import gap, kernels, measures
@@ -41,10 +42,21 @@ def unimodular_parseval(p: QParams) -> float:
 
 
 def gen_fn_coefficients(p: QParams, ns: Sequence[int]) -> float:
-    """Largest |c_n - q^{n/2} J^(3)_n(2 xi; q)|, c_n read off the J_gen table."""
+    """Largest |c_n - q^{n/2} J^(3)_n(2 xi; q)|, c_n read off the J_gen table.
+
+    The direct series q^{n/2} xi^n / (q;q)_n 1phi1(0; q^{n+1}; q, q xi^2)
+    runs in mpmath at 30 digits, where mpmath's summation adds digits as the
+    alternating terms cancel; binary64 loses them all near q = 1 (by 453 at
+    (0.97, 0.7)). At q = 0 or xi = 0 the 1phi1 is its first term, 1."""
     span, c, _ = kernels._j_gen(p)
-    direct = [p.q ** (n / 2.0) * qs.q_bessel(3, n, 2.0 * p.xi, p.q) for n in ns]
-    return max(float(abs(c[n + span + 1] - d)) for n, d in zip(ns, direct))
+    with mp.workdps(30):
+        q, xi = mp.mpf(p.q), mp.mpf(p.xi)
+
+        def direct(n: int) -> float:
+            phi = mp.qhyper([0], [q ** (n + 1)], q, q * xi * xi) if q * xi else 1
+            return float(q ** (mp.mpf(n) / 2) * xi**n / mp.qp(q, q, n) * phi)
+
+        return max(float(abs(c[n + span + 1] - direct(n))) for n in ns)
 
 
 def negative_order_reflection(p: QParams, ns: Sequence[int]) -> float:

@@ -6,9 +6,9 @@ macroscopic profile, `gap-table` tabulates gap probabilities by one or all
 methods, `painleve` tabulates the recurrence variables with residual and
 tail-comparator columns.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter error.
-Environment: QPART_MAX_TERMS and QPART_TAIL_TOL override series defaults.
-Output is deterministic for a fixed configuration.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
+error, or a series, grid or precision that did not converge at the given
+(q, xi). Output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -17,25 +17,15 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import checks
 from . import gap as gap_mod
 from . import kernels as kern_mod
 from . import oppainleve as op_mod
-from .qspecial import QParams
+from .qspecial import NonconvergenceError, QParams
 
 SUITES = ("special", "measures", "kernels", "gap", "painleve", "all")
-
-
-def _env_params(xi: float, q: float) -> QParams:
-    kwargs: dict = {}
-    if "QPART_MAX_TERMS" in os.environ:
-        kwargs["max_terms"] = int(os.environ["QPART_MAX_TERMS"])
-    if "QPART_TAIL_TOL" in os.environ:
-        kwargs["tail_tol"] = float(os.environ["QPART_TAIL_TOL"])
-    return QParams(q=q, xi=xi, **kwargs)
 
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
@@ -159,15 +149,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = _env_params(args.xi, args.q)
+        return _COMMANDS[args.command](args, QParams(q=args.q, xi=args.xi))
     except ValueError as exc:
         print(f"qpart: parameter error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args, params)
-    except ValueError as exc:
-        print(f"qpart: parameter error: {exc}", file=sys.stderr)
-        return 2
+    except NonconvergenceError as exc:
+        print(f"qpart: did not converge: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

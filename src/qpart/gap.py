@@ -2,12 +2,12 @@
 
 Toeplitz determinants of the circle-weight moments, discrete Fredholm
 determinants of the correlation kernel, and direct partition enumeration.
-Shifted Toeplitz determinants are exposed as well since the Painleve
-variables are built from their ratios.
 
 The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
 Szego recursion (`oppainleve.szego_recursion`), so it does not overflow
-near q = 1.
+near q = 1. The Toeplitz determinants themselves, and the shifted ones the
+Painleve variables are built from, are read off that recursion: Z_N =
+exp(log Z_N) and Z_N^(1) = (-1)^N x_N Z_N.
 """
 
 from __future__ import annotations
@@ -22,32 +22,19 @@ from .kernels import kernel_matrix
 from .measures import _squared_weight_sum
 from .oppainleve import szego_recursion
 from .partitions import cell_stats, enumerate_partitions
-from .qspecial import QParams, log_macmahon
+from .qspecial import NonconvergenceError, QParams, log_macmahon
 
 __all__ = [
-    "ToeplitzResult",
     "GapQuery",
-    "toeplitz_det",
     "gap_probability",
     "enumeration_tail_bound",
     "monotonicity_scan",
 ]
 
-VARIANTS = ("I", "I_check")
-_OP_VARIANT = {"I": "plain", "I_check": "check"}
 GAP_VARIANTS = ("length", "first-part")
 METHODS = ("toeplitz", "fredholm", "enumeration")
 MAX_ENUM = 40
 _SECTION = 40  # first Fredholm section size
-
-
-@dataclass(frozen=True)
-class ToeplitzResult:
-    N: int
-    shift: int
-    value: float
-    symbol_variant: str
-    params: QParams
 
 
 @dataclass(frozen=True)
@@ -61,28 +48,6 @@ class GapQuery:
             raise ValueError(f"variant must be one of {GAP_VARIANTS}")
         if self.N < 0:
             raise ValueError("N must be nonnegative")
-
-
-def toeplitz_det(
-    variant: str, N: int, shift: int, params: QParams
-) -> ToeplitzResult:
-    """det of the N x N matrix with entries c_{-i+j-shift}, shift 0 or 1.
-
-    Read off the Szego recursion: Z_N = exp(log Z_N) and
-    Z_N^{(1)} = (-1)^N x_N Z_N.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
-    seq = szego_recursion(_OP_VARIANT[variant], params, N)
-    value = math.exp(seq.log_z[N])
-    if shift:
-        value *= (-1) ** N * seq.x[N]
-    return ToeplitzResult(N=N, shift=shift, value=value,
-                          symbol_variant=variant, params=params)
 
 
 def _fredholm(params: QParams, N: int, first_part: bool) -> float:
@@ -107,7 +72,7 @@ def _fredholm(params: QParams, N: int, first_part: bool) -> float:
             return float(np.linalg.det(np.eye(m) - section if first_part else section))
         m *= 2
         if m > 2048:
-            raise RuntimeError("fredholm truncation failed to converge")
+            raise NonconvergenceError(f"Fredholm section still short at {m // 2} sites")
 
 
 @lru_cache(maxsize=8)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .partitions import Partition, cell_stats, enumerate_partitions, schur_specialized
-from .qspecial import QParams, log_macmahon
+from .qspecial import _MAX_TERMS, _TAIL_TOL, QParams, log_macmahon
 
 __all__ = [
     "MiwaTimes",
@@ -110,14 +110,13 @@ def _schur_value(times: MiwaTimes, lam: Partition) -> float:
     )
 
 
-def _schur_normalization(t: MiwaTimes, t_tilde: MiwaTimes, max_terms: int = 10_000,
-                         tol: float = 1e-16) -> float:
+def _schur_normalization(t: MiwaTimes, t_tilde: MiwaTimes) -> float:
     """Z = exp(sum_n n t_n ttilde_n), valid when both series decay."""
     total = 0.0
-    for n in range(1, max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         term = n * t.value(n) * t_tilde.value(n)
         total += term
-        if n > 1 and abs(term) < tol:
+        if n > 1 and abs(term) < _TAIL_TOL:
             break
     return math.exp(total)
 

@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
-from .qspecial import NonconvergenceError, QParams, circle_weight, q_pochhammer
+from .qspecial import (_MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams,
+                       circle_weight, q_pochhammer)
 
 __all__ = [
     "OPSequence",
@@ -282,17 +283,17 @@ def inner_product_series(
     total = 0.0
     ratio = 1.0  # (xi^2 q;q)_n / (q;q)_n
     qfac = 1.0   # (-1)^n q^C(n,2) q^n
-    for n in range(params.max_terms):
+    for n in range(_MAX_TERMS):
         zn = 0.5 * (xi * q ** (n + 0.5) + q ** (-n - 0.5) / xi)
         fv = np.polyval(list(reversed(f_coeffs)), zn)
         gv = np.polyval(list(reversed(g_coeffs)), zn)
         term = fv * gv * ratio * qfac * q**n
         total += term
-        if n > 2 and abs(term) < params.tail_tol * max(1.0, abs(total)):
+        if n > 2 and abs(term) < _TAIL_TOL * max(1.0, abs(total)):
             return pref * total
         ratio *= (1.0 - xi * xi * q ** (n + 1)) / (1.0 - q ** (n + 1))
         qfac *= -(q**n)
-    raise RuntimeError("inner product series did not converge")
+    raise NonconvergenceError("inner product series did not converge")
 
 
 # ---------------------------------------------------------------------------

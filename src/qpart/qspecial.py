@@ -6,7 +6,10 @@ Fourier-coefficient extraction of the circle weights that feed the Toeplitz
 and kernel machinery.
 
 All series here are geometric-or-faster for q, xi in [0,1), so binary64
-with a tail tolerance is enough at desk scale.
+with a tail tolerance is enough at desk scale. The truncation is fixed, not
+a setting: a series stops once its tail is below _TAIL_TOL, the unit
+roundoff of binary64 (a tighter value changes no bit, a looser one only
+adds error), and raises NonconvergenceError after _MAX_TERMS terms.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ __all__ = [
     "circle_fft",
 ]
 
-DEFAULT_TAIL_TOL = 1e-16
-DEFAULT_MAX_TERMS = 10_000
+_TAIL_TOL = 1e-16
+_MAX_TERMS = 10_000
+_MACMAHON_DEGREE = 64  # degree of the exact plane-partition series
 
 # coefficients this small are numerically indistinguishable from 0 and can
 # underflow in downstream products; flush them
@@ -40,27 +44,22 @@ _FLUSH = 1e-300
 
 
 class NonconvergenceError(RuntimeError):
-    """A series or product hit max_terms with its tail above tail_tol."""
+    """A truncated series, product or iteration used up its term, grid or
+    precision budget before its tail fell below the fixed tolerance."""
 
 
 @dataclass(frozen=True)
 class QParams:
-    """The parameter pair (q, xi) plus series-truncation controls."""
+    """The parameter pair (q, xi), both in [0, 1)."""
 
     q: float
     xi: float
-    tail_tol: float = DEFAULT_TAIL_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.q < 1.0):
             raise ValueError(f"q must be in [0, 1), got {self.q}")
         if not (0.0 <= self.xi < 1.0):
             raise ValueError(f"xi must be in [0, 1), got {self.xi}")
-        if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,6 @@ class HypergeometricSpec:
     lower: tuple[float, ...]
     q: float
     x: float
-    tail_tol: float = DEFAULT_TAIL_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple(self.upper))
@@ -87,7 +84,7 @@ class HypergeometricSpec:
                     raise ValueError("lower parameter 1 with q = 0; undefined")
                 continue
             qk = 1.0
-            for m in range(self.max_terms + 1):
+            for m in range(_MAX_TERMS + 1):
                 if abs(b - qk) <= 1e-14 * abs(qk):
                     raise ValueError(
                         f"lower parameter {b} equals q^-{m}; series undefined"
@@ -98,26 +95,20 @@ class HypergeometricSpec:
                 qk /= self.q
 
 
-def q_pochhammer(
-    x: float,
-    q: float,
-    n: Union[int, float] = math.inf,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def q_pochhammer(x: float, q: float, n: Union[int, float] = math.inf) -> float:
     """(x;q)_n = prod_{k=0}^{n-1} (1 - x q^k), with n = inf allowed for |q| < 1."""
     if n == math.inf:
         if abs(q) >= 1.0:
             raise ValueError("(x;q)_infinity requires |q| < 1")
         prod = 1.0
         xqk = x
-        for _ in range(max_terms):
-            if abs(xqk) < tail_tol:
+        for _ in range(_MAX_TERMS):
+            if abs(xqk) < _TAIL_TOL:
                 return prod
             prod *= 1.0 - xqk
             xqk *= q
         raise NonconvergenceError(
-            f"(x;q)_inf: {max_terms} factors, tail {abs(xqk):.3e} > {tail_tol:.3e}"
+            f"(x;q)_inf: {_MAX_TERMS} factors, tail {abs(xqk):.3e} > {_TAIL_TOL:.3e}"
         )
     m = int(n)
     if m < 0:
@@ -143,9 +134,9 @@ def basic_hypergeometric(spec: HypergeometricSpec) -> float:
     total = 0.0
     term = 1.0  # n = 0
     n = 0
-    while n < spec.max_terms:
+    while n < _MAX_TERMS:
         total += term
-        if abs(term) < spec.tail_tol * max(1.0, abs(total)) and n > 0:
+        if abs(term) < _TAIL_TOL * max(1.0, abs(total)) and n > 0:
             return total
         # update term n -> n+1 multiplicatively
         num = 1.0
@@ -162,7 +153,7 @@ def basic_hypergeometric(spec: HypergeometricSpec) -> float:
         if term == 0.0:
             return total
     raise NonconvergenceError(
-        f"basic_hypergeometric: {spec.max_terms} terms, tail {abs(term):.3e}"
+        f"basic_hypergeometric: {_MAX_TERMS} terms, tail {abs(term):.3e}"
     )
 
 
@@ -187,47 +178,40 @@ def log_macmahon(params: QParams) -> float:
         if term > prev:
             break
         log_m += term
-        if term < params.tail_tol:
+        if term < _TAIL_TOL:
             return log_m
         prev = term
     log_m = 0.0
     w = xi * xi * q
-    for n in range(1, params.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         log_m -= n * math.log1p(-w)
         w *= q
         # remaining |log| tail is below sum_{m>n} m xi^2 q^m in closed form
         tail = w * ((n + 1.0) - n * q) / (1.0 - q) ** 2 if q < 1.0 else math.inf
-        if tail < params.tail_tol:
+        if tail < _TAIL_TOL:
             return log_m
     raise NonconvergenceError("macmahon: product did not converge")
 
 
-def macmahon_series_coefficient(k: int, k_max: int = 64) -> int:
+def macmahon_series_coefficient(k: int) -> int:
     """Exact integer coefficient of q^k in prod_{n>=1} (1 - q^n)^{-n}.
 
     Counts plane partitions of k. Expanded by repeated polynomial division
-    over the integers, truncated at degree k_max.
+    over the integers, truncated at degree _MACMAHON_DEGREE.
     """
-    if k < 0 or k > k_max:
-        raise ValueError(f"k must lie in [0, {k_max}]")
-    coeffs = [0] * (k_max + 1)
+    if k < 0 or k > _MACMAHON_DEGREE:
+        raise ValueError(f"k must lie in [0, {_MACMAHON_DEGREE}]")
+    coeffs = [0] * (_MACMAHON_DEGREE + 1)
     coeffs[0] = 1
-    for n in range(1, k_max + 1):
+    for n in range(1, _MACMAHON_DEGREE + 1):
         for _ in range(n):
             # multiply by 1/(1 - q^n): running prefix sums with stride n
-            for i in range(n, k_max + 1):
+            for i in range(n, _MACMAHON_DEGREE + 1):
                 coeffs[i] += coeffs[i - n]
     return coeffs[k]
 
 
-def q_bessel(
-    kind: int,
-    nu: float,
-    x: float,
-    q: float,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def q_bessel(kind: int, nu: float, x: float, q: float) -> float:
     """q-Bessel function J^(kind)_nu(x;q), kind in {1,2,3}.
 
     nu may be any real > -1 for the direct series (the (q^{nu+1};q)_infinity
@@ -244,36 +228,20 @@ def q_bessel(
 
     is_neg_int = nu < 0 and float(nu).is_integer()
     if is_neg_int:
-        return _q_bessel_negative(kind, int(nu), x, q, tail_tol, max_terms)
+        return _q_bessel_negative(kind, int(nu), x, q)
 
-    pref = (
-        q_pochhammer(q ** (nu + 1), q, math.inf, tail_tol, max_terms)
-        / q_pochhammer(q, q, math.inf, tail_tol, max_terms)
-        * (x / 2.0) ** nu
-    )
+    pref = q_pochhammer(q ** (nu + 1), q) / q_pochhammer(q, q) * (x / 2.0) ** nu
     b = q ** (nu + 1)
     if kind == 1:
-        spec = HypergeometricSpec(
-            upper=(0.0, 0.0), lower=(b,), q=q, x=-x * x / 4.0,
-            tail_tol=tail_tol, max_terms=max_terms,
-        )
-        return pref * basic_hypergeometric(spec)
-    if kind == 2:
-        spec = HypergeometricSpec(
-            upper=(), lower=(b,), q=q, x=-x * x * b / 4.0,
-            tail_tol=tail_tol, max_terms=max_terms,
-        )
-        return pref * basic_hypergeometric(spec)
-    spec = HypergeometricSpec(
-        upper=(0.0,), lower=(b,), q=q, x=q * x * x / 4.0,
-        tail_tol=tail_tol, max_terms=max_terms,
-    )
+        spec = HypergeometricSpec(upper=(0.0, 0.0), lower=(b,), q=q, x=-x * x / 4.0)
+    elif kind == 2:
+        spec = HypergeometricSpec(upper=(), lower=(b,), q=q, x=-x * x * b / 4.0)
+    else:
+        spec = HypergeometricSpec(upper=(0.0,), lower=(b,), q=q, x=q * x * x / 4.0)
     return pref * basic_hypergeometric(spec)
 
 
-def _q_bessel_negative(
-    kind: int, nu: int, x: float, q: float, tail_tol: float, max_terms: int
-) -> float:
+def _q_bessel_negative(kind: int, nu: int, x: float, q: float) -> float:
     """Negative integer orders.
 
     Kind 3 uses the reflection identity
@@ -285,11 +253,9 @@ def _q_bessel_negative(
     """
     if kind == 3:
         n = -nu
-        return (-1.0) ** n * q ** (n / 2.0) * q_bessel(
-            kind, n, q ** (n / 2.0) * x, q, tail_tol, max_terms
-        )
-    j_up = q_bessel(kind, 1, x, q, tail_tol, max_terms)  # J_{m+1}
-    j_mid = q_bessel(kind, 0, x, q, tail_tol, max_terms)  # J_m
+        return (-1.0) ** n * q ** (n / 2.0) * q_bessel(kind, n, q ** (n / 2.0) * x, q)
+    j_up = q_bessel(kind, 1, x, q)  # J_{m+1}
+    j_mid = q_bessel(kind, 0, x, q)  # J_m
     m = 0
     while m > nu:
         # solve the recurrence for J_{m-1}
@@ -302,14 +268,7 @@ def _q_bessel_negative(
     return j_mid
 
 
-def modified_q_bessel(
-    kind: int,
-    nu: float,
-    x: float,
-    q: float,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def modified_q_bessel(kind: int, nu: float, x: float, q: float) -> float:
     """Modified q-Bessel function I^(kind)_nu(x;q), kind in {1,2}.
 
     Evaluated through the 1-phi-1 representation
@@ -323,16 +282,14 @@ def modified_q_bessel(
     u2 = u * u
     if kind == 1 and u2 >= 1.0:
         raise ValueError("kind 1 requires x^2/4 < 1 ((x^2/4;q)_inf prefactor pole)")
-    phi = basic_hypergeometric(HypergeometricSpec(
-        upper=(u2,), lower=(0.0,), q=q, x=q ** (nu + 1),
-        tail_tol=tail_tol, max_terms=max_terms,
-    ))
+    phi = basic_hypergeometric(
+        HypergeometricSpec(upper=(u2,), lower=(0.0,), q=q, x=q ** (nu + 1)))
     if nu < 0 and not float(nu).is_integer():
         raise ValueError("negative non-integer order not supported")
     pref = u**nu if nu >= 0 else u ** int(nu)
-    pref /= q_pochhammer(q, q, math.inf, tail_tol, max_terms)
+    pref /= q_pochhammer(q, q)
     if kind == 1:
-        pref /= q_pochhammer(u2, q, math.inf, tail_tol, max_terms)
+        pref /= q_pochhammer(u2, q)
     return pref * phi
 
 
@@ -352,21 +309,21 @@ def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     a = params.xi * math.sqrt(params.q)
+    # decided before multiplying: the partial products of a product that
+    # cannot converge overflow long before its last factor
+    if a * params.q ** (_MAX_TERMS - 1) >= _TAIL_TOL:
+        raise NonconvergenceError(f"{weight} weight product did not converge")
     if weight == "I_check":
         a = -a
     num = np.ones_like(z, dtype=complex)
     den = np.ones_like(z, dtype=complex)
-    for _ in range(params.max_terms):
-        if abs(a) < params.tail_tol:
-            break
+    while abs(a) >= _TAIL_TOL:
         if weight == "J_gen":
             num *= 1.0 - a / z
             den *= 1.0 - a * z
         else:
             den = den * (1.0 - a * z) * (1.0 - a / z)
         a *= params.q
-    else:
-        raise NonconvergenceError(f"{weight} weight product did not converge")
     if weight == "I_check":
         return den
     return num / den

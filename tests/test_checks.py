@@ -62,3 +62,9 @@ def test_parseval_holds_near_scaling():
     # the squared mass reaches past order 80 here: 6.2e-3 of it lies outside -80..80
     assert _check("special.unimodular_parseval").report(NEAR)["pass"]
 
+
+
+@pytest.mark.parametrize("q, xi", [(0.9, 0.5), (0.97, 0.7)])
+def test_gen_fn_coefficients_hold_near_q_one(q, xi):
+    # the binary64 direct series cancels here: 1.26e-13 and 453 off the table
+    assert _check("special.gen_fn_coefficients").report(QParams(q=q, xi=xi))["pass"]
