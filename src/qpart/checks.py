@@ -38,7 +38,7 @@ def macmahon_coeffs(ks: Sequence[int]) -> float:
 
 def unimodular_parseval(p: QParams) -> float:
     """|sum_n c_n^2 - 1| over the J_gen table, c_n = q^{n/2} J_n(2 xi; q)."""
-    return float(abs(kernels._j_gen(p)[2][0] - 1.0))
+    return abs(math.fsum(kernels._j_gen(p)[1] ** 2) - 1.0)
 
 
 def gen_fn_coefficients(p: QParams, ns: Sequence[int]) -> float:
@@ -48,7 +48,7 @@ def gen_fn_coefficients(p: QParams, ns: Sequence[int]) -> float:
     runs in mpmath at 30 digits, where mpmath's summation adds digits as the
     alternating terms cancel; binary64 loses them all near q = 1 (by 453 at
     (0.97, 0.7)). At q = 0 or xi = 0 the 1phi1 is its first term, 1."""
-    span, c, _ = kernels._j_gen(p)
+    span, c = kernels._j_gen(p)
     with mp.workdps(30):
         q, xi = mp.mpf(p.q), mp.mpf(p.xi)
 
@@ -120,8 +120,25 @@ def schur_vs_qbessel(p: QParams, ks: Sequence[int]) -> float:
                for i, r in enumerate(sites) for j, s in enumerate(sites))
 
 
+def christoffel_darboux(p: QParams, ks: Sequence[int]) -> float:
+    """Largest off-diagonal |K(r, s) - CD(r, s)| at sites k + 1/2, CD the paper's
+    Christoffel-Darboux quotient, -sign(r-s) xi (c_{r+1/2} c_{s-1/2} - c_{r-1/2}
+    c_{s+1/2}) q^{-min(r,s)} / (1 - q^{|r-s|}) in c_n = q^{n/2} J_n."""
+    span, c = kernels._j_gen(p)
+    k = np.asarray(ks)
+    # orders r + 1/2 = k + 1 and r - 1/2 = k; those past the table read as 0
+    up, down = c.take(k + span + 2, mode="clip"), c.take(k + span + 1, mode="clip")
+    num = np.outer(up, down) - np.outer(down, up)
+    m, lo = k[:, None] - k, np.minimum(k[:, None], k) + 0.5  # r - s, min(r, s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # q^{-min(r,s)} overflows only far past the table, where num is 0
+        cd = np.sign(m) * p.xi * num * p.q**-lo / np.expm1(np.abs(m) * np.log(p.q))
+    k_block = kernels.kernel_matrix(p, _sites(ks), _sites(ks))
+    return float(np.max(np.abs(k_block - np.where(num == 0.0, 0.0, cd))[m != 0]))
+
+
 def kernel_symmetry(p: QParams, ks: Sequence[int]) -> float:
-    """Largest |K(r, s) - K(s, r)| at sites k + 1/2."""
+    """Largest |K(r, s) - K(s, r)| at sites k + 1/2; 0 by construction."""
     k = kernels.kernel_matrix(p, _sites(ks), _sites(ks))
     return float(np.max(np.abs(k - k.T)))
 
@@ -271,6 +288,8 @@ CHECKS = (
     Check("gap.z_infinity", "Z_N approaches the squared-type normalization",
           1e-10, z_infinity, (POINT, 30)),
     Check("kernels.airy_diagonal", "K_Airy(0,0) = Ai'(0)^2", 1e-14, airy_diagonal, (0.0,)),
+    Check("kernels.christoffel_darboux", "Christoffel-Darboux form off the diagonal",
+          1e-12, christoffel_darboux, (POINT, range(-4, 4))),
     Check("kernels.edge_constants", "alpha0 = -2 log(1-xi), beta0 = xi/(1-xi)^2",
           1e-14, edge_constants, (POINT,)),
     Check("kernels.schur_vs_qbessel", "series form of the kernel equals the closed form",

@@ -82,17 +82,19 @@ def cmd_gap_table(args: argparse.Namespace, params: QParams) -> int:
 
 
 def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
+    # the comparators take milliseconds, so they fail before the engine runs
+    tail = checks.x_tail_comparator if args.branch == "x" else checks.y_tail_comparator
+    comps = [tail(params, n) for n in range(args.n_max + 1)]
     state = op_mod.painleve_trajectory(args.branch, args.source, params, args.n_max)
     residuals = [0.0, *op_mod.recurrence_residuals(state), 0.0]
     rows = []
-    for n in range(args.n_max + 1):
+    for n, comp in enumerate(comps):
         if args.branch == "x":
             row: dict = {"n": n, "x": state.values[n], "residual": residuals[n]}
-            value, comp = state.values[n], checks.x_tail_comparator(params, n)
         else:
             row = {"n": n, "y_sq": state.sq[n], "y_cross": state.cross[n],
                    "residual": residuals[n]}
-            value, comp = state.sq[n], checks.y_tail_comparator(params, n)
+        value = state.values[n] if args.branch == "x" else state.sq[n]
         row["tail_ratio"] = value / comp if comp != 0.0 else 0.0
         rows.append(row)
     _emit(rows, args)

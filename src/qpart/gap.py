@@ -97,8 +97,6 @@ def enumeration_tail_bound(params: QParams, max_size: int) -> float:
     geometric bound, evaluated numerically.
     """
     q, xi = params.q, params.xi
-    if xi == 0.0:
-        return 0.0
     ratio = 2.0 * xi * xi * q / (1.0 - q) ** 2
     if ratio >= 1.0:
         return math.inf

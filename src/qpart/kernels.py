@@ -9,13 +9,13 @@ c_n = q^{n/2} J^(3)_n(2 xi; q) of the unimodular generating function, taken
 by FFT on the unit circle. The generating function has modulus 1 there, so
 the coefficients come out with absolute accuracy near machine precision
 even for q close to 1, where the raw hypergeometric series cancels
-catastrophically. Each parameter set has one coefficient table, holding
-c_n and the reversed cumulative sum of c_n^2. Its order range is certified
-by Parseval (sum c_n^2 = 1): the FFT grid grows until the squared mass of
-the orders left outside is below 1e-24. One assembler, `kernel_matrix`,
-builds any block of the kernel from that table; `q_bessel_kernel` is its
-one-entry view. The Schur series form `schur_kernel` keeps its own
-Miwa-time FFT, so it is an independent check of the closed form.
+catastrophically. Each parameter set has one coefficient table of c_n, its
+order range certified by Parseval (sum c_n^2 = 1): the FFT grid grows until
+the squared mass of the orders left outside is below 1e-24. One assembler,
+`kernel_matrix`, builds any block from that table as lag sums
+K(r, s) = sum_{n > r} c_n c_{n+s-r}, free of the Christoffel-Darboux division
+that amplified rounding near q = 1. The Schur series form `schur_kernel`
+keeps its own Miwa-time FFT, an independent check.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.special import gamma, jv
 
@@ -66,16 +67,15 @@ def twice(r) -> int:
 
 
 @lru_cache(maxsize=64)
-def _j_gen(params: QParams) -> tuple[int, np.ndarray, np.ndarray]:
-    """The coefficient table of a parameter set: (L, c, tail), c holding
-    c_n = q^{n/2} J^(3)_n(2 xi;q) for |n| <= L at index n + L + 1, with one
-    zero at each end, and tail[i] = sum_{j >= i} c[j]^2.
+def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
+    """The coefficient table of a parameter set: (L, c), c holding c_n =
+    q^{n/2} J^(3)_n(2 xi;q) for |n| <= L at index n + L + 1, and 0 at each end.
 
     |J_gen| = 1 on the circle, so sum_n c_n^2 = 1 (Parseval). The FFT grid
     doubles until the squared mass of its orders past grid/4 falls below
     _OUTSIDE_MASS, and L = grid/4. Past the edge -2 log(1-xi)/(-log q) the
     c_n decay only geometrically, at rate xi q^{1/2}, so near q = 1 the
-    range runs hundreds of orders beyond the edge.
+    range runs hundreds of orders past the edge. At q = 0 or xi = 0, c_n = delta_{n,0}.
     """
     grid = _GRID
     while True:
@@ -88,42 +88,34 @@ def _j_gen(params: QParams) -> tuple[int, np.ndarray, np.ndarray]:
                 f"J_gen coefficients of {params} not negligible by order {grid // 4}"
             )
     span = grid // 4
-    padded = np.concatenate([[0.0], c[-span:], c[: span + 1], [0.0]])
-    return span, padded, np.cumsum(padded[::-1] ** 2)[::-1]
+    return span, np.concatenate([[0.0], c[-span:], c[: span + 1], [0.0]])
 
 
 def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray:
     """The block K(r, s), r in rows, s in cols, of the correlation kernel of
     the squared-type measure on the half-integer lattice.
 
-    With c_n = q^{n/2} J_n, J_n = J^(3)_n(2 xi;q), the Christoffel-Darboux form
-        xi (J_{r+1/2} J_{s-1/2} - J_{r-1/2} J_{s+1/2})
-           / (q^{(r-s)/2} - q^{-(r-s)/2})
-    is -sign(r-s) xi (c_{r+1/2} c_{s-1/2} - c_{r-1/2} c_{s+1/2})
-    q^{-min(r,s)} / (1 - q^{|r-s|}), an outer product over the block; the
-    diagonal q^r sum_{k in Z'_{>0}} q^k J_{r+k}^2 is sum_{n > r} c_n^2, read
-    off the table's reversed cumulative sum. Orders past the table read as 0.
+    With c_n = q^{n/2} J^(3)_n(2 xi;q), K(r, s) = sum_{k in Z'_{>0}} c_{r+k} c_{s+k}
+    = sum_{n > r} c_n c_{n+d}, d = s - r: one reversed cumulative sum of c_n c_{n+d}
+    per lag d in the block, read at each row's first order r + 1/2. The sums run
+    down from the table's top whatever the block, so each entry is bit-identical in
+    every block and K(r, s) = K(s, r). Unlike the paper's Christoffel-Darboux
+    quotient, it has no division by 1 - q^{|r-s|}, which amplifies rounding near q = 1.
     """
     tr = np.array([twice(r) for r in rows], dtype=np.int64)
     ts = np.array([twice(s) for s in cols], dtype=np.int64)
-    q, xi = params.q, params.xi
-    if xi == 0.0 or q == 0.0:
-        # vacuum projector: c_n = delta_{n,0}
-        return ((tr[:, None] == ts) & (tr[:, None] < 0)).astype(float)
-    span, c, tail = _j_gen(params)
-
-    def at(table: np.ndarray, n: np.ndarray) -> np.ndarray:
-        return table[np.clip(n + span + 1, 0, 2 * span + 2)]
-
-    num = (np.outer(at(c, (tr + 1) // 2), at(c, (ts - 1) // 2))
-           - np.outer(at(c, (tr - 1) // 2), at(c, (ts + 1) // 2)))
-    m = (tr[:, None] - ts) // 2  # r - s
-    lo = np.minimum(tr[:, None], ts) / 2.0  # min(r, s)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # q^{-min(r,s)} overflows only far past the table, where num is 0
-        k = np.sign(m) * xi * num * q**-lo / np.expm1(np.abs(m) * math.log(q))
-    return np.where(m == 0, at(tail, (tr + 1) // 2)[:, None],
-                    np.where(num == 0.0, 0.0, k))
+    span, c = _j_gen(params)
+    size = len(c)
+    start = np.clip((tr + 1) // 2 + span + 1, 0, size - 1)  # index of order r + 1/2
+    lo = start.min(initial=size - 1)
+    # a lag past the table's length pairs every c_n with a zero
+    lags, which = np.unique(np.clip((ts - tr[:, None]) // 2, -size, size),
+                            return_inverse=True)
+    # row i of the window view is the zero-padded table from index i on
+    products = sliding_window_view(np.pad(c, size), size - lo)[size + lo + lags]
+    products *= c[lo:]
+    sums = np.cumsum(products[:, ::-1], axis=1)[:, ::-1]
+    return sums[which.reshape(len(tr), len(ts)), (start - lo)[:, None]]
 
 
 def q_bessel_kernel(params: QParams, r, s) -> float:

@@ -164,33 +164,21 @@ def macmahon(params: QParams) -> float:
 
 
 def log_macmahon(params: QParams) -> float:
-    """log M(xi;q) = -sum_{n>=1} n log(1 - xi^2 q^n)."""
-    q, xi = params.q, params.xi
-    if xi == 0.0:
-        return 0.0
-    # log M = sum_n xi^{2n} / (n (q^{n/2} - q^{-n/2})^2); near q = 1 this
-    # converges in a handful of terms while the defining product needs
-    # O(1/(1-q)) factors, so try it first and fall back to the product
-    log_m = 0.0
-    prev = math.inf
-    for n in range(1, 200):
-        term = xi ** (2 * n) / (n * (q ** (n / 2.0) - q ** (-n / 2.0)) ** 2)
-        if term > prev:
-            break
-        log_m += term
-        if term < _TAIL_TOL:
-            return log_m
-        prev = term
-    log_m = 0.0
-    w = xi * xi * q
+    """log M(xi;q) = -sum_{n>=1} n log(1 - xi^2 q^n)
+    = sum_{n>=1} xi^{2n} / (n (2 sinh(n log q / 2))^2).
+
+    Near q = 1 the product needs O(1/(1-q)) factors, the series a handful of
+    terms. These are positive, each at most xi^2 q times the one before, so
+    math.fsum adds them once the tail bound t xi^2 q / (1 - xi^2 q) past a
+    term t is below _TAIL_TOL times the first. At q = 0 all terms are 0."""
+    half_log_q = 0.5 * math.log(params.q) if params.q else -math.inf
+    ratio = params.xi**2 * params.q
+    terms = []
     for n in range(1, _MAX_TERMS + 1):
-        log_m -= n * math.log1p(-w)
-        w *= q
-        # remaining |log| tail is below sum_{m>n} m xi^2 q^m in closed form
-        tail = w * ((n + 1.0) - n * q) / (1.0 - q) ** 2 if q < 1.0 else math.inf
-        if tail < _TAIL_TOL:
-            return log_m
-    raise NonconvergenceError("macmahon: product did not converge")
+        terms.append(params.xi ** (2 * n) / (n * (2.0 * math.sinh(n * half_log_q))**2))
+        if terms[-1] * ratio <= _TAIL_TOL * (1.0 - ratio) * terms[0]:
+            return math.fsum(terms)
+    raise NonconvergenceError(f"log_macmahon: {_MAX_TERMS} terms at {params}")
 
 
 def macmahon_series_coefficient(k: int) -> int:

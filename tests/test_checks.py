@@ -15,6 +15,7 @@ gap.toeplitz_vs_enumeration | determinant route equals the direct partition sum 
 gap.toeplitz_vs_fredholm | determinant of the symbol matrix equals the kernel determinant | 1e-10
 gap.z_infinity | Z_N approaches the squared-type normalization | 1e-10
 kernels.airy_diagonal | K_Airy(0,0) = Ai'(0)^2 | 1e-14
+kernels.christoffel_darboux | Christoffel-Darboux form off the diagonal | 1e-12
 kernels.edge_constants | alpha0 = -2 log(1-xi), beta0 = xi/(1-xi)^2 | 1e-14
 kernels.schur_vs_qbessel | series form of the kernel equals the closed form | 1e-10
 kernels.symmetry | K(r, s) = K(s, r) | 1e-12
@@ -62,6 +63,11 @@ def test_parseval_holds_near_scaling():
     # the squared mass reaches past order 80 here: 6.2e-3 of it lies outside -80..80
     assert _check("special.unimodular_parseval").report(NEAR)["pass"]
 
+
+@pytest.mark.parametrize("q, xi", [(0.97, 0.7), (0.99, 0.9)])
+def test_christoffel_darboux_holds_near_q_one(q, xi):
+    # the quotient's 1/(1 - q^{|r-s|}) amplifies rounding here: 1.2e-15 and 4.3e-15
+    assert _check("kernels.christoffel_darboux").report(QParams(q=q, xi=xi))["pass"]
 
 
 @pytest.mark.parametrize("q, xi", [(0.9, 0.5), (0.97, 0.7)])

@@ -49,7 +49,7 @@ class TestVerify:
     def test_all_suites_pass_away_from_the_desk_point(self, capsys):
         code, out, _ = run(["verify", "--q", "0.7", "--xi", "0.5"], capsys)
         assert code == 0
-        assert [r["pass"] for r in json.loads(out)] == [True] * 28
+        assert [r["pass"] for r in json.loads(out)] == [True] * 29
 
     def test_xi_zero_passes_quickly(self, capsys):
         code, out, _ = run(

@@ -83,6 +83,16 @@ class TestQBesselKernel:
         want = sum(wide[n] ** 2 for n in range(1, 2048))
         assert q_bessel_kernel(p, 0.5, 0.5) == pytest.approx(want, abs=1e-13)
 
+    def test_edge_block_matches_schur_series_near_q_one(self):
+        # the Christoffel-Darboux quotient is off by 1.3e-14 on this block
+        p = QParams(q=0.97, xi=0.7)
+        t = MiwaTimes.principal(p.xi, p.q)
+        sites = [Fraction(k, 2) for k in range(119, 199, 2)]
+        k = kernel_matrix(p, sites, sites)
+        dev = max(abs(k[i, j] - schur_kernel(t, t, r, s))
+                  for i, r in enumerate(sites) for j, s in enumerate(sites))
+        assert dev <= 2e-15
+
     def test_matrix_entries_match_single_entries(self):
         p = QParams(q=0.9, xi=0.5)
         k = kernel_matrix(p, HALF[::2], HALF[1::3])
