@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from mpmath import mp
-from scipy.special import airy as scipy_airy
 
 from . import gap, kernels, measures
 from . import oppainleve as op
@@ -151,8 +150,8 @@ def edge_constants(p: QParams) -> float:
 
 
 def airy_diagonal(x: float) -> float:
-    """|K_Airy(x, x) - (Ai'(x)^2 - x Ai(x)^2)|, Ai from scipy."""
-    ai, aip, _, _ = scipy_airy(x)
+    """|K_Airy(x, x) - (Ai'(x)^2 - x Ai(x)^2)|, Ai from mpmath."""
+    ai, aip = mp.airyai(x), mp.airyai(x, derivative=1)
     return abs(kernels.airy_kernel(x, x) - (float(aip) ** 2 - x * float(ai) ** 2))
 
 

@@ -7,8 +7,8 @@ methods, `painleve` tabulates the recurrence variables with residual and
 tail-comparator columns.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
-error, or a series, grid or precision that did not converge at the given
-(q, xi). Output is deterministic for a fixed configuration.
+error, a series, grid or precision that did not converge, or a division
+that is singular at the given (q, xi). Output is deterministic.
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qpart: parameter error: {exc}", file=sys.stderr)
     except NonconvergenceError as exc:
         print(f"qpart: did not converge: {exc}", file=sys.stderr)
+    except ZeroDivisionError as exc:
+        print(f"qpart: singular at this point: {exc}", file=sys.stderr)
     return 2
 
 

@@ -4,15 +4,14 @@ The kernels act on the half-integer lattice. Half-integer indices are
 carried as doubled integers internally so no floating-point index drift can
 occur; the public API accepts floats like 0.5 or fractions.
 
-Numerical route: all kernel values are built from Fourier coefficients
-c_n = q^{n/2} J^(3)_n(2 xi; q) of the unimodular generating function, taken
-by FFT on the unit circle. The generating function has modulus 1 there, so
+Numerical route: the q-Bessel kernel and its q -> 1 limit are built from
+the Fourier coefficients of a unimodular symbol, taken by FFT on the unit
+circle: c_n = q^{n/2} J^(3)_n(2 xi; q) of the generating function J_gen,
+and J_n(2 eta) of exp(eta (z - 1/z)). The symbol has modulus 1 there, so
 the coefficients come out with absolute accuracy near machine precision
 even for q close to 1, where the raw hypergeometric series cancels
-catastrophically. Each parameter set has one coefficient table of c_n, its
-order range certified by Parseval (sum c_n^2 = 1): the FFT grid grows until
-the squared mass of the orders left outside is below 1e-24. One assembler,
-`kernel_matrix`, builds any block from that table as lag sums
+catastrophically, and Parseval (sum c_n^2 = 1) certifies each table's order
+range. One assembler, `_lag_sums`, builds any block from a table as
 K(r, s) = sum_{n > r} c_n c_{n+s-r}, free of the Christoffel-Darboux division
 that amplified rounding near q = 1. The Schur series form `schur_kernel`
 keeps its own Miwa-time FFT, an independent check.
@@ -28,8 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
-from scipy.special import gamma, jv
 
 from .measures import MiwaTimes
 from .qspecial import NonconvergenceError, QParams, circle_fft
@@ -51,10 +48,11 @@ __all__ = [
 
 _GRID = 512              # first FFT grid of the J_gen table
 _MAX_GRID = 1 << 18      # the table gives up past this grid
-_OUTSIDE_MASS = 1e-24    # squared J_gen mass the table may drop; the FFT's
+_OUTSIDE_MASS = 1e-24    # squared mass a table may drop; the J_gen FFT's
                          # own rounding floor is 1e-32 to 3e-28 up to q = 0.99
 _SCHUR_GRID = 1024       # FFT grid of the Schur-series coefficients
 _SCHUR_TIMES = 128       # Miwa times summed in the Schur symbol
+_LEGENDRE_T, _LEGENDRE_W = np.polynomial.legendre.leggauss(24)  # the Omega rule
 
 
 def twice(r) -> int:
@@ -66,45 +64,53 @@ def twice(r) -> int:
     return int(t)
 
 
-@lru_cache(maxsize=64)
-def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
-    """The coefficient table of a parameter set: (L, c), c holding c_n =
-    q^{n/2} J^(3)_n(2 xi;q) for |n| <= L at index n + L + 1, and 0 at each end.
-
-    |J_gen| = 1 on the circle, so sum_n c_n^2 = 1 (Parseval). The FFT grid
-    doubles until the squared mass of its orders past grid/4 falls below
-    _OUTSIDE_MASS, and L = grid/4. Past the edge -2 log(1-xi)/(-log q) the
-    c_n decay only geometrically, at rate xi q^{1/2}, so near q = 1 the
-    range runs hundreds of orders past the edge. At q = 0 or xi = 0, c_n = delta_{n,0}.
-    """
+def _table(fft: Callable[[int], np.ndarray], what: str) -> tuple[int, np.ndarray]:
+    """(L, c) for a symbol of modulus 1 on the circle whose FFT on a grid is
+    fft(grid): c holds c_n for |n| <= L at index n + L + 1, and 0 at each end.
+    Since sum_n c_n^2 = 1 (Parseval), the grid doubles until the squared mass
+    of its orders past grid/4 falls below _OUTSIDE_MASS, and L = grid/4."""
     grid = _GRID
     while True:
-        c = circle_fft("J_gen", params, grid)
+        c = fft(grid)
         if np.sum(c[grid // 4 + 1 : 3 * grid // 4] ** 2) < _OUTSIDE_MASS:
             break
         grid *= 2
         if grid > _MAX_GRID:
             raise NonconvergenceError(
-                f"J_gen coefficients of {params} not negligible by order {grid // 4}"
+                f"{what} coefficients not negligible by order {grid // 4}"
             )
     span = grid // 4
     return span, np.concatenate([[0.0], c[-span:], c[: span + 1], [0.0]])
 
 
-def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray:
-    """The block K(r, s), r in rows, s in cols, of the correlation kernel of
-    the squared-type measure on the half-integer lattice.
+@lru_cache(maxsize=64)
+def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
+    """The `_table` of c_n = q^{n/2} J^(3)_n(2 xi;q). Past the edge -2 log(1-xi)/(-log q)
+    c_n decays only like (xi q^{1/2})^n, so near q = 1 the range runs hundreds of
+    orders past the edge. At q = 0 or xi = 0, c_n = delta_{n,0}."""
+    return _table(lambda grid: circle_fft("J_gen", params, grid), f"J_gen of {params}")
 
-    With c_n = q^{n/2} J^(3)_n(2 xi;q), K(r, s) = sum_{k in Z'_{>0}} c_{r+k} c_{s+k}
-    = sum_{n > r} c_n c_{n+d}, d = s - r: one reversed cumulative sum of c_n c_{n+d}
-    per lag d in the block, read at each row's first order r + 1/2. The sums run
-    down from the table's top whatever the block, so each entry is bit-identical in
-    every block and K(r, s) = K(s, r). Unlike the paper's Christoffel-Darboux
-    quotient, it has no division by 1 - q^{|r-s|}, which amplifies rounding near q = 1.
-    """
+
+@lru_cache(maxsize=64)
+def _bessel(eta: float) -> tuple[int, np.ndarray]:
+    """The `_table` of J_n(2 eta), the coefficients of exp(eta (z - 1/z)), which
+    is exp(2i eta sin theta) on the circle; at eta = 0 it is exactly delta_{n,0}."""
+    def fft(grid: int) -> np.ndarray:
+        symbol = np.exp(2j * eta * np.sin(2.0 * math.pi * np.arange(grid) / grid))
+        return (np.fft.fft(symbol) / grid).real
+
+    return _table(fft, f"J_n(2 eta) at eta = {eta}")
+
+
+def _lag_sums(table: tuple[int, np.ndarray], rows: Sequence, cols: Sequence) -> np.ndarray:
+    """The block K(r, s) = sum_{n > r} c_n c_{n+s-r}, r in rows, s in cols, over a
+    `_table` of c_n: one reversed cumulative sum of c_n c_{n+d} per lag d = s - r,
+    read at each row's first order r + 1/2. The sums run down from the table's
+    top whatever the block, so each entry is bit-identical in every block and
+    K(r, s) = K(s, r)."""
     tr = np.array([twice(r) for r in rows], dtype=np.int64)
     ts = np.array([twice(s) for s in cols], dtype=np.int64)
-    span, c = _j_gen(params)
+    span, c = table
     size = len(c)
     start = np.clip((tr + 1) // 2 + span + 1, 0, size - 1)  # index of order r + 1/2
     lo = start.min(initial=size - 1)
@@ -116,6 +122,14 @@ def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray
     products *= c[lo:]
     sums = np.cumsum(products[:, ::-1], axis=1)[:, ::-1]
     return sums[which.reshape(len(tr), len(ts)), (start - lo)[:, None]]
+
+
+def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray:
+    """The block K(r, s) = sum_{k in Z'_{>0}} c_{r+k} c_{s+k}, r in rows, s in cols,
+    of the squared-type correlation kernel: the `_lag_sums` of c_n = q^{n/2} J^(3)_n(2 xi;q).
+    Unlike the paper's Christoffel-Darboux quotient, it has no division by
+    1 - q^{|r-s|}, which amplifies rounding near q = 1."""
+    return _lag_sums(_j_gen(params), rows, cols)
 
 
 def q_bessel_kernel(params: QParams, r, s) -> float:
@@ -168,32 +182,12 @@ def schur_kernel(t: MiwaTimes, t_tilde: MiwaTimes, r, s) -> float:
 
 
 def discrete_bessel_kernel(eta: float, r, s) -> float:
-    """q -> 1 limit kernel built from ordinary Bessel functions.
-
-    Off-diagonal: eta (J_{r-1/2}(2 eta) J_{s+1/2}(2 eta)
-                       - J_{r+1/2}(2 eta) J_{s-1/2}(2 eta)) / (r - s);
-    diagonal via the series sum_{k in Z'_{>0}} J_{r+k}(2 eta)^2.
-    """
+    """q -> 1 limit kernel sum_{k in Z'_{>0}} J_{r+k}(2 eta) J_{s+k}(2 eta), the
+    `_lag_sums` of the Bessel table; off the diagonal it equals
+    eta (J_{r-1/2} J_{s+1/2} - J_{r+1/2} J_{s-1/2}) / (r - s)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    tr, ts = twice(r), twice(s)
-    if eta == 0.0:
-        return 1.0 if (tr == ts and tr < 0) else 0.0
-    x = 2.0 * eta
-    if tr == ts:
-        n0 = (tr + 1) // 2
-        total = 0.0
-        n = n0
-        stall = 0
-        while stall < 8:
-            term = jv(n, x) ** 2
-            total += term
-            stall = stall + 1 if term < 1e-18 * max(1.0, total) else 0
-            n += 1
-        return total
-    rv, sv = tr / 2.0, ts / 2.0
-    num = jv(rv - 0.5, x) * jv(sv + 0.5, x) - jv(rv + 0.5, x) * jv(sv - 0.5, x)
-    return eta * num / (rv - sv)
+    return float(_lag_sums(_bessel(eta), [r], [s])[0, 0])
 
 
 def correlation(kernel: Callable[[object, object], float], points: Sequence) -> float:
@@ -245,7 +239,12 @@ def limit_shape(xi: float) -> LimitShape:
     def omega(x: float) -> float:
         if x <= a or x >= b:
             return abs(x)
-        integral, _ = quad(rho, a, x, limit=200)
+        # in t, x = a + (b - a) sin^2 t, rho's square-root endpoints are smooth,
+        # so the fixed Gauss-Legendre rule on [0, t_x] is exact to rounding
+        t_x = math.asin(math.sqrt((x - a) / (b - a)))
+        t = 0.5 * t_x * (_LEGENDRE_T + 1.0)
+        f = np.array([rho(a + (b - a) * math.sin(u) ** 2) for u in t]) * np.sin(2.0 * t)
+        integral = 0.5 * t_x * (b - a) * float(_LEGENDRE_W @ f)
         return x - 2.0 * a - 2.0 * integral
 
     return LimitShape(xi=xi, a=a, b=b, alpha0=alpha0, beta0=beta0, rho=rho, omega=omega)
@@ -253,8 +252,8 @@ def limit_shape(xi: float) -> LimitShape:
 
 # Airy function by the standard Maclaurin pair: f'' = x f with
 # f(0)=1, f'(0)=0 and g(0)=0, g'(0)=1; Ai = c1 f - c2 g.
-_AI0 = 3.0 ** (-2.0 / 3.0) / gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / gamma(1.0 / 3.0)
+_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 
 def airy(x: float) -> tuple[float, float]:

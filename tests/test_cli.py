@@ -187,3 +187,14 @@ class TestParser:
         assert code == 2
         assert "did not converge" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--q", "0", "--xi", "0.3"],
+        ["verify", "--q", "0.5", "--xi", "0"],
+        ["painleve", "--q", "0.5", "--xi", "0", "--n-max", "2"],
+    ])
+    def test_singular_point_exits_2(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "qpart: singular at this point" in err
+        assert "Traceback" not in err

@@ -1,10 +1,11 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from qpart.kernels import (
     airy,
@@ -139,6 +140,29 @@ class TestDiscreteBessel:
                     discrete_bessel_kernel(0.9, s, r), abs=1e-13
                 )
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, 3.0, 10.0, 40.0])
+    def test_matches_mpmath_closed_form(self, eta):
+        # reference at 40 digits: the Christoffel-Darboux form off the
+        # diagonal, the series of J_n(2 eta)^2 on it
+        orders = range(-8, 8)  # r - 1/2 for the sites r = -15/2 ... 15/2
+        with mp.workdps(40):
+            x = 2 * mp.mpf(eta)
+
+            @functools.cache
+            def j(n):
+                return mp.besselj(n, x)
+
+            dev = 0.0
+            for r in orders:
+                for s in orders:
+                    if r == s:
+                        want = mp.nsum(lambda n: j(int(n)) ** 2, [r + 1, mp.inf])
+                    else:
+                        want = eta * (j(r) * j(s + 1) - j(r + 1) * j(s)) / (r - s)
+                    got = discrete_bessel_kernel(eta, r + 0.5, s + 0.5)
+                    dev = max(dev, abs(got - float(want)))
+        assert dev <= 4.5e-16
+
     def test_q_to_one_limit_of_q_bessel(self):
         eta = 1.0
         r, s = Fraction(1, 2), Fraction(3, 2)
@@ -231,6 +255,19 @@ class TestLimitShape:
             -2.0 * math.log(2.0), abs=1e-3
         )
 
+    @pytest.mark.parametrize("xi", [0.3, 0.7, 0.9])
+    def test_profile_matches_mpmath_quadrature(self, xi):
+        shape = limit_shape(xi)
+        with mp.workdps(30):
+            m = mp.mpf(xi)
+            a = -2 * mp.log1p(m)
+            # clamped: at 30 digits the argument can round just below -1 at a
+            rho = lambda u: mp.acos(max(-1, (m + (1 - mp.exp(-u)) / m) / 2)) / mp.pi
+            for k in range(1, 20):
+                x = shape.a + (shape.b - shape.a) * k / 20
+                want = float(x - 2 * a - 2 * mp.quad(rho, [a, x]))
+                assert shape.omega(x) == pytest.approx(want, rel=5e-15, abs=0)
+
     def test_asymmetry(self):
         shape = limit_shape(0.5)
         assert abs(shape.a) != pytest.approx(shape.b, rel=1e-3)
@@ -239,20 +276,18 @@ class TestLimitShape:
 class TestAiry:
     @given(st.floats(-7.5, 7.5))
     @settings(max_examples=120, deadline=None)
-    def test_against_scipy(self, x):
+    def test_against_mpmath(self, x):
         ai, aip = airy(x)
-        s_ai, s_aip, _, _ = scipy.special.airy(x)
-        assert ai == pytest.approx(float(s_ai), abs=1e-9)
-        assert aip == pytest.approx(float(s_aip), abs=1e-9)
+        assert ai == pytest.approx(float(mp.airyai(x)), abs=1e-9)
+        assert aip == pytest.approx(float(mp.airyai(x, derivative=1)), abs=1e-9)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             airy(9.0)
 
     def test_kernel_diagonal_value(self):
-        _, s_aip, _, _ = scipy.special.airy(0.0)
         assert airy_kernel(0.0, 0.0) == pytest.approx(
-            float(s_aip) ** 2, rel=1e-12
+            float(mp.airyai(0.0, derivative=1)) ** 2, rel=1e-12
         )
 
     def test_kernel_symmetric(self):

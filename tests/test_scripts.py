@@ -1,4 +1,5 @@
-"""Each script in scripts/ runs end to end with small arguments."""
+"""Fresh-process runs: each script in scripts/ runs end to end with small
+arguments, and importing the package loads no scipy."""
 
 import os
 import subprocess
@@ -16,13 +17,22 @@ ROOT = Path(__file__).resolve().parent.parent
     ("recurrence_table.py", ["--n-max", "4"]),
 ])
 def test_script_exits_0(script, args):
+    proc = run_python(str(ROOT / "scripts" / script), *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    proc = run_python("-c", "import sys, qpart, qpart.cli, qpart.checks; "
+                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
