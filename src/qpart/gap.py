@@ -1,7 +1,9 @@
 """Gap probabilities by three independent routes.
 
 Toeplitz determinants of the circle-weight moments, discrete Fredholm
-determinants of the correlation kernel, and direct partition enumeration.
+determinants of the correlation kernel, and direct partition enumeration:
+one table of squared-type weights per (q, xi) (`measures._squared_table`),
+summed by length and by first part, so every N and both variants are a lookup.
 
 The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
 Szego recursion (`oppainleve.szego_recursion`), so it does not overflow
@@ -14,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .kernels import kernel_matrix
-from .measures import _squared_weight_sum
+from .measures import _squared_table
 from .oppainleve import szego_recursion
-from .partitions import cell_stats, enumerate_partitions
 from .qspecial import NonconvergenceError, QParams, log_macmahon
 
 __all__ = [
@@ -75,20 +75,6 @@ def _fredholm(params: QParams, N: int, first_part: bool) -> float:
             raise NonconvergenceError(f"Fredholm section still short at {m // 2} sites")
 
 
-@lru_cache(maxsize=8)
-def _enum_stats(max_size: int) -> tuple:
-    """Per-partition (size, b, first part, length, hook tuple), reusable
-    across parameter grid points."""
-    out = []
-    for lam in enumerate_partitions(max_size):
-        stats = cell_stats(lam)
-        out.append(
-            (lam.size, stats.b_of_lambda, lam.part(1), lam.length,
-             tuple(stats.hooks.values()))
-        )
-    return tuple(out)
-
-
 def enumeration_tail_bound(params: QParams, max_size: int) -> float:
     """Bound on the squared-type mass beyond the enumeration cutoff.
 
@@ -104,16 +90,6 @@ def enumeration_tail_bound(params: QParams, max_size: int) -> float:
     return norm * ratio ** (max_size + 1) / (1.0 - ratio)
 
 
-def _enumeration_gap(query: GapQuery, max_size: int) -> float:
-    if max_size > MAX_ENUM:
-        raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM}")
-    first_part = query.variant == "first-part"
-    rows = [(size, b, hooks) for size, b, first, length, hooks in _enum_stats(max_size)
-            if (first if first_part else length) <= query.N]
-    total = _squared_weight_sum(query.params.xi, query.params.q, rows)
-    return total * math.exp(-log_macmahon(query.params))
-
-
 def gap_probability(
     query: GapQuery,
     method: str = "toeplitz",
@@ -123,7 +99,7 @@ def gap_probability(
 
     method "toeplitz": exp(log Z_N - log M(xi;q)) with the variant's symbol;
     method "fredholm": discrete Fredholm determinant of the kernel;
-    method "enumeration": direct sum over partitions up to max_size.
+    method "enumeration": the sum over partitions up to max_size, a table lookup.
     """
     if method == "toeplitz":
         variant = "plain" if query.variant == "length" else "check"
@@ -132,7 +108,10 @@ def gap_probability(
     if method == "fredholm":
         return _fredholm(query.params, query.N, query.variant == "first-part")
     if method == "enumeration":
-        return _enumeration_gap(query, max_size)
+        if max_size > MAX_ENUM:
+            raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM}")
+        cumulative = _squared_table(query.params, max_size)[query.variant]
+        return float(cumulative[min(query.N, max_size)])
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .partitions import Partition, cell_stats, enumerate_partitions, schur_specialized
 from .qspecial import _MAX_TERMS, _TAIL_TOL, QParams, log_macmahon
@@ -121,18 +124,45 @@ def _schur_normalization(t: MiwaTimes, t_tilde: MiwaTimes) -> float:
     return math.exp(total)
 
 
-def _squared_weight_sum(xi: float, q: float, rows: Iterable[tuple]) -> float:
-    """Sum of (xi^2 q)^size q^{2b} / prod_h (1 - q^h)^2 over rows (size, b,
-    hook lengths): the squared-type mass of those partitions before dividing
-    by the MacMahon normalization. One call per sum, not per partition, so
-    the enumeration route pays no call per term."""
-    total = 0.0
-    for size, b, hooks in rows:
-        val = (xi * xi * q) ** size * q ** (2 * b)
-        for h in hooks:
-            val /= (1.0 - q**h) ** 2
-        total += val
-    return total
+def _partition_stats(lams: Iterable[Partition], width: int) -> tuple[np.ndarray, ...]:
+    """Arrays over the partitions: size, first part, length, b(lambda), and the
+    uint8 matrix of hook-length counts m_h, h = 1..width, one row each."""
+    rows, counts = [], bytearray()
+    for lam in lams:
+        row, below = bytearray(width), [0] * lam.part(1)  # lower rows longer than j
+        for p in reversed(lam.parts):
+            for j in range(p):  # hook = arm p - j - 1 + leg below[j] + 1
+                row[p - j + below[j] - 1] += 1
+                below[j] += 1
+        counts += row
+        rows.append((lam.size, lam.part(1), len(lam), sum(i * p for i, p in enumerate(lam))))
+    return (*np.array(rows, np.int16).T,
+            np.frombuffer(counts, np.uint8).reshape(len(rows), width))
+
+
+@lru_cache(maxsize=8)
+def _enum_stats(max_size: int) -> tuple[np.ndarray, ...]:
+    return _partition_stats(enumerate_partitions(max_size), max_size)
+
+
+def _squared_weights(params: QParams, stats: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Per row of stats, (xi^2 q)^{|lambda|} q^{2 b(lambda)} / prod_h (1 - q^h)^{2 m_h}
+    / M(xi;q): the principal Schur value squared (Macdonald I.3 ex. 2) over M."""
+    q, xi = params.q, params.xi
+    size, _, _, b, counts = stats
+    w = (xi * xi * q) ** size * q ** (2 * b)
+    for h, twice_m in enumerate(2 * counts.T, start=1):
+        w /= (1.0 - q**h) ** twice_m
+    return w * math.exp(-log_macmahon(params))
+
+
+@lru_cache(maxsize=32)
+def _squared_table(params: QParams, max_size: int) -> dict[str, np.ndarray]:
+    """Entry N of "size", "first-part" or "length": the squared-type mass with that
+    statistic <= N over sizes <= max_size; every N and gap variant is a lookup."""
+    w = _squared_weights(params, _enum_stats(max_size))
+    return {key: np.cumsum(np.bincount(col, w, max_size + 1))
+            for key, col in zip(("size", "first-part", "length"), _enum_stats(max_size))}
 
 
 def measure(kind: object, lam: Partition) -> float:
@@ -147,10 +177,8 @@ def measure(kind: object, lam: Partition) -> float:
         dim_ratio = stats.dim_lambda / math.factorial(lam.size)
         return math.exp(-kind.eta**2) * kind.eta ** (2 * lam.size) * dim_ratio**2
     if isinstance(kind, QPPSquared):
-        stats = cell_stats(lam)
-        val = _squared_weight_sum(kind.xi, kind.q,
-                                  [(lam.size, stats.b_of_lambda, stats.hooks.values())])
-        return val * math.exp(-log_macmahon(QParams(q=kind.q, xi=kind.xi)))
+        stats = _partition_stats([lam], lam.size)
+        return float(_squared_weights(QParams(q=kind.q, xi=kind.xi), stats)[0])
     if isinstance(kind, QPPMixed):
         xi, q = kind.xi, kind.q
         stats = cell_stats(lam)
@@ -176,6 +204,9 @@ def normalization_partial_sum(kind: object, max_size: int) -> float:
                 if lam.size == kind.n
             )
         )
+    if isinstance(kind, QPPSquared):
+        by_size = _squared_table(QParams(q=kind.q, xi=kind.xi), max_size)["size"]
+        return float(by_size[max_size])
     return sum(measure(kind, lam) for lam in enumerate_partitions(max_size))
 
 

@@ -94,16 +94,16 @@ def enumerate_partitions(max_size: int) -> Iterator[Partition]:
     if max_size > MAX_ENUM_SIZE:
         raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM_SIZE}")
     for n in range(max_size + 1):
-        yield from _partitions_of(n, n)
+        yield from map(Partition, _partitions_of(n, n))
 
 
-def _partitions_of(n: int, cap: int) -> Iterator[Partition]:
+def _partitions_of(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
-        yield Partition(())
+        yield ()
         return
     for first in range(min(n, cap), 0, -1):
         for rest in _partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)
+            yield (first,) + rest
 
 
 def cell_stats(lam: Partition) -> CellStats:

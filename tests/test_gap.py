@@ -1,17 +1,20 @@
 import math
 
 import pytest
+from mpmath import mp
 
 from qpart.gap import (
+    GAP_VARIANTS,
+    MAX_ENUM,
     GapQuery,
     enumeration_tail_bound,
     gap_probability,
     monotonicity_scan,
 )
 from qpart.kernels import _j_gen
-from qpart.measures import QPPSquared, measure
+from qpart.measures import QPPSquared, _squared_table, measure
 from qpart.oppainleve import szego_recursion
-from qpart.partitions import enumerate_partitions
+from qpart.partitions import cell_stats, enumerate_partitions
 from qpart.qspecial import QParams, circle_fft, macmahon
 
 P = QParams(q=0.5, xi=0.3)
@@ -115,6 +118,48 @@ class TestGapProbability:
             GapQuery(variant="width", N=1, params=P)
         with pytest.raises(ValueError):
             GapQuery(variant="length", N=-1, params=P)
+
+
+class TestEnumerationRoute:
+    MAX_SIZE = 25  # gap_probability's default
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        """(first part, length, size, b, hook lengths) from cell_stats."""
+        return [(lam.part(1), lam.length, lam.size, st.b_of_lambda, tuple(st.hooks.values()))
+                for lam in enumerate_partitions(self.MAX_SIZE) for st in [cell_stats(lam)]]
+
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.7, 0.5), (0.9, 0.5)])
+    def test_matches_mpmath_sum(self, rows, q, xi):
+        # a 40-digit sum of the same partitions' weights times exp(-log M);
+        # the bound fails a sum that adds the partitions one by one onto the
+        # leading 1, which is off by 8.0e-15 at (0.7, 0.5)
+        p = QParams(q=q, xi=xi)
+        ns = [*range(13), self.MAX_SIZE + 3]
+        with mp.workdps(40):
+            mq, mxi = mp.mpf(q), mp.mpf(xi)
+            den = [(1 - mq**h) ** 2 for h in range(self.MAX_SIZE + 1)]
+            weights = [(mxi * mxi * mq) ** size * mq ** (2 * b) / mp.fprod(den[h] for h in hooks)
+                       for _, _, size, b, hooks in rows]
+            # terms past n = 2000 are below 1e-80 for q <= 0.9
+            norm = mp.exp(mp.fsum(n * mp.log(1 - mxi * mxi * mq**n) for n in range(1, 2000)))
+            for col, variant in enumerate(("first-part", "length")):
+                for n in ns:
+                    want = norm * mp.fsum(w for r, w in zip(rows, weights) if r[col] <= n)
+                    got = gap_probability(GapQuery(variant, n, p), "enumeration")
+                    assert got == pytest.approx(float(want), rel=2e-15, abs=0), (variant, n)
+
+    def test_one_table_per_point(self):
+        p = QParams(q=0.6, xi=0.35)  # a point no other test uses
+        before = _squared_table.cache_info().misses
+        for variant in GAP_VARIANTS:
+            for n in range(11):
+                gap_probability(GapQuery(variant, n, p), "enumeration")
+        assert _squared_table.cache_info().misses - before == 1
+
+    def test_max_size_guard(self):
+        with pytest.raises(ValueError):
+            gap_probability(GapQuery("length", 3, P), "enumeration", max_size=MAX_ENUM + 1)
 
 
 class TestEnumerationTailBound:

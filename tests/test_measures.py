@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +12,12 @@ from qpart.measures import (
     QPPMixed,
     QPPSquared,
     SchurMeasure,
+    _enum_stats,
     measure,
     normalization_partial_sum,
     q_limit_check,
 )
-from qpart.partitions import Partition, enumerate_partitions
+from qpart.partitions import Partition, cell_stats, enumerate_partitions
 
 SAMPLE = [
     Partition(()),
@@ -143,6 +145,26 @@ class TestQDeformations:
             devs.append(abs(val - pp))
         assert devs[1] / devs[0] < 0.3
         assert devs[2] / devs[1] < 0.3
+
+
+class TestEnumStats:
+    def test_rows_match_cell_stats(self):
+        size, first, length, b, counts = _enum_stats(12)
+        assert counts.dtype == np.uint8 and counts.shape[1] == 12
+        for k, lam in enumerate(enumerate_partitions(12)):
+            stats = cell_stats(lam)
+            hooks = [h for h, m in enumerate(counts[k].tolist(), start=1) for _ in range(m)]
+            assert hooks == sorted(stats.hooks.values())
+            assert counts[k].sum() == lam.size
+            assert (size[k], first[k], length[k], b[k]) == (
+                lam.size, lam.part(1), lam.length, stats.b_of_lambda)
+        assert k + 1 == len(size)
+
+    def test_partial_sum_matches_single_masses(self):
+        # the size-graded table and measure() read the same weights
+        kind = QPPSquared(xi=0.4, q=0.6)
+        each = math.fsum(measure(kind, lam) for lam in enumerate_partitions(10))
+        assert normalization_partial_sum(kind, 10) == pytest.approx(each, rel=1e-15)
 
 
 class TestMiwaTimes:

@@ -1,5 +1,6 @@
 """Fresh-process runs: each script in scripts/ runs end to end with small
-arguments, and importing the package loads no scipy."""
+arguments, and importing the package loads no scipy and builds no
+enumeration table."""
 
 import os
 import subprocess
@@ -27,6 +28,14 @@ def test_import_loads_no_scipy():
                       "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_builds_no_enumeration_table():
+    proc = run_python("-c", "import qpart, qpart.cli, qpart.checks; from qpart import measures; "
+                      "print(measures._enum_stats.cache_info().currsize, "
+                      "measures._squared_table.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 0"
 
 
 def run_python(*args):
