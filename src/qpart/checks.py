@@ -26,7 +26,8 @@ from .qspecial import QParams
 
 PLANE_PARTITIONS = (1, 1, 3, 6)  # of k = 0..3
 LAX_PROBES = (0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j)
-ENUM_SIZE = 22  # partition sizes summed by the enumeration gap route
+ENUM_SIZE = 22  # partition sizes summed by the enumeration gap route and the
+                # norm rows, so one hook-count table serves all four
 
 
 def macmahon_coeffs(ks: Sequence[int]) -> float:
@@ -296,11 +297,11 @@ CHECKS = (
     Check("kernels.symmetry", "K(r, s) = K(s, r)",
           1e-12, kernel_symmetry, (POINT, range(-4, 4))),
     Check("measures.norm_mixed", _MASS,
-          1e-7, qpp_mass_deficit, (POINT, measures.QPPMixed, 20)),
+          1e-7, qpp_mass_deficit, (POINT, measures.QPPMixed, ENUM_SIZE)),
     Check("measures.norm_poissonized", _MASS,
-          1e-7, mass_deficit, (measures.PoissonizedPlancherel(eta=0.8), 20)),
+          1e-7, mass_deficit, (measures.PoissonizedPlancherel(eta=0.8), ENUM_SIZE)),
     Check("measures.norm_squared", _MASS,
-          1e-7, qpp_mass_deficit, (POINT, measures.QPPSquared, 20)),
+          1e-7, qpp_mass_deficit, (POINT, measures.QPPSquared, ENUM_SIZE)),
     Check("measures.plancherel_exact", "sum over |lambda| = n of (dim lambda)^2 / n! = 1",
           1e-12, plancherel_exact, (range(1, 7),)),
     Check("measures.q_to_1_chain", "both deformations approach the Poissonized value",

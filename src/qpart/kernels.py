@@ -14,7 +14,8 @@ catastrophically, and Parseval (sum c_n^2 = 1) certifies each table's order
 range. One assembler, `_lag_sums`, builds any block from a table as
 K(r, s) = sum_{n > r} c_n c_{n+s-r}, free of the Christoffel-Darboux division
 that amplified rounding near q = 1. The Schur series form `schur_kernel`
-keeps its own Miwa-time FFT, an independent check.
+takes its J and Jtilde tables from the Miwa-time symbol, not from J_gen, an
+independent check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import MiwaTimes
-from .qspecial import NonconvergenceError, QParams, circle_fft
+from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, circle_fft
 
 __all__ = [
     "LimitShape",
@@ -50,8 +51,6 @@ _GRID = 512              # first FFT grid of the J_gen table
 _MAX_GRID = 1 << 18      # the table gives up past this grid
 _OUTSIDE_MASS = 1e-24    # squared mass a table may drop; the J_gen FFT's
                          # own rounding floor is 1e-32 to 3e-28 up to q = 0.99
-_SCHUR_GRID = 1024       # FFT grid of the Schur-series coefficients
-_SCHUR_TIMES = 128       # Miwa times summed in the Schur symbol
 _LEGENDRE_T, _LEGENDRE_W = np.polynomial.legendre.leggauss(24)  # the Omega rule
 
 
@@ -65,10 +64,11 @@ def twice(r) -> int:
 
 
 def _table(fft: Callable[[int], np.ndarray], what: str) -> tuple[int, np.ndarray]:
-    """(L, c) for a symbol of modulus 1 on the circle whose FFT on a grid is
-    fft(grid): c holds c_n for |n| <= L at index n + L + 1, and 0 at each end.
-    Since sum_n c_n^2 = 1 (Parseval), the grid doubles until the squared mass
-    of its orders past grid/4 falls below _OUTSIDE_MASS, and L = grid/4."""
+    """(L, c) for a symbol on the circle whose FFT on a grid is fft(grid): c
+    holds c_n for |n| <= L at index n + L + 1, and 0 at each end. The grid
+    doubles until the squared mass of its orders past grid/4 falls below
+    _OUTSIDE_MASS, and L = grid/4; for a symbol of modulus 1, sum_n c_n^2 = 1
+    (Parseval), so that mass is relative."""
     grid = _GRID
     while True:
         c = fft(grid)
@@ -139,46 +139,49 @@ def q_bessel_kernel(params: QParams, r, s) -> float:
 
 @lru_cache(maxsize=64)
 def _schur_coefficients(t: MiwaTimes, t_tilde: MiwaTimes) -> tuple:
-    """J_n and Jtilde_n for |n| <= _SCHUR_GRID/4, at index n + _SCHUR_GRID/4.
-
-    J and Jtilde are Fourier coefficients of exp(sum t_n z^n - ttilde_n z^-n)
-    and of the same expression with t and ttilde swapped, taken by FFT on
-    their own grid, independent of the J_gen table.
-    """
-    grid, span = _SCHUR_GRID, _SCHUR_GRID // 4
-    theta = 2.0 * math.pi * np.arange(grid) / grid
-    z = np.exp(1j * theta)
-    log_j = np.zeros_like(z)
-    for n in range(1, _SCHUR_TIMES + 1):
-        tn, ttn = t.value(n), t_tilde.value(n)
-        if tn == 0.0 and ttn == 0.0 and n > 8:
+    """The `_table`s of J_n and Jtilde_n, the Fourier coefficients of
+    exp(sum_n t_n z^n - ttilde_n z^-n) and of the same with t and ttilde
+    swapped, independent of the J_gen table. The times are summed until both
+    fall below _TAIL_TOL past any explicit list (the named families decrease)."""
+    times = []
+    for n in range(1, _MAX_TERMS + 1):
+        times.append((t.value(n), t_tilde.value(n)))
+        if n >= max(len(t.t), len(t_tilde.t)) and max(map(abs, times[-1])) < _TAIL_TOL:
             break
-        log_j = log_j + tn * z**n - ttn * z ** (-n)
-    orders = np.arange(-span, span + 1)
-    j = (np.fft.fft(np.exp(log_j)) / grid).real[orders % grid]
-    # exp(-log J)(z) is the swapped-times symbol evaluated at 1/z, so its
-    # z^b coefficient is Jtilde_{-b}
-    jt = (np.fft.fft(np.exp(-log_j)) / grid).real[-orders % grid]
-    return j, jt
+    else:
+        raise NonconvergenceError(f"Miwa times of {t}, {t_tilde} above {_TAIL_TOL} "
+                                  f"past n = {_MAX_TERMS}")
+    orders = np.arange(1, len(times) + 1)
+
+    def fft(plus: np.ndarray, minus: np.ndarray) -> Callable[[int], np.ndarray]:
+        def on_grid(grid: int) -> np.ndarray:
+            # the log symbol at z_k = exp(2 pi i k / grid), where z_k^n depends
+            # on n mod grid only, is grid times an inverse FFT
+            log_symbol = np.zeros(grid)
+            np.add.at(log_symbol, orders % grid, plus)
+            np.add.at(log_symbol, -orders % grid, -minus)
+            return (np.fft.fft(np.exp(np.fft.ifft(log_symbol) * grid)) / grid).real
+        return on_grid
+
+    t_n, tt_n = np.array(times).T
+    return (_table(fft(t_n, tt_n), f"J of {t}, {t_tilde}"),
+            _table(fft(tt_n, t_n), f"Jtilde of {t}, {t_tilde}"))
 
 
 def schur_kernel(t: MiwaTimes, t_tilde: MiwaTimes, r, s) -> float:
     """Series form K(r,s) = sum_{k in Z'_{>0}} J_{r+k} Jtilde_{s+k}.
 
     The summation index k runs over positive half-integers so that r + k is
-    an integer order; orders past _SCHUR_GRID/4 are dropped.
+    an integer order; orders past either table read as 0.
     """
-    j, jt = _schur_coefficients(t, t_tilde)
-    span = _SCHUR_GRID // 4
-    # array indices of the first orders r + 1/2 and s + 1/2; earlier indices
-    # than 0 are orders below the range and read as 0
-    ia = (twice(r) + 1) // 2 + span
-    ib = (twice(s) + 1) // 2 + span
-    skip = max(0, -ia, -ib)
-    n = 2 * span + 1 - max(ia, ib) - skip
+    (span, j), (span_t, jt) = _schur_coefficients(t, t_tilde)
+    a, b = (twice(r) + 1) // 2, (twice(s) + 1) // 2  # the orders r + 1/2, s + 1/2
+    lo = max(0, -span - a, -span_t - b)  # the first step with both orders in range
+    n = min(span - a, span_t - b) + 1 - lo
     if n <= 0:
         return 0.0
-    return float(np.dot(j[ia + skip : ia + skip + n], jt[ib + skip : ib + skip + n]))
+    ia, ib = a + lo + span + 1, b + lo + span_t + 1
+    return float(np.dot(j[ia : ia + n], jt[ib : ib + n]))
 
 
 def discrete_bessel_kernel(eta: float, r, s) -> float:

@@ -1,14 +1,25 @@
 """Probability measures on partitions and their normalization checks.
 
-Four named measures (Plancherel, Poissonized Plancherel, and the squared and
-mixed q-deformations) plus the Schur measure restricted to the two named
-Miwa-time families that reproduce them.
+Every measure here is a Schur measure s_lambda(rho) s_lambda(rho~) / Z
+(A. Okounkov, *Infinite wedge and random partitions*, arXiv:math/9907127)
+whose two specializations are each principal or exponential. By the
+hook-content formula (Macdonald, *Symmetric Functions*, I.3 ex. 2):
 
-The mixed-type normalization constant implemented here is exp(-xi^2/(1-q)).
-It is the unique constant for which the measure has total mass 1: the
-lambda-dependent part sums to exp(t_1 ttilde_1) = exp(xi^2/(1-q)) by the
-Cauchy identity with t = principal(xi, q), ttilde_1 = xi q^{-1/2}. It also
-reduces to e^{-eta^2} under xi = (1-q)^{1/2} eta.
+- principal, Miwa times t_n = xi^n q^{n/2} / (n (1 - q^n)):
+  s_lambda = (xi q^{1/2})^{|lambda|} q^{b(lambda)} / prod_h (1 - q^h);
+- exponential, t_n = xi delta_{n,1}: s_lambda = xi^{|lambda|} / prod_h h.
+
+The squared q-deformation pairs two principal specializations, Poissonized
+Plancherel two exponential ones, and the mixed type one of each (the
+exponential one at xi q^{-1/2}); Plancherel(n) is Poissonized Plancherel
+given |lambda| = n. One evaluator, `_masses`, weighs rows of hook-length
+counts: `measure` is its one-row case, `normalization_partial_sum` sums it
+over all partitions up to a size, and the enumeration gap route bins it.
+
+log Z = sum_n n t_n ttilde_n (Cauchy identity) is log M(xi;q) for two
+principal specializations, and the single term t_1 ttilde_1 when either is
+exponential. For the mixed type that is xi^2/(1-q), which reduces to
+eta^2 under xi = (1-q)^{1/2} eta.
 """
 
 from __future__ import annotations
@@ -20,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .partitions import Partition, cell_stats, enumerate_partitions, schur_specialized
-from .qspecial import _MAX_TERMS, _TAIL_TOL, QParams, log_macmahon
+from .partitions import Partition, enumerate_partitions
+from .qspecial import QParams, log_macmahon
 
 __all__ = [
     "MiwaTimes",
@@ -42,7 +53,7 @@ MAX_SUM_SIZE = 40
 class MiwaTimes:
     """Finite Miwa-time list or a named closed-form family.
 
-    family "principal": t_n = -xi^n / (n (q^{n/2} - q^{-n/2}))
+    family "principal": t_n = xi^n q^{n/2} / (n (1 - q^n)), 0 at q = 0
     family "delta": t_n = xi * delta_{n,1}
     family None: explicit finite list `t`, zero beyond its length.
     """
@@ -61,7 +72,7 @@ class MiwaTimes:
 
     def value(self, n: int) -> float:
         if self.family == "principal":
-            return -self.xi**n / (n * (self.q ** (n / 2) - self.q ** (-n / 2)))
+            return self.xi**n * self.q ** (n / 2) / (n * (1.0 - self.q**n))
         if self.family == "delta":
             return self.xi if n == 1 else 0.0
         return self.t[n - 1] if n <= len(self.t) else 0.0
@@ -103,25 +114,43 @@ class SchurMeasure:
     t_tilde: MiwaTimes
 
 
-def _schur_value(times: MiwaTimes, lam: Partition) -> float:
-    if times.family == "principal":
-        return schur_specialized(lam, "principal", times.xi, times.q)
-    if times.family == "delta":
-        return schur_specialized(lam, "exponential", times.xi)
-    raise NotImplementedError(
-        "Schur measure evaluation is only available for the named families"
-    )
-
-
-def _schur_normalization(t: MiwaTimes, t_tilde: MiwaTimes) -> float:
-    """Z = exp(sum_n n t_n ttilde_n), valid when both series decay."""
-    total = 0.0
-    for n in range(1, _MAX_TERMS + 1):
-        term = n * t.value(n) * t_tilde.value(n)
-        total += term
-        if n > 1 and abs(term) < _TAIL_TOL:
-            break
-    return math.exp(total)
+def _factors(kind: object) -> tuple[float, float, int, float]:
+    """(base, q, principal, 1/Z) such that the kind's mass of lambda is
+    base^{|lambda|} q^{principal b(lambda)} / prod_h ((1 - q^h)^principal
+    h^{2 - principal})^{m_h} / Z, where `principal` of the two specializations
+    are principal ones at q and the others exponential."""
+    if isinstance(kind, QPPSquared):
+        t = MiwaTimes.principal(kind.xi, kind.q)
+        kind = SchurMeasure(t, t)
+    if isinstance(kind, PoissonizedPlancherel):
+        t = MiwaTimes.delta(kind.eta)
+        kind = SchurMeasure(t, t)
+    if isinstance(kind, Plancherel):
+        # Poissonized Plancherel at eta = 1 given |lambda| = n; `_masses` zeroes
+        # the other sizes
+        return 1.0, 0.0, 0, float(math.factorial(kind.n))
+    if isinstance(kind, QPPMixed):
+        # principal(xi, q) with delta(xi q^{-1/2}), the q^{1/2} cancelled so
+        # that q = 0 needs no division: log Z = t_1 ttilde_1 = xi^2 / (1 - q)
+        xi2 = kind.xi * kind.xi
+        return xi2, kind.q, 1, math.exp(-xi2 / (1.0 - kind.q))
+    if isinstance(kind, SchurMeasure):
+        pair = (kind.t, kind.t_tilde)
+        if any(t.family is None for t in pair):
+            raise NotImplementedError(
+                "Schur measure evaluation is only available for the named families")
+        qs = [t.q for t in pair if t.family == "principal"]
+        if len(set(qs)) > 1:
+            raise NotImplementedError("two principal specializations at different q")
+        # not (xi q^{1/2}) (xi~ q~^{1/2}): raised to |lambda|, those two roundings
+        # put the enumeration gap route 2e-15 off an mpmath sum at (0.9, 0.5)
+        base = kind.t.xi * kind.t_tilde.xi * math.sqrt(math.prod(qs))
+        if len(qs) == 2:
+            log_z = log_macmahon(QParams(q=qs[0], xi=math.sqrt(kind.t.xi * kind.t_tilde.xi)))
+        else:
+            log_z = kind.t.value(1) * kind.t_tilde.value(1)
+        return base, qs[0] if qs else 0.0, len(qs), math.exp(-log_z)
+    raise TypeError(f"unknown measure kind {kind!r}")
 
 
 def _partition_stats(lams: Iterable[Partition], width: int) -> tuple[np.ndarray, ...]:
@@ -145,69 +174,44 @@ def _enum_stats(max_size: int) -> tuple[np.ndarray, ...]:
     return _partition_stats(enumerate_partitions(max_size), max_size)
 
 
-def _squared_weights(params: QParams, stats: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Per row of stats, (xi^2 q)^{|lambda|} q^{2 b(lambda)} / prod_h (1 - q^h)^{2 m_h}
-    / M(xi;q): the principal Schur value squared (Macdonald I.3 ex. 2) over M."""
-    q, xi = params.q, params.xi
+def _masses(kind: object, stats: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The kind's mass of each row of stats, by `_factors`, each base raised
+    once to the row's combined exponent."""
+    base, q, principal, inv_z = _factors(kind)
     size, _, _, b, counts = stats
-    w = (xi * xi * q) ** size * q ** (2 * b)
-    for h, twice_m in enumerate(2 * counts.T, start=1):
-        w /= (1.0 - q**h) ** twice_m
-    return w * math.exp(-log_macmahon(params))
+    w = base**size * q ** (principal * b)
+    for h, m in enumerate(counts.T, start=1):
+        if principal:
+            w /= (1.0 - q**h) ** (principal * m)
+        if principal < 2:
+            w /= float(h) ** ((2 - principal) * m)
+    w *= inv_z
+    if isinstance(kind, Plancherel):
+        w[size != kind.n] = 0.0
+    return w
 
 
 @lru_cache(maxsize=32)
 def _squared_table(params: QParams, max_size: int) -> dict[str, np.ndarray]:
     """Entry N of "size", "first-part" or "length": the squared-type mass with that
     statistic <= N over sizes <= max_size; every N and gap variant is a lookup."""
-    w = _squared_weights(params, _enum_stats(max_size))
+    w = _masses(QPPSquared(xi=params.xi, q=params.q), _enum_stats(max_size))
     return {key: np.cumsum(np.bincount(col, w, max_size + 1))
             for key, col in zip(("size", "first-part", "length"), _enum_stats(max_size))}
 
 
 def measure(kind: object, lam: Partition) -> float:
     """Probability mass of the partition under the named measure."""
-    if isinstance(kind, Plancherel):
-        if lam.size != kind.n:
-            raise ValueError(f"Plancherel({kind.n}) needs |lambda| = {kind.n}")
-        stats = cell_stats(lam)
-        return stats.dim_lambda**2 / math.factorial(kind.n)
-    if isinstance(kind, PoissonizedPlancherel):
-        stats = cell_stats(lam)
-        dim_ratio = stats.dim_lambda / math.factorial(lam.size)
-        return math.exp(-kind.eta**2) * kind.eta ** (2 * lam.size) * dim_ratio**2
-    if isinstance(kind, QPPSquared):
-        stats = _partition_stats([lam], lam.size)
-        return float(_squared_weights(QParams(q=kind.q, xi=kind.xi), stats)[0])
-    if isinstance(kind, QPPMixed):
-        xi, q = kind.xi, kind.q
-        stats = cell_stats(lam)
-        val = xi ** (2 * lam.size) * q**stats.b_of_lambda
-        for h in stats.hooks.values():
-            val /= h * (1.0 - q**h)
-        return val * math.exp(-xi * xi / (1.0 - q))
-    if isinstance(kind, SchurMeasure):
-        z = _schur_normalization(kind.t, kind.t_tilde)
-        return _schur_value(kind.t, lam) * _schur_value(kind.t_tilde, lam) / z
-    raise TypeError(f"unknown measure kind {kind!r}")
+    if isinstance(kind, Plancherel) and lam.size != kind.n:
+        raise ValueError(f"Plancherel({kind.n}) needs |lambda| = {kind.n}")
+    return float(_masses(kind, _partition_stats([lam], lam.size))[0])
 
 
 def normalization_partial_sum(kind: object, max_size: int) -> float:
     """Sum of the measure over all partitions of size <= max_size."""
     if max_size > MAX_SUM_SIZE:
         raise ValueError(f"max_size {max_size} exceeds guard {MAX_SUM_SIZE}")
-    if isinstance(kind, Plancherel):
-        return float(
-            sum(
-                measure(kind, lam)
-                for lam in enumerate_partitions(kind.n)
-                if lam.size == kind.n
-            )
-        )
-    if isinstance(kind, QPPSquared):
-        by_size = _squared_table(QParams(q=kind.q, xi=kind.xi), max_size)["size"]
-        return float(by_size[max_size])
-    return sum(measure(kind, lam) for lam in enumerate_partitions(max_size))
+    return math.fsum(_masses(kind, _enum_stats(max_size)))
 
 
 def q_limit_check(

@@ -1,9 +1,9 @@
 """Exact combinatorics of integer partitions.
 
-Hooks, contents, b(lambda), transposition, the boson-fermion coordinates,
-enumeration in a fixed order, and the two specialized Schur values used to
-identify the partition measures. Everything here is exact integer or
-rational arithmetic except the two Schur specializations.
+Hooks, contents, b(lambda), transposition, the boson-fermion coordinates
+and enumeration in a fixed order, all in exact integer or rational
+arithmetic. `cell_stats` is the exact reference for the hook-length counts
+that `qpart.measures` weighs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "enumerate_partitions",
     "cell_stats",
     "fermionic_coordinates",
-    "schur_specialized",
 ]
 
 MAX_ENUM_SIZE = 60
@@ -128,22 +127,3 @@ def fermionic_coordinates(lam: Partition, depth: int) -> FermionicSet:
     return FermionicSet(
         tuple(Fraction(2 * (lam.part(i) - i) + 1, 2) for i in range(1, depth + 1))
     )
-
-
-def schur_specialized(lam: Partition, kind: str, xi: float, q: float | None = None) -> float:
-    """Closed-form Schur values at the two specializations used downstream.
-
-    kind="principal": (xi q^{1/2})^{|lam|} q^{b(lam)} prod 1/(1 - q^h)
-    kind="exponential": xi^{|lam|} prod 1/h = xi^{|lam|} dim(lam)/|lam|!
-    """
-    stats = cell_stats(lam)
-    if kind == "principal":
-        if q is None:
-            raise ValueError("principal specialization needs q")
-        val = (xi * math.sqrt(q)) ** lam.size * q**stats.b_of_lambda
-        for h in stats.hooks.values():
-            val /= 1.0 - q**h
-        return val
-    if kind == "exponential":
-        return xi**lam.size * stats.dim_lambda / math.factorial(lam.size)
-    raise ValueError(f"unknown specialization {kind!r}")

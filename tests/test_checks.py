@@ -2,7 +2,7 @@
 
 import pytest
 
-from qpart import checks
+from qpart import checks, measures
 from qpart.qspecial import QParams
 
 NEAR = QParams(q=0.97, xi=0.7)
@@ -74,3 +74,27 @@ def test_christoffel_darboux_holds_near_q_one(q, xi):
 def test_gen_fn_coefficients_hold_near_q_one(q, xi):
     # the binary64 direct series cancels here: 1.26e-13 and 453 off the table
     assert _check("special.gen_fn_coefficients").report(QParams(q=q, xi=xi))["pass"]
+
+
+def test_kernel_and_measure_rows_pass_at_q_zero():
+    # the principal Miwa times are 0 at q = 0, where q^{-n/2} used to raise
+    rows = [c.report(QParams(q=0.0, xi=0.3)) for c in checks.CHECKS
+            if c.suite in ("kernels", "measures")]
+    assert len(rows) == 10
+    assert all(row["pass"] for row in rows), [r for r in rows if not r["pass"]]
+
+
+def test_schur_vs_qbessel_holds_near_q_one():
+    # at (0.99, 0.9) the squared mass past order 256 is 0.0859, and the Miwa
+    # times t_n stay above 1e-16 past n = 128
+    assert checks.schur_vs_qbessel(QParams(q=0.99, xi=0.9), range(-4, 4)) <= 1e-10
+
+
+def test_one_stats_table_per_verify():
+    # the norm rows and the enumeration gap route read one hook-count table
+    measures._enum_stats.cache_clear()
+    measures._squared_table.cache_clear()
+    for check_id in ("measures.norm_mixed", "measures.norm_poissonized",
+                     "measures.norm_squared", "gap.toeplitz_vs_enumeration"):
+        _check(check_id).report(QParams(q=0.5, xi=0.3))
+    assert measures._enum_stats.cache_info().misses == 1

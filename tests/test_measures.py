@@ -18,6 +18,7 @@ from qpart.measures import (
     q_limit_check,
 )
 from qpart.partitions import Partition, cell_stats, enumerate_partitions
+from qpart.qspecial import QParams, log_macmahon
 
 SAMPLE = [
     Partition(()),
@@ -87,13 +88,14 @@ class TestQDeformations:
                 assert measure(kind, lam) >= 0.0
 
     def test_squared_is_schur_with_principal_times(self):
-        t = MiwaTimes.principal(0.3, 0.5)
-        sm = SchurMeasure(t=t, t_tilde=t)
-        kind = QPPSquared(0.3, 0.5)
-        for lam in SAMPLE:
-            assert measure(sm, lam) == pytest.approx(
-                measure(kind, lam), rel=1e-10
-            )
+        # one evaluator and one log Z, so bit-equal; a separate Cauchy sum
+        # differed at (0.97, 0.7) and overflowed at (0.99, 0.9)
+        for q, xi in [(0.5, 0.3), (0.97, 0.7), (0.99, 0.9)]:
+            t = MiwaTimes.principal(xi, q)
+            sm = SchurMeasure(t=t, t_tilde=t)
+            kind = QPPSquared(xi, q)
+            for lam in SAMPLE:
+                assert measure(sm, lam) == measure(kind, lam)
 
     def test_mixed_is_schur_with_principal_and_delta_times(self):
         # the mixed type pairs the principal specialization with the
@@ -108,6 +110,22 @@ class TestQDeformations:
             assert measure(sm, lam) == pytest.approx(
                 measure(kind, lam), rel=1e-10
             )
+
+    def test_mixed_at_q_zero(self):
+        # only single rows (n) carry mass, e^{-xi^2} xi^{2n} / n!; the mixed
+        # type must not be evaluated through the delta time xi q^{-1/2}
+        kind = QPPMixed(xi=0.3, q=0.0)
+        assert normalization_partial_sum(kind, 20) == pytest.approx(1.0, abs=2e-16)
+        assert measure(kind, Partition((2,))) == pytest.approx(
+            math.exp(-0.09) * 0.09**2 / 2, rel=1e-14)
+        assert measure(kind, Partition((1, 1))) == 0.0
+
+    def test_unbuilt_schur_pairs_raise(self):
+        with pytest.raises(NotImplementedError):
+            measure(SchurMeasure(MiwaTimes.principal(0.3, 0.5),
+                                 MiwaTimes.principal(0.3, 0.6)), Partition((1,)))
+        with pytest.raises(NotImplementedError):
+            measure(SchurMeasure(MiwaTimes(t=(0.5,)), MiwaTimes.delta(0.5)), Partition((1,)))
 
     def test_mixed_reduces_to_poissonized_at_q_scaling(self):
         eta = 0.8
@@ -147,6 +165,38 @@ class TestQDeformations:
         assert devs[2] / devs[1] < 0.3
 
 
+class TestSchurSpecialized:
+    def test_exponential_single_row(self):
+        # s_(n) at the exponential specialization is xi^n / n!
+        for n in range(1, 6):
+            lam = Partition((n,))
+            s_n = 0.7**n / math.factorial(n)
+            assert measure(PoissonizedPlancherel(0.7), lam) == pytest.approx(
+                math.exp(-0.49) * s_n * s_n, rel=1e-14
+            )
+
+    def test_principal_single_box(self):
+        # s_(1) = xi q^{1/2} / (1 - q)
+        xi, q = 0.3, 0.5
+        s_1 = xi * math.sqrt(q) / (1.0 - q)
+        want = s_1 * s_1 * math.exp(-log_macmahon(QParams(q=q, xi=xi)))
+        assert measure(QPPSquared(xi, q), Partition((1,))) == (
+            pytest.approx(want, rel=1e-14)
+        )
+
+    @given(st.sampled_from(list(enumerate_partitions(10))))
+    @settings(max_examples=60, deadline=None)
+    def test_principal_to_exponential_limit(self, lam):
+        # with xi -> xi (1-q)/q^{1/2} scaling, q -> 1 recovers the
+        # exponential specialization; check at q close to 1
+        xi = 0.5
+        q = 0.9999
+        t = MiwaTimes.principal(xi * (1.0 - q) / math.sqrt(q), q)
+        val = measure(SchurMeasure(t, MiwaTimes.delta(xi)), lam)
+        want = measure(PoissonizedPlancherel(xi), lam)
+        assert val == pytest.approx(want, rel=5e-3, abs=1e-30)
+
+
 class TestEnumStats:
     def test_rows_match_cell_stats(self):
         size, first, length, b, counts = _enum_stats(12)
@@ -183,6 +233,7 @@ class TestMiwaTimes:
         q = 0.5
         want = -0.3 / (math.sqrt(q) - 1.0 / math.sqrt(q))
         assert t.value(1) == pytest.approx(want, rel=1e-14)
+        assert MiwaTimes.principal(0.3, 0.0).value(2) == 0.0
 
     def test_delta_values(self):
         t = MiwaTimes.delta(0.4)

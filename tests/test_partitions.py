@@ -10,7 +10,6 @@ from qpart.partitions import (
     cell_stats,
     enumerate_partitions,
     fermionic_coordinates,
-    schur_specialized,
 )
 
 
@@ -147,36 +146,3 @@ class TestFermionicCoordinates:
         assert len(added) == len(removed)
         assert len(added) <= lam.length
         assert sum(added) - sum(removed) == lam.size
-
-
-class TestSchurSpecialized:
-    def test_exponential_single_row(self):
-        # s_(n) at the exponential specialization is xi^n / n!
-        for n in range(1, 6):
-            lam = Partition((n,))
-            assert schur_specialized(lam, "exponential", 0.7) == pytest.approx(
-                0.7**n / math.factorial(n), rel=1e-14
-            )
-
-    def test_principal_single_box(self):
-        # s_(1) = xi q^{1/2} / (1 - q)
-        xi, q = 0.3, 0.5
-        want = xi * math.sqrt(q) / (1.0 - q)
-        assert schur_specialized(Partition((1,)), "principal", xi, q) == (
-            pytest.approx(want, rel=1e-14)
-        )
-
-    def test_principal_needs_q(self):
-        with pytest.raises(ValueError):
-            schur_specialized(Partition((1,)), "principal", 0.3)
-
-    @given(partitions(max_size=10))
-    @settings(max_examples=60, deadline=None)
-    def test_principal_to_exponential_limit(self, lam):
-        # with xi -> xi (1-q)/q^{1/2} scaling, q -> 1 recovers the
-        # exponential specialization; check at q close to 1
-        xi = 0.5
-        q = 0.9999
-        val = schur_specialized(lam, "principal", xi * (1.0 - q) / math.sqrt(q), q)
-        want = schur_specialized(lam, "exponential", xi)
-        assert val == pytest.approx(want, rel=5e-3, abs=1e-30)
