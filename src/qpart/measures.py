@@ -176,11 +176,13 @@ def _enum_stats(max_size: int) -> tuple[np.ndarray, ...]:
 
 def _masses(kind: object, stats: tuple[np.ndarray, ...]) -> np.ndarray:
     """The kind's mass of each row of stats, by `_factors`, each base raised
-    once to the row's combined exponent."""
+    once to the row's combined exponent; a hook length no row has divides by
+    x**0 = 1.0 and is skipped."""
     base, q, principal, inv_z = _factors(kind)
     size, _, _, b, counts = stats
     w = base**size * q ** (principal * b)
-    for h, m in enumerate(counts.T, start=1):
+    for col in np.flatnonzero(counts.any(axis=0)).tolist():
+        h, m = col + 1, counts[:, col]
         if principal:
             w /= (1.0 - q**h) ** (principal * m)
         if principal < 2:

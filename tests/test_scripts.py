@@ -1,6 +1,6 @@
 """Fresh-process runs: each script in scripts/ runs end to end with small
 arguments, and importing the package loads no scipy and builds no
-enumeration table."""
+enumeration table, coefficient table or kernel lag row."""
 
 import os
 import subprocess
@@ -31,11 +31,14 @@ def test_import_loads_no_scipy():
 
 
 def test_import_builds_no_enumeration_table():
-    proc = run_python("-c", "import qpart, qpart.cli, qpart.checks; from qpart import measures; "
+    proc = run_python("-c", "import qpart, qpart.cli, qpart.checks; "
+                      "from qpart import kernels, measures; "
                       "print(measures._enum_stats.cache_info().currsize, "
-                      "measures._squared_table.cache_info().currsize)")
+                      "measures._squared_table.cache_info().currsize, "
+                      "kernels._j_gen.cache_info().currsize, "
+                      "kernels._bessel.cache_info().currsize, len(kernels._LAG_ROWS))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 0"
+    assert proc.stdout.strip() == "0 0 0 0 0"
 
 
 def run_python(*args):
