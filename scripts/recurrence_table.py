@@ -4,8 +4,9 @@ and tail comparators.
 
 The x column comes from the certified Szego recursion; the
 residual column evaluates the q-difference recurrence at each index and
-the tail_ratio column divides by the explicit q-Bessel comparator, which
-tends to 1.
+the tail_ratio column divides by the comparator sqrt(xi) J^(3)_{-n}(2 xi; q),
+the Hahn-Exton q-Bessel series summed in mpmath (`checks.x_tail_comparator`),
+which tends to 1.
 """
 
 import argparse

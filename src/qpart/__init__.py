@@ -39,14 +39,7 @@ from .oppainleve import (
     rhp_sample,
 )
 from .partitions import Partition, cell_stats, enumerate_partitions
-from .qspecial import (
-    QParams,
-    basic_hypergeometric,
-    macmahon,
-    modified_q_bessel,
-    q_bessel,
-    q_pochhammer,
-)
+from .qspecial import QParams, macmahon
 
 __version__ = "0.1.0"
 
@@ -66,7 +59,6 @@ __all__ = [
     "SchurMeasure",
     "airy",
     "airy_kernel",
-    "basic_hypergeometric",
     "cell_stats",
     "correlation",
     "discrete_bessel_kernel",
@@ -78,12 +70,9 @@ __all__ = [
     "limit_shape",
     "macmahon",
     "measure",
-    "modified_q_bessel",
     "op_sequence",
     "painleve_trajectory",
-    "q_bessel",
     "q_bessel_kernel",
-    "q_pochhammer",
     "rhp_sample",
     "schur_kernel",
     "sine_kernel",

@@ -28,6 +28,7 @@ PLANE_PARTITIONS = (1, 1, 3, 6)  # of k = 0..3
 LAX_PROBES = (0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j)
 ENUM_SIZE = 22  # partition sizes summed by the enumeration gap route and the
                 # norm rows, so one hook-count table serves all four
+_MP_DPS = 30  # digits of the mp q-series; at 60 the tail comparators change no bit
 
 
 def macmahon_coeffs(ks: Sequence[int]) -> float:
@@ -41,42 +42,85 @@ def unimodular_parseval(p: QParams) -> float:
     return abs(math.fsum(kernels._j_gen(p)[1] ** 2) - 1.0)
 
 
+def _phi(upper: list, lower: list, q, z):
+    """The basic hypergeometric series r phi s (Gasper-Rahman) by mp.qhyper at
+    the working precision. At z = 0 it is its first term, 1: qhyper finds no
+    nonzero term to stop on there. qhyper gives up after 50 terms per bit of
+    precision, and that raises NonconvergenceError."""
+    if not z:
+        return mp.one
+    try:
+        return mp.qhyper(upper, lower, q, z)
+    except mp.NoConvergence as exc:
+        raise qs.NonconvergenceError(
+            f"{len(upper)}phi{len(lower)} at q = {float(q)}, z = {float(z)}") from exc
+
+
+def _j3(n: int, x, q):
+    """The Hahn-Exton q-Bessel function J^(3)_n(x; q) for integer n >= 0, with
+    x and q mp numbers: (x/2)^n / (q;q)_n 1phi1(0; q^{n+1}; q, q x^2/4).
+    In mpmath the summation adds digits as the alternating terms cancel;
+    binary64 loses them all near q = 1 (by 453 at (0.97, 0.7))."""
+    return (x / 2) ** n / mp.qp(q, q, n) * _phi([0], [q ** (n + 1)], q, q * x * x / 4)
+
+
+def _j3_reflected(n: int, x, q):
+    """J^(3)_{-n}(x; q) = (-1)^n q^{n/2} J^(3)_n(q^{n/2} x; q), n >= 0: the
+    series index shifted past its n vanishing leading terms."""
+    s = q ** (mp.mpf(n) / 2)
+    return (-1) ** n * s * _j3(n, s * x, q)
+
+
 def gen_fn_coefficients(p: QParams, ns: Sequence[int]) -> float:
-    """Largest |c_n - q^{n/2} J^(3)_n(2 xi; q)|, c_n read off the J_gen table.
-
-    The direct series q^{n/2} xi^n / (q;q)_n 1phi1(0; q^{n+1}; q, q xi^2)
-    runs in mpmath at 30 digits, where mpmath's summation adds digits as the
-    alternating terms cancel; binary64 loses them all near q = 1 (by 453 at
-    (0.97, 0.7)). At q = 0 or xi = 0 the 1phi1 is its first term, 1."""
+    """Largest |c_n - q^{n/2} J^(3)_n(2 xi; q)|, c_n read off the J_gen table
+    and J^(3) the mp series."""
     span, c = kernels._j_gen(p)
-    with mp.workdps(30):
+    with mp.workdps(_MP_DPS):
         q, xi = mp.mpf(p.q), mp.mpf(p.xi)
-
-        def direct(n: int) -> float:
-            phi = mp.qhyper([0], [q ** (n + 1)], q, q * xi * xi) if q * xi else 1
-            return float(q ** (mp.mpf(n) / 2) * xi**n / mp.qp(q, q, n) * phi)
-
-        return max(float(abs(c[n + span + 1] - direct(n))) for n in ns)
+        return max(float(abs(c[n + span + 1] - float(q ** (mp.mpf(n) / 2) * _j3(n, 2 * xi, q))))
+                   for n in ns)
 
 
 def negative_order_reflection(p: QParams, ns: Sequence[int]) -> float:
-    """Largest |J_{-n}(x) - (-1)^n q^{n/2} J_n(q^{n/2} x)| at x = 2 xi."""
-    x, q = 2.0 * p.xi, p.q
-    return max(abs(qs.q_bessel(3, -n, x, q) - (-1.0) ** n * q ** (n / 2.0)
-                   * qs.q_bessel(3, n, q ** (n / 2.0) * x, q))
-               for n in ns)
+    """Largest |J_{-n}(x) - (-1)^n q^{n/2} J_n(q^{n/2} x)| at x = 2 xi, the left
+    side read off the J_gen table as q^{n/2} c_{-n}, the right side the mp
+    series. The comparison is absolute, with the table's absolute error as its
+    floor: 5.6e-17 at (0.5, 0.3), 1.8e-15 at (0.97, 0.7), 6.7e-15 at (0.99, 0.9)."""
+    span, c = kernels._j_gen(p)
+    with mp.workdps(_MP_DPS):
+        q, x = mp.mpf(p.q), 2 * mp.mpf(p.xi)
+        return max(float(abs(p.q ** (n / 2) * c[span + 1 - n] - float(_j3_reflected(n, x, q))))
+                   for n in ns)
+
+
+def _log_qp_inf(x, q):
+    """log (x; q)_inf = -sum_{k>=1} x^k / (k (1 - q^k)) for mp 0 <= x < 1. The
+    terms fall at least by x each, so the sum stops once the tail bound
+    t x / (1 - x) past a term t is below the working precision. The product
+    needs about 1/(1 - q) factors, the series a few hundred terms."""
+    total = mp.zero
+    for k in range(1, qs._MAX_TERMS + 1):
+        term = x**k / (k * (1 - q**k))
+        total -= term
+        if term * x <= mp.eps * (1 - x) * abs(total):
+            return total
+    raise qs.NonconvergenceError(f"log (x; q)_inf: {qs._MAX_TERMS} terms at x = {float(x)}")
 
 
 def modified_bessel_relation(p: QParams, ns: Sequence[int]) -> float:
-    """Largest relative |I2_n - (u^2; q)_inf I1_n| at 2u, u = xi."""
-    u, q = p.xi, p.q
-    pref = qs.q_pochhammer(u * u, q, math.inf)
-    dev = 0.0
-    for n in ns:
-        i1 = qs.modified_q_bessel(1, n, 2.0 * u, q)
-        i2 = qs.modified_q_bessel(2, n, 2.0 * u, q)
-        dev = max(dev, abs(i2 - pref * i1) / max(abs(i2), 1e-300))
-    return dev
+    """Largest relative |I2_n - (u^2; q)_inf I1_n| at 2u, u = xi, from Jackson's
+    series: I1_n(2u) and I2_n(2u) are (q^{n+1};q)_inf / (q;q)_inf u^n times
+    2phi1(0, 0; q^{n+1}; q, u^2) and 0phi1(-; q^{n+1}; q, q^{n+1} u^2), in mp.
+    The common prefactor cancels, and 0phi1 >= 1."""
+    with mp.workdps(_MP_DPS):
+        q, u2 = mp.mpf(p.q), mp.mpf(p.xi) ** 2
+        pref = mp.exp(_log_qp_inf(u2, q))
+        dev = mp.zero
+        for n in ns:
+            b = q ** (n + 1)
+            i1, i2 = _phi([0, 0], [b], q, u2), _phi([], [b], q, b * u2)
+            dev = max(dev, abs(i2 - pref * i1) / i2)
+        return float(dev)
 
 
 def mass_deficit(kind: object, size: int) -> float:
@@ -238,14 +282,19 @@ def rhp_jump(p: QParams, probes: Sequence[tuple[int, float, str]]) -> float:
 
 
 def x_tail_comparator(p: QParams, n: int) -> float:
-    """sqrt(xi) J^(3)_{-n}(2 xi; q); xs_n divided by it tends to 1."""
-    return math.sqrt(p.xi) * qs.q_bessel(3, -n, 2.0 * p.xi, p.q)
+    """sqrt(xi) J^(3)_{-n}(2 xi; q), from the mp series; xs_n divided by it
+    tends to 1."""
+    with mp.workdps(_MP_DPS):
+        xi = mp.mpf(p.xi)
+        return float(mp.sqrt(xi) * _j3_reflected(n, 2 * xi, mp.mpf(p.q)))
 
 
 def y_tail_comparator(p: QParams, n: int) -> float:
-    """-xi J^(3)_n(-2 xi; q)^2; ys_n^2 divided by it tends to 1."""
-    jn = qs.q_bessel(3, n, -2.0 * p.xi, p.q)
-    return -p.xi * jn * jn
+    """-xi J^(3)_n(-2 xi; q)^2 = -xi J^(3)_n(2 xi; q)^2, J^(3)_n having the
+    parity of n, from the mp series; ys_n^2 divided by it tends to 1."""
+    with mp.workdps(_MP_DPS):
+        xi = mp.mpf(p.xi)
+        return float(-xi * _j3(n, 2 * xi, mp.mpf(p.q)) ** 2)
 
 
 POINT = object()  # in Check.args: the parameter point verify runs at

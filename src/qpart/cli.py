@@ -82,7 +82,7 @@ def cmd_gap_table(args: argparse.Namespace, params: QParams) -> int:
 
 
 def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
-    # the comparators take milliseconds, so they fail before the engine runs
+    # the comparators cost a fraction of the engine, so they fail before it runs
     tail = checks.x_tail_comparator if args.branch == "x" else checks.y_tail_comparator
     comps = [tail(params, n) for n in range(args.n_max + 1)]
     state = op_mod.painleve_trajectory(args.branch, args.source, params, args.n_max)

@@ -29,8 +29,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp
 
-from .qspecial import (_MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams,
-                       circle_weight, q_pochhammer)
+from .qspecial import NonconvergenceError, QParams, circle_weight
 
 __all__ = [
     "OPSequence",
@@ -40,7 +39,6 @@ __all__ = [
     "szego_recursion",
     "op_sequence",
     "monic_coefficients",
-    "inner_product_series",
     "painleve_trajectory",
     "x_recurrence_rhs",
     "y_recurrence_rhs",
@@ -256,44 +254,6 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
 def monic_coefficients(variant: str, params: QParams, n: int) -> np.ndarray:
     """Coefficients (low to high) of the monic orthogonal polynomial pi_n."""
     return np.array(szego_recursion(variant, params, n).monic[n])
-
-
-def inner_product_series(
-    f_coeffs: Sequence[float], g_coeffs: Sequence[float], params: QParams
-) -> float:
-    """Residue-sum (q-hypergeometric) form of the symmetrized inner product.
-
-    f and g are polynomials in the symmetrized variable (z + 1/z)/2,
-    evaluated at the nodes z_n = (xi q^{n+1/2} + xi^{-1} q^{-n-1/2})/2:
-
-      <f, g> = 1/((xi^2 q;q)_inf (q;q)_inf)
-               * sum_n f(z_n) g(z_n) (xi^2 q;q)_n / (q;q)_n (-1)^n q^C(n,2) q^n
-
-    Cross-checks the circle-quadrature moments; <1,1> equals the zeroth
-    symbol moment.
-    """
-    q, xi = params.q, params.xi
-    if xi == 0.0:
-        # single node contributes f*g at infinity limit; with xi = 0 the
-        # weight is trivial and <f,g> reduces to the constant term pairing
-        raise ValueError("residue-sum form needs xi > 0")
-    pref = 1.0 / (
-        q_pochhammer(xi * xi * q, q, math.inf) * q_pochhammer(q, q, math.inf)
-    )
-    total = 0.0
-    ratio = 1.0  # (xi^2 q;q)_n / (q;q)_n
-    qfac = 1.0   # (-1)^n q^C(n,2) q^n
-    for n in range(_MAX_TERMS):
-        zn = 0.5 * (xi * q ** (n + 0.5) + q ** (-n - 0.5) / xi)
-        fv = np.polyval(list(reversed(f_coeffs)), zn)
-        gv = np.polyval(list(reversed(g_coeffs)), zn)
-        term = fv * gv * ratio * qfac * q**n
-        total += term
-        if n > 2 and abs(term) < _TAIL_TOL * max(1.0, abs(total)):
-            return pref * total
-        ratio *= (1.0 - xi * xi * q ** (n + 1)) / (1.0 - q ** (n + 1))
-        qfac *= -(q**n)
-    raise NonconvergenceError("inner product series did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The verify table of `qpart.checks` and the checks away from the desk point."""
 
 import pytest
+from mpmath import mp
 
 from qpart import checks, measures
-from qpart.qspecial import QParams
+from qpart.qspecial import NonconvergenceError, QParams
 
 NEAR = QParams(q=0.97, xi=0.7)
 
@@ -77,11 +78,40 @@ def test_gen_fn_coefficients_hold_near_q_one(q, xi):
 
 
 def test_kernel_and_measure_rows_pass_at_q_zero():
-    # the principal Miwa times are 0 at q = 0, where q^{-n/2} used to raise
+    # the principal Miwa times are 0 at q = 0, where q^{-n/2} used to raise;
+    # the special rows' series are their first term where q xi = 0
     rows = [c.report(QParams(q=0.0, xi=0.3)) for c in checks.CHECKS
             if c.suite in ("kernels", "measures")]
     assert len(rows) == 10
+    rows += [c.report(QParams(q=q, xi=xi)) for q, xi in ((0.0, 0.3), (0.5, 0.0))
+             for c in checks.CHECKS if c.suite == "special"]
+    assert len(rows) == 20
     assert all(row["pass"] for row in rows), [r for r in rows if not r["pass"]]
+
+
+def _j3_60(n, x, q):
+    """J^(3)_n(x; q), n >= 0, by mpmath at 60 digits: the reference series."""
+    with mp.workdps(60):
+        return (x / 2) ** n / mp.qp(q, q, n) * mp.qhyper([0], [q ** (n + 1)], q, q * x * x / 4)
+
+
+def test_tail_comparators_match_the_series_near_q_one():
+    # the binary64 series they replaced were 9.9e3 (x, n = 0) and 3.4e9
+    # (y, n = 18) off here
+    with mp.workdps(60):
+        q, xi = mp.mpf(NEAR.q), mp.mpf(NEAR.xi)
+        for n in range(26):
+            s = q ** (mp.mpf(n) / 2)
+            want_x = float(mp.sqrt(xi) * (-1) ** n * s * _j3_60(n, 2 * s * xi, q))
+            want_y = float(-xi * _j3_60(n, 2 * xi, q) ** 2)
+            assert checks.x_tail_comparator(NEAR, n) == pytest.approx(want_x, rel=1e-14, abs=0)
+            assert checks.y_tail_comparator(NEAR, n) == pytest.approx(want_y, rel=1e-14, abs=0)
+
+
+def test_tail_comparator_nonconvergence_is_typed():
+    # mp.qhyper gives up on the series at q = 0.9999; the CLI reports that
+    with pytest.raises(NonconvergenceError):
+        checks.x_tail_comparator(QParams(q=0.9999, xi=0.5), 3)
 
 
 def test_schur_vs_qbessel_holds_near_q_one():

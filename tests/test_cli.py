@@ -180,9 +180,9 @@ class TestParser:
     ])
     @pytest.mark.filterwarnings("error")
     def test_nonconvergence_exits_2(self, argv, capsys):
-        # at q = 0.9999 the J_gen product and the q-Pochhammer products
-        # need more than their fixed 10,000 factors; the J_gen product is
-        # refused before its partial products overflow
+        # at q = 0.9999 the J_gen product needs more than its fixed 10,000
+        # factors and is refused before its partial products overflow; the
+        # painleve tail comparators' mp series gives up before the engine runs
         code, _, err = run([*argv, "--q", "0.9999", "--xi", "0.5"], capsys)
         assert code == 2
         assert "did not converge" in err

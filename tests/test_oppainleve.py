@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from qpart import oppainleve
+from qpart import checks, oppainleve
 from qpart.oppainleve import (
     dpii_limit_check,
-    inner_product_series,
     inversion_k,
     lax_checks,
     lax_matrices,
@@ -20,7 +19,7 @@ from qpart.oppainleve import (
     x_recurrence_rhs,
     y_recurrence_rhs,
 )
-from qpart.qspecial import NonconvergenceError, QParams, circle_fft, q_bessel
+from qpart.qspecial import NonconvergenceError, QParams, circle_fft
 
 P = QParams(q=0.5, xi=0.3)
 PROBES = [0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j]
@@ -177,33 +176,6 @@ class TestMonicPolynomials:
             assert val == pytest.approx(1.0 / seq.kappa_sq[n], rel=1e-10)
 
 
-class TestInnerProductSeries:
-    def test_constant_pairing_is_zeroth_moment(self):
-        table = circle_fft("I", P, 512)
-        assert inner_product_series([1.0], [1.0], P) == pytest.approx(
-            table[0], rel=1e-12
-        )
-
-    def test_linear_pairing_is_first_moment(self):
-        # the symmetrized variable (z + 1/z)/2 picks out (c_1 + c_-1)/2 = c_1
-        table = circle_fft("I", P, 512)
-        assert inner_product_series([0.0, 1.0], [1.0], P) == pytest.approx(
-            table[1], rel=1e-12
-        )
-
-    def test_quadratic_pairing(self):
-        # ((z + 1/z)/2)^2 integrates to (c_2 + c_-2)/4 + c_0/2
-        table = circle_fft("I", P, 512)
-        want = 0.5 * table[2] + 0.5 * table[0]
-        assert inner_product_series(
-            [0.0, 0.0, 1.0], [1.0], P
-        ) == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_xi_zero(self):
-        with pytest.raises(ValueError):
-            inner_product_series([1.0], [1.0], QParams(q=0.5, xi=0.0))
-
-
 class TestPainleveTrajectories:
     def test_x0_seed(self):
         state = painleve_trajectory("x", "determinant", P, 5)
@@ -251,16 +223,14 @@ class TestPainleveTrajectories:
     def test_x_tail_comparator(self):
         state = painleve_trajectory("x", "determinant", P, 12)
         for n in range(4, 13):
-            comp = math.sqrt(P.xi) * q_bessel(3, -n, 2.0 * P.xi, P.q)
+            comp = checks.x_tail_comparator(P, n)
             assert state.values[n] / comp == pytest.approx(1.0, rel=1e-8)
 
     def test_y_tail_comparator(self):
         state = painleve_trajectory("y", "determinant", P, 12)
         for n in range(6, 13):
-            jn = q_bessel(3, n, -2.0 * P.xi, P.q)
-            assert state.sq[n] / (-P.xi * jn * jn) == pytest.approx(
-                1.0, rel=1e-6
-            )
+            comp = checks.y_tail_comparator(P, n)
+            assert state.sq[n] / comp == pytest.approx(1.0, rel=1e-6)
 
     def test_dpii_residual_decreasing(self):
         rows = dpii_limit_check(1.0, [0.9, 0.99], [3])

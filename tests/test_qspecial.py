@@ -1,3 +1,7 @@
+"""The circle weights and MacMahon function of `qpart.qspecial`, and the mp
+q-series of `qpart.checks` that the special verify rows and the tail
+comparators read, against mpmath references."""
+
 import math
 
 import mpmath
@@ -5,75 +9,81 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpart import checks, kernels
 from qpart.qspecial import (
-    HypergeometricSpec,
     QParams,
-    basic_hypergeometric,
     circle_fft,
     log_macmahon,
     macmahon,
     macmahon_series_coefficient,
-    modified_q_bessel,
-    q_bessel,
-    q_pochhammer,
 )
 
 P = QParams(q=0.5, xi=0.3)
 
 
-class TestQPochhammer:
-    def test_empty_product(self):
-        assert q_pochhammer(0.7, 0.5, 0) == 1.0
+def _jackson_i(kind, n, u, q):
+    """Jackson's modified q-Bessel I^(kind)_n(2u; q), n >= 0, in mpmath:
+    (q^{n+1};q)_inf / (q;q)_inf u^n times 2phi1(0, 0; q^{n+1}; q, u^2) for
+    kind 1 and 0phi1(-; q^{n+1}; q, q^{n+1} u^2) for kind 2."""
+    b = q ** (n + 1)
+    if kind == 1:
+        phi = mpmath.qhyper([0, 0], [b], q, u * u)
+    else:
+        phi = mpmath.qhyper([], [b], q, b * u * u)
+    return mpmath.qp(b, q) / mpmath.qp(q, q) * u**n * phi
 
-    def test_finite_against_mpmath(self):
-        for a, q, n in [(0.3, 0.5, 4), (-0.8, 0.9, 7), (1.5, 0.2, 3)]:
-            assert q_pochhammer(a, q, n) == pytest.approx(
-                float(mpmath.qp(a, q, n)), rel=1e-14
-            )
+
+class TestQPochhammer:
+    # (x; q)_inf from the log series the modified Bessel row reads
+    @staticmethod
+    def _qp(x, q):
+        with mpmath.workdps(30):
+            return float(mpmath.exp(checks._log_qp_inf(mpmath.mpf(x), mpmath.mpf(q))))
+
+    def test_empty_product(self):
+        assert self._qp(0.0, 0.5) == 1.0
 
     def test_infinite_against_mpmath(self):
-        for a, q in [(0.3, 0.5), (-0.6, 0.7), (0.09, 0.9)]:
-            assert q_pochhammer(a, q, math.inf) == pytest.approx(
-                float(mpmath.qp(a, q)), rel=1e-13
-            )
+        for a, q, want in [(0.3, 0.5, mpmath.qp(0.3, 0.5)), (0.09, 0.9, mpmath.qp(0.09, 0.9)),
+                           (0.0, 0.7, 1.0), (0.81, 0.0, 0.19)]:
+            assert self._qp(a, q) == pytest.approx(float(want), rel=1e-13)
+        # near q = 1 the product needs thousands of factors, more than
+        # mpmath.qp takes at 30 digits: sum their logs instead
+        want = math.exp(math.fsum(math.log1p(-0.81 * 0.99**k) for k in range(20_000)))
+        assert self._qp(0.81, 0.99) == pytest.approx(want, rel=1e-13)
 
     @given(
-        a=st.floats(-0.9, 0.9),
-        q=st.floats(0.05, 0.9),
-        n=st.integers(0, 12),
+        a=st.floats(0.0, 0.9),
+        q=st.floats(0.0, 0.99),
     )
     @settings(max_examples=80, deadline=None)
-    def test_recursion(self, a, q, n):
-        lhs = q_pochhammer(a, q, n + 1)
-        rhs = q_pochhammer(a, q, n) * (1.0 - a * q**n)
+    def test_recursion(self, a, q):
+        # (a; q)_inf = (1 - a) (a q; q)_inf
+        lhs = self._qp(a, q)
+        rhs = (1.0 - a) * self._qp(a * q, q)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
 class TestBasicHypergeometric:
+    # the series `checks` reads follow Gasper-Rahman: the factor
+    # ((-1)^n q^C(n,2))^(1+s-r) in each term
     def test_0phi0_is_q_exponential(self):
         # sum (-1)^k q^{k(k-1)/2} x^k / (q;q)_k = (x;q)_inf
         q, x = 0.5, 0.4
-        spec = HypergeometricSpec(upper=(), lower=(), q=q, x=x)
-        assert basic_hypergeometric(spec) == pytest.approx(
+        assert float(checks._phi([], [], q, x)) == pytest.approx(
             float(mpmath.qp(x, q)), rel=1e-14
         )
 
     def test_1phi0_q_binomial(self):
         # 1phi0(a; -; q, x) = (a x; q)_inf / (x; q)_inf
         q, a, x = 0.6, 0.3, 0.5
-        spec = HypergeometricSpec(upper=(a,), lower=(), q=q, x=x)
         want = float(mpmath.qp(a * x, q) / mpmath.qp(x, q))
-        assert basic_hypergeometric(spec) == pytest.approx(want, rel=1e-13)
-
-    def test_against_mpmath_qhyper(self):
-        q = 0.5
-        spec = HypergeometricSpec(upper=(0.2,), lower=(0.7,), q=q, x=0.3)
-        want = float(mpmath.qhyper([0.2], [0.7], q, 0.3))
-        assert basic_hypergeometric(spec) == pytest.approx(want, rel=1e-13)
+        assert float(checks._phi([a], [], q, x)) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_singular_lower_parameter(self):
+        # a lower parameter q^{-2} zeroes a denominator factor at term 3
         with pytest.raises(ValueError):
-            HypergeometricSpec(upper=(), lower=(0.5**-2,), q=0.5, x=0.1)
+            checks._phi([], [0.5**-2], 0.5, 0.1)
 
 
 class TestMacmahon:
@@ -120,61 +130,50 @@ class TestMacmahon:
 
 
 class TestQBessel:
-    def test_kind2_from_kind1(self):
-        # J2_nu(x) = (-x^2/4; q)_inf J1_nu(x) for |x| < 2
-        q, x = 0.5, 0.8
-        pref = q_pochhammer(-x * x / 4.0, q, math.inf)
-        for nu in (0, 1, 2, 0.5, 1.5):
-            assert q_bessel(2, nu, x, q) == pytest.approx(
-                pref * q_bessel(1, nu, x, q), rel=1e-13
-            )
-
+    # the Hahn-Exton J^(3) series of `checks` and the J_gen table
+    # c_n = q^{n/2} J^(3)_n(2 xi; q)
     def test_negative_order_reflection_kind3(self):
-        q, x = 0.5, 0.6
-        for n in range(1, 10):
-            lhs = q_bessel(3, -n, x, q)
-            rhs = (-1.0) ** n * q ** (n / 2.0) * q_bessel(3, n, q ** (n / 2.0) * x, q)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+        # the reflected mp series against the table's negative orders
+        for q, xi in [(0.5, 0.3), (0.9, 0.5), (0.97, 0.7), (0.99, 0.9)]:
+            p = QParams(q=q, xi=xi)
+            assert checks.negative_order_reflection(p, range(1, 10)) <= 1e-14
 
     def test_classical_limit(self):
-        # (1-q)-rescaled argument: J3_nu(x(1-q); q) -> J_nu(x)ish is not
-        # uniform; instead check against the direct series at another q
-        # and the q=0 degenerate value
-        assert q_bessel(3, 2, 0.8, 0.0) == pytest.approx(0.16)
+        # J^(3)_nu((1-q) x; q) -> J_nu(x) as q -> 1, with error O(1-q); at
+        # q = 0 only the leading term (x/2)^nu survives
+        with mpmath.workdps(30):
+            for q in (0.9, 0.99, 0.999):
+                qm = mpmath.mpf(q)
+                got = checks._j3(2, (1 - qm) * mpmath.mpf(1.5), qm)
+                assert float(got / mpmath.besselj(2, 1.5)) == pytest.approx(1.0, abs=0.6 * (1 - q))
+            assert float(checks._j3(2, mpmath.mpf(0.8), mpmath.mpf(0))) == pytest.approx(0.16)
 
     def test_three_term_recurrence_kind3(self):
-        # x/2 (q^{nu/2} J_{nu} satisfies) ... verified in the raw form:
-        # J_{nu-1} + J_{nu+1} = ((2/x)(1 - q^nu) + x/2) J_nu
-        q, x = 0.5, 0.6
-        for nu in (1, 2, 3, 1.5):
-            lhs = q_bessel(3, nu - 1, x, q) + q_bessel(3, nu + 1, x, q)
-            rhs = ((2.0 / x) * (1.0 - q**nu) + x / 2.0) * q_bessel(3, nu, x, q)
-            assert lhs == pytest.approx(rhs, rel=1e-11)
+        # J_{n-1} + J_{n+1} = ((1 - q^n)/xi + xi) J_n at x = 2 xi, in c_n:
+        # sqrt(q) c_{n-1} + c_{n+1} / sqrt(q) = ((1 - q^n)/xi + xi) c_n
+        for q, xi in [(0.5, 0.3), (0.9, 0.5), (0.97, 0.7)]:
+            span, c = kernels._j_gen(QParams(q=q, xi=xi))
+            for n in range(-6, 7):
+                lhs = math.sqrt(q) * c[n + span] + c[n + span + 2] / math.sqrt(q)
+                rhs = ((1.0 - q**n) / xi + xi) * c[n + span + 1]
+                assert abs(lhs - rhs) <= 1e-14
 
     def test_modified_relation(self):
-        q, u = 0.5, 0.3
-        pref = q_pochhammer(u * u, q, math.inf)
-        for nu in (0, 1, 3, -2):
-            assert modified_q_bessel(2, nu, 2 * u, q) == pytest.approx(
-                pref * modified_q_bessel(1, nu, 2 * u, q), rel=1e-13
-            )
-
-    def test_modified_symmetric_in_order(self):
-        q, u = 0.5, 0.3
-        for n in range(4):
-            for kind in (1, 2):
-                assert modified_q_bessel(kind, n, 2 * u, q) == pytest.approx(
-                    modified_q_bessel(kind, -n, 2 * u, q), rel=1e-12
-                )
+        # I2_n = (u^2; q)_inf I1_n from Jackson's two series, in mp
+        for q, xi in [(0.5, 0.3), (0.97, 0.7), (0.99, 0.9), (0.0, 0.3), (0.5, 0.0)]:
+            assert checks.modified_bessel_relation(QParams(q=q, xi=xi), range(5)) <= 1e-25
 
 
 class TestFourierCoefficients:
     # circle_fft entry n holds order n, negative n indexing from the end
     def test_j_gen_matches_direct_series(self):
         table = circle_fft("J_gen", P, 512)
-        for n in range(-6, 7):
-            want = P.q ** (n / 2.0) * q_bessel(3, n, 2.0 * P.xi, P.q)
-            assert table[n] == pytest.approx(want, abs=1e-14)
+        with mpmath.workdps(30):
+            q, x = mpmath.mpf(P.q), 2 * mpmath.mpf(P.xi)
+            for n in range(-6, 7):
+                jn = checks._j3(n, x, q) if n >= 0 else checks._j3_reflected(-n, x, q)
+                want = float(q ** (mpmath.mpf(n) / 2) * jn)
+                assert table[n] == pytest.approx(want, abs=1e-14)
 
     def test_generating_function_pointwise(self):
         # sum c_n z^n reproduces the product form on the unit circle
@@ -197,11 +196,11 @@ class TestFourierCoefficients:
     def test_symbol_moments_match_modified_bessel(self):
         t_i = circle_fft("I", P, 512)
         t_c = circle_fft("I_check", P, 512)
+        q, xi = mpmath.mpf(P.q), mpmath.mpf(P.xi)
         for n in range(-5, 6):
-            want_i = modified_q_bessel(1, abs(n), 2.0 * P.xi * math.sqrt(P.q), P.q)
-            want_c = P.q ** (n * n / 2.0) * modified_q_bessel(
-                2, abs(n), 2.0 * P.xi, P.q
-            )
+            with mpmath.workdps(30):
+                want_i = float(_jackson_i(1, abs(n), xi * mpmath.sqrt(q), q))
+                want_c = float(q ** (mpmath.mpf(n * n) / 2) * _jackson_i(2, abs(n), xi, q))
             assert t_i[n] == pytest.approx(want_i, rel=1e-12)
             assert t_c[n] == pytest.approx(want_c, rel=1e-12)
 
