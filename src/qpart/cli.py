@@ -48,6 +48,11 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+def _require_n_max(args: argparse.Namespace) -> None:
+    if args.n_max < 0:
+        raise ValueError("--n-max must be nonnegative")
+
+
 def cmd_verify(args: argparse.Namespace, params: QParams) -> int:
     rows = [check.report(params) for check in checks.CHECKS
             if args.suite in ("all", check.suite)]
@@ -56,6 +61,8 @@ def cmd_verify(args: argparse.Namespace, params: QParams) -> int:
 
 
 def cmd_limit_shape(args: argparse.Namespace, params: QParams) -> int:
+    if args.grid_points < 1:
+        raise ValueError("--grid-points must be at least 1")
     shape = kern_mod.limit_shape(params.xi)
     lo, hi = shape.a - 1.0, shape.b + 1.0
     rows = []
@@ -67,6 +74,7 @@ def cmd_limit_shape(args: argparse.Namespace, params: QParams) -> int:
 
 
 def cmd_gap_table(args: argparse.Namespace, params: QParams) -> int:
+    _require_n_max(args)
     methods = gap_mod.METHODS if args.method == "all" else (args.method,)
     rows = []
     for n in range(args.n_max + 1):
@@ -82,6 +90,7 @@ def cmd_gap_table(args: argparse.Namespace, params: QParams) -> int:
 
 
 def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
+    _require_n_max(args)
     # the comparators cost a fraction of the engine, so they fail before it runs
     tail = checks.x_tail_comparator if args.branch == "x" else checks.y_tail_comparator
     comps = [tail(params, n) for n in range(args.n_max + 1)]

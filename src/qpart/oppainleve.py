@@ -120,39 +120,52 @@ def _mp_moments(variant: str, top: int, q: "mp.mpf", xi: "mp.mpf") -> list:
     plain:  c_m = sum_k u^{2k+m} / ((q;q)_k (q;q)_{k+m}), u = xi sqrt(q);
     check:  c_m = q^{m^2/2} sum_k q^{k(k+m)} u^{2k+m} / ((q;q)_k (q;q)_{k+m}),
             u = xi.
-    All terms are positive, so no cancellation even as q approaches 1. Row k
-    is added to every moment at once; the pass ends when a row falls below
-    the working precision in every moment.
+    Only c_top and c_{top+1} are summed, in one pass over k that ends when
+    term k falls below the working precision in both. Every lower moment
+    then comes from the q-difference equation of the symbol, run downward,
+    with a = xi sqrt(q):
+      plain:  w(qz) (1 - a/(qz)) = (1 - a z) w(z), so
+              c_{m-1} = ((1 - q^m) c_m + a q^m c_{m+1}) / a;
+      check:  w(qz) (1 + a z) = (1 + a/(qz)) w(z), so
+              c_{m-1} = ((a/q) c_{m+1} + (1 - q^m) c_m) / (a q^{m-1}).
+    All series terms and all recurrence coefficients are positive, so
+    nothing cancels, even as q approaches 1: c_{m-1} carries the larger
+    relative error of c_m and c_{m+1} plus the rounding of its own
+    coefficients, and the errors add over the top steps instead of
+    multiplying. At a = 0 the symbol is 1, so c_0 = 1 and c_m = 0.
     """
+    a = xi * mp.sqrt(q)
+    if not a:
+        return [mp.mpf(1)] + [mp.mpf(0)] * top
     check = variant == "check"
-    u = xi if check else xi * mp.sqrt(q)
+    u = xi if check else a
     floor = mp.mpf(10) ** (-mp.dps - 5)
-    inv_poch = [mp.mpf(1)]              # 1 / (q;q)_j
-    for j in range(1, top + 1):
-        inv_poch.append(inv_poch[-1] / (1 - q**j))
-    q_m = [q**m for m in range(top + 1)]
-    q_km = [mp.mpf(1)] * (top + 1)      # q^{km}, check only
-    sums = [mp.mpf(0)] * (top + 1)
-    row = mp.mpf(1)                     # u^{2k} q^{k^2 [check]} / (q;q)_k
-    k = 0
+    q_top = q**top
+    # with scale = u^top q^{top^2/2 [check]}:
+    #   c_top     = scale sum_k r_k,
+    #   c_{top+1} = scale sum_k r_k a q^{(k+top) [check]} / (1 - q^{k+top+1}),
+    #   r_k = u^{2k} q^{k(k+top) [check]} / ((q;q)_k (q;q)_{k+top})
+    row = 1 / mp.fprod(1 - q**j for j in range(1, top + 1))   # r_k
+    q_k = mp.mpf(1)                                            # q^k
+    sums = [mp.mpf(0), mp.mpf(0)]
     while True:
-        converged = True
-        for m in range(top + 1):
-            term = row * inv_poch[k + m]
-            if check:
-                term *= q_km[m]
-                q_km[m] *= q_m[m]
-            sums[m] += term
-            converged = converged and term < floor * sums[m]
-        if converged:
+        q_kt = q_k * q_top                                     # q^{k+top}
+        terms = (row, row * a * (q_kt if check else 1) / (1 - q_kt * q))
+        sums = [s + t for s, t in zip(sums, terms)]
+        if all(t < floor * s for s, t in zip(sums, terms)):
             break
-        k += 1
-        inv_poch.append(inv_poch[-1] / (1 - q ** (k + top)))
-        row *= u * u / (1 - q**k)
+        q_k *= q
+        row *= u * u / ((1 - q_k) * (1 - q_k * q_top))
         if check:
-            row *= q ** (2 * k - 1)
-    return [u**m * (q ** (mp.mpf(m * m) / 2) if check else 1) * s
-            for m, s in enumerate(sums)]
+            row *= q_k * q_k * q_top / q
+    scale = u**top * (q ** (mp.mpf(top * top) / 2) if check else 1)
+    c = [mp.mpf(0)] * top + [scale * s for s in sums]
+    for m in range(top, 0, -1):
+        if check:
+            c[m - 1] = ((a / q) * c[m + 1] + (1 - q**m) * c[m]) / (a * q ** (m - 1))
+        else:
+            c[m - 1] = ((1 - q**m) * c[m] + a * q**m * c[m + 1]) / a
+    return c[: top + 1]
 
 
 def _mp_dps_for(variant: str, params: QParams, n_max: int) -> int:

@@ -189,6 +189,17 @@ class TestParser:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
+        ["gap-table", "--n-max", "-1"],
+        ["painleve", "--n-max", "-1"],
+        ["limit-shape", "--grid-points", "0"],
+    ])
+    def test_empty_range_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "qpart: parameter error" in err
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "--q", "0", "--xi", "0.3"],
         ["verify", "--q", "0.5", "--xi", "0"],
         ["painleve", "--q", "0.5", "--xi", "0", "--n-max", "2"],

@@ -66,30 +66,32 @@ class TestOPSequence:
             op_sequence("bogus", P, 5)
 
 
+def _series_moment(variant, q, xi, m):
+    """Symbol moment c_m summed term by term at the working precision, q and
+    xi mp numbers."""
+    u = xi * mp.sqrt(q) if variant == "plain" else xi
+    eps = mp.mpf(10) ** (-mp.dps - 10)
+    total, k = mp.mpf(0), 0
+    poch_k, poch_km = mp.mpf(1), mp.fprod(1 - q**j for j in range(1, m + 1))
+    while True:
+        term = u ** (2 * k + m) / (poch_k * poch_km)
+        if variant == "check":
+            term *= q ** (k * (k + m) + mp.mpf(m * m) / 2)
+        total += term
+        if term <= eps * total:  # <= also ends a sum whose terms are all 0
+            return total
+        k += 1
+        poch_k *= 1 - q**k
+        poch_km *= 1 - q ** (k + m)
+
+
 def _mp_det_reference(variant, q, xi, n_top, dps=300):
     """Moments summed term by term and Toeplitz determinants by mp.det, at
     dps digits: x_n, kappa_n^2, Z_n, Z_n^(1) and the monic pi_n for n <= n_top.
     """
     with mp.workdps(dps):
         q, xi = mp.mpf(q), mp.mpf(xi)
-        u = xi * mp.sqrt(q) if variant == "plain" else xi
-        eps = mp.mpf(10) ** (-dps - 10)
-
-        def moment(m):
-            total, k = mp.mpf(0), 0
-            poch_k, poch_km = mp.mpf(1), mp.fprod(1 - q**j for j in range(1, m + 1))
-            while True:
-                term = u ** (2 * k + m) / (poch_k * poch_km)
-                if variant == "check":
-                    term *= q ** (k * (k + m) + mp.mpf(m * m) / 2)
-                total += term
-                if term < eps * total:
-                    return total
-                k += 1
-                poch_k *= 1 - q**k
-                poch_km *= 1 - q ** (k + m)
-
-        c = [moment(m) for m in range(n_top + 2)]
+        c = [_series_moment(variant, q, xi, m) for m in range(n_top + 2)]
 
         def toeplitz(n, shift):
             return mp.matrix([[c[abs(j - i - shift)] for j in range(n)]
@@ -112,24 +114,40 @@ def _mp_det_reference(variant, q, xi, n_top, dps=300):
 
 
 class TestSzegoRecursion:
-    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.97, 0.7)])
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.97, 0.7), (0.99, 0.9), (0.5, 0.99)])
     @pytest.mark.parametrize("variant", ["plain", "check"])
     def test_matches_mp_det_reference(self, variant, q, xi):
-        # floats certified to the last bit: x_n, kappa_n^2, pi_n; Z_n holds
-        # the rounding of the stored log Z_n, |log Z_n| 2^-52 relative
+        # floats certified to the last bit: x_n, kappa_n^2, pi_n, log Z_n.
+        # Z_n = exp(log Z_n) holds the rounding of the stored log Z_n,
+        # |log Z_n| 2^-52 relative, so it is compared where that stays below
+        # 1e-13; past |log Z_n| = 450, log Z_n itself is compared
         params = QParams(q=q, xi=xi)
         ref = _mp_det_reference(variant, q, xi, 8)
         seq = op_sequence(variant, params, 7)
-        z = [math.exp(v) for v in seq.log_z[:9]]
-        z1 = [z[n] * ((-1) ** n * seq.x[n]) for n in range(9)]
-        assert z == pytest.approx(ref["z"][:9], rel=1e-13)
-        assert z1 == pytest.approx(ref["z1"], rel=1e-13)
+        fit = [n for n in range(9) if abs(ref["log_z"][n]) < 450]
+        z = [math.exp(seq.log_z[n]) for n in fit]
+        z1 = [z[i] * ((-1) ** n * seq.x[n]) for i, n in enumerate(fit)]
+        assert z == pytest.approx([ref["z"][n] for n in fit], rel=1e-13)
+        assert z1 == pytest.approx([ref["z1"][n] for n in fit], rel=1e-13)
         assert list(seq.x) == pytest.approx(ref["x"], rel=1e-15)
         assert list(seq.kappa_sq) == pytest.approx(ref["kappa_sq"], rel=1e-15)
         for n in range(9):
             np.testing.assert_allclose(
                 monic_coefficients(variant, params, n), ref["monic"][n], rtol=1e-15)
         assert list(seq.log_z) == pytest.approx(ref["log_z"], abs=1e-13)
+
+    @pytest.mark.parametrize("q, xi", [(0.0, 0.3), (0.5, 0.0), (0.1, 0.05),
+                                       (0.97, 0.7), (0.99, 0.9), (0.5, 0.99)])
+    @pytest.mark.parametrize("variant", ["plain", "check"])
+    def test_moments_match_series_per_order(self, variant, q, xi):
+        # two series and the downward recurrence against one series per order
+        with mp.workdps(60):
+            q, xi = mp.mpf(q), mp.mpf(xi)
+            want = [_series_moment(variant, q, xi, m) for m in range(41)]
+            for top in (0, 1, 26, 40):
+                got = oppainleve._mp_moments(variant, top, q, xi)
+                assert len(got) == top + 1
+                assert all(abs(g - w) <= mp.mpf("1e-55") * w for g, w in zip(got, want))
 
     def test_near_scaling_norms_positive_and_tau_relation(self):
         params = QParams(q=0.97, xi=0.7)
