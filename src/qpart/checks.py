@@ -3,9 +3,9 @@
 Each function takes the parameter point and the index or site range it
 sweeps and returns the measured residual (the yes/no monotonicity checks
 return 0.0 or 1.0). `CHECKS` is the verify table in output order. The
-acceptance tests call the same functions on their own grids; `painleve` and
-`scripts/recurrence_table.py` share the tail comparators. `qpart/__init__.py`
-does not import this module, so `import qpart` stays light.
+acceptance tests call the same functions on their own grids; `painleve`
+reads the tail comparators. `qpart/__init__.py` does not import this
+module, so `import qpart` stays light.
 """
 
 from __future__ import annotations

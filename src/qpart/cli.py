@@ -7,8 +7,9 @@ methods, `painleve` tabulates the recurrence variables with residual and
 tail-comparator columns.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
-error, a series, grid or precision that did not converge, or a division
-that is singular at the given (q, xi). Output is deterministic.
+error, a series, grid or precision that did not converge, a division
+that is singular at the given (q, xi), or an output file that cannot be
+written. Output is deterministic.
 """
 
 from __future__ import annotations
@@ -167,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qpart: did not converge: {exc}", file=sys.stderr)
     except ZeroDivisionError as exc:
         print(f"qpart: singular at this point: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"qpart: cannot write output: {exc}", file=sys.stderr)
     return 2
 
 

@@ -115,13 +115,11 @@ def gap_probability(
     raise ValueError(f"unknown method {method!r}")
 
 
-def monotonicity_scan(
-    variant: str, params: QParams, n_max: int, method: str = "toeplitz"
-) -> list[float]:
+def monotonicity_scan(variant: str, params: QParams, n_max: int) -> list[float]:
     """Gap probabilities for N = 0..n_max; nondecreasing and -> 1."""
     if n_max > 40:
         raise ValueError("n_max exceeds guard 40")
     return [
-        gap_probability(GapQuery(variant=variant, N=n, params=params), method=method)
+        gap_probability(GapQuery(variant=variant, N=n, params=params))
         for n in range(n_max + 1)
     ]

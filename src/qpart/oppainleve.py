@@ -38,7 +38,6 @@ __all__ = [
     "RHPSample",
     "szego_recursion",
     "op_sequence",
-    "monic_coefficients",
     "painleve_trajectory",
     "x_recurrence_rhs",
     "y_recurrence_rhs",
@@ -264,11 +263,6 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     )
 
 
-def monic_coefficients(variant: str, params: QParams, n: int) -> np.ndarray:
-    """Coefficients (low to high) of the monic orthogonal polynomial pi_n."""
-    return np.array(szego_recursion(variant, params, n).monic[n])
-
-
 # ---------------------------------------------------------------------------
 # Painleve trajectories
 
@@ -485,9 +479,8 @@ def rhp_sample(n: int, z: complex, params: QParams, variant: str = "plain",
     if n < 1:
         raise ValueError("n must be >= 1")
     op = op_sequence(variant, params, n + 1)
-    pn = monic_coefficients(variant, params, n)
-    pnm1 = monic_coefficients(variant, params, n - 1)
-    pstar = pnm1[::-1].copy()  # real coefficients: dual is plain reversal
+    pn = np.array(op.monic[n])
+    pstar = np.array(op.monic[n - 1][::-1])  # real coefficients: dual is plain reversal
     k2 = op.kappa_sq[n - 1]
 
     g = _QUADRATURE

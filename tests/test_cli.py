@@ -97,6 +97,15 @@ class TestOutputFormats:
         assert out == ""
         assert json.loads(target.read_text())
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, target, tmp_path, capsys):
+        # a missing parent directory, and a path that is a directory
+        code, out, err = run(["limit-shape", "--out", str(tmp_path / target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "qpart: cannot write output" in err
+
 
 class TestLimitShape:
     def test_boundary_rows(self, capsys):

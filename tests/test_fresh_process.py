@@ -1,6 +1,6 @@
-"""Fresh-process runs: each script in scripts/ runs end to end with small
-arguments, and importing the package loads no scipy and builds no
-enumeration table, coefficient table or kernel lag row."""
+"""Fresh-process runs: the CLI runs end to end with small arguments, as
+`python -m qpart.cli`, and importing the package loads no scipy and builds
+no enumeration table, coefficient table or kernel lag row."""
 
 import os
 import subprocess
@@ -12,13 +12,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script, args", [
-    ("gap_convergence.py", ["--n-max", "2"]),
-    ("limit_shape_profile.py", ["--points", "5", "--q", "0.9"]),
-    ("recurrence_table.py", ["--n-max", "4"]),
+@pytest.mark.parametrize("args", [
+    ["gap-table", "--method", "all", "--n-max", "2"],
+    ["painleve", "--branch", "x", "--n-max", "4"],
 ])
-def test_script_exits_0(script, args):
-    proc = run_python(str(ROOT / "scripts" / script), *args)
+def test_cli_exits_0(args):
+    proc = run_python("-m", "qpart.cli", *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
 

@@ -382,6 +382,25 @@ class TestScalingProbes:
         devs = [r["deviation"] for r in rows]
         assert devs[0] > devs[1] > devs[2]
 
+    def test_bulk_diagonal_is_lattice_density(self):
+        # u = v = 0: the kernel's diagonal at the site floor(x/eps) + 1/2
+        # against the limit-shape density rho(x)
+        shape = limit_shape(0.5)
+        xs = [shape.a / 2, 0.0, 0.3 * shape.b, 0.7 * shape.b]
+        worst = []
+        for q in (0.9, 0.97, 0.99):
+            eps = -math.log(q)
+            devs = []
+            for x in xs:
+                (row,) = scaling_probe("bulk_sine", 0.5, [q], x=x, u=0, v=0)
+                r = Fraction(2 * math.floor(x / eps) + 1, 2)
+                assert row["value"] == q_bessel_kernel(QParams(q=q, xi=0.5), r, r)
+                assert row["target"] == shape.rho(x)
+                devs.append(row["deviation"])
+            worst.append(max(devs))
+        # single points are not monotone in q; the worst over the grid is
+        assert worst[0] > worst[1] > worst[2]
+
     def test_edge_deviation_decreasing(self):
         rows = scaling_probe("edge_airy", 0.5, [0.9, 0.97, 0.99], x=0.0, y=0.0)
         devs = [r["deviation"] for r in rows]

@@ -10,11 +10,11 @@ from qpart.oppainleve import (
     inversion_k,
     lax_checks,
     lax_matrices,
-    monic_coefficients,
     op_sequence,
     painleve_trajectory,
     rhp_jump_residual,
     rhp_sample,
+    szego_recursion,
     tau_relation_check,
     x_recurrence_rhs,
     y_recurrence_rhs,
@@ -133,7 +133,7 @@ class TestSzegoRecursion:
         assert list(seq.kappa_sq) == pytest.approx(ref["kappa_sq"], rel=1e-15)
         for n in range(9):
             np.testing.assert_allclose(
-                monic_coefficients(variant, params, n), ref["monic"][n], rtol=1e-15)
+                szego_recursion(variant, params, n).monic[n], ref["monic"][n], rtol=1e-15)
         assert list(seq.log_z) == pytest.approx(ref["log_z"], abs=1e-13)
 
     @pytest.mark.parametrize("q, xi", [(0.0, 0.3), (0.5, 0.0), (0.1, 0.05),
@@ -165,21 +165,21 @@ class TestSzegoRecursion:
 class TestMonicPolynomials:
     def test_degree_and_monic(self):
         for n in range(0, 6):
-            coeffs = monic_coefficients("plain", P, n)
+            coeffs = szego_recursion("plain", P, n).monic[n]
             assert len(coeffs) == n + 1
             assert coeffs[-1] == 1.0
 
     def test_value_at_zero_matches_sequence(self):
         seq = op_sequence("plain", P, 8)
         for n in range(0, 8):
-            coeffs = monic_coefficients("plain", P, n)
+            coeffs = szego_recursion("plain", P, n).monic[n]
             assert coeffs[0] == pytest.approx(seq.x[n], rel=1e-9, abs=1e-12)
 
     def test_orthogonality_via_moments(self):
         # <pi_n, z^k> = sum_j a_j c_{j-k} must vanish for k < n
         table = circle_fft("I", P, 512)  # entry n holds order n, also for n < 0
         for n in range(1, 6):
-            coeffs = monic_coefficients("plain", P, n)
+            coeffs = szego_recursion("plain", P, n).monic[n]
             for k in range(n):
                 val = sum(coeffs[j] * table[j - k] for j in range(n + 1))
                 assert abs(val) < 1e-12
@@ -189,7 +189,7 @@ class TestMonicPolynomials:
         seq = op_sequence("plain", P, 6)
         table = circle_fft("I", P, 512)
         for n in range(0, 6):
-            coeffs = monic_coefficients("plain", P, n)
+            coeffs = szego_recursion("plain", P, n).monic[n]
             val = sum(coeffs[j] * table[j - n] for j in range(n + 1))
             assert val == pytest.approx(1.0 / seq.kappa_sq[n], rel=1e-10)
 
@@ -350,7 +350,7 @@ class TestRHP:
     def test_first_column_is_polynomial(self):
         n = 3
         z = 1.7 - 0.2j
-        coeffs = monic_coefficients("plain", P, n)
+        coeffs = szego_recursion("plain", P, n).monic[n]
         s = rhp_sample(n, z, P)
         assert s.y[0, 0] == pytest.approx(
             complex(np.polyval(coeffs[::-1], z)), rel=1e-12
