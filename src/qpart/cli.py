@@ -96,7 +96,8 @@ def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
     tail = checks.x_tail_comparator if args.branch == "x" else checks.y_tail_comparator
     comps = [tail(params, n) for n in range(args.n_max + 1)]
     state = op_mod.painleve_trajectory(args.branch, args.source, params, args.n_max)
-    residuals = [0.0, *op_mod.recurrence_residuals(state), 0.0]
+    # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual
+    residuals = [None, *op_mod.recurrence_residuals(state), None]
     rows = []
     for n, comp in enumerate(comps):
         if args.branch == "x":

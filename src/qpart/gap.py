@@ -4,6 +4,11 @@ Toeplitz determinants of the circle-weight moments, discrete Fredholm
 determinants of the correlation kernel, and direct partition enumeration:
 one table of squared-type weights per (q, xi) (`measures._squared_table`),
 summed by length and by first part, so every N and both variants are a lookup.
+Its hook-length counts are built by prepending rows: the partitions of n with
+first part k are those of n - k with first part <= k under a new top row of k
+cells, whose hooks k - j + mu'_j + 1 are the only new ones. The rows keep
+`partitions.enumerate_partitions`' order, so the binned sums add in the same
+order and give the same bits.
 
 The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
 Szego recursion (`oppainleve.szego_recursion`), so it does not overflow

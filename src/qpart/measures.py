@@ -16,6 +16,14 @@ given |lambda| = n. One evaluator, `_masses`, weighs rows of hook-length
 counts: `measure` is its one-row case, `normalization_partial_sum` sums it
 over all partitions up to a size, and the enumeration gap route bins it.
 
+That table of all partitions up to a size (`_enum_stats`) is built by size
+without forming a partition: a row of k cells on top of mu with mu_1 <= k
+keeps every hook of mu and adds the k distinct hooks k - j + mu'_j + 1. The
+size-n rows with first part k are the size-(n - k) rows with first part
+<= k, a suffix in lex-descending order, each with that row prepended, so
+concatenating k = n..1 keeps the size-then-lex-descending order of
+`partitions.enumerate_partitions`.
+
 log Z = sum_n n t_n ttilde_n (Cauchy identity) is log M(xi;q) for two
 principal specializations, and the single term t_1 ttilde_1 when either is
 exponential. For the mixed type that is xi^2/(1-q), which reduces to
@@ -27,11 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .partitions import Partition, enumerate_partitions
+from .partitions import MAX_ENUM_SIZE, Partition
 from .qspecial import QParams, log_macmahon
 
 __all__ = [
@@ -114,11 +122,13 @@ class SchurMeasure:
     t_tilde: MiwaTimes
 
 
+@lru_cache(maxsize=64)
 def _factors(kind: object) -> tuple[float, float, int, float]:
     """(base, q, principal, 1/Z) such that the kind's mass of lambda is
     base^{|lambda|} q^{principal b(lambda)} / prod_h ((1 - q^h)^principal
     h^{2 - principal})^{m_h} / Z, where `principal` of the two specializations
-    are principal ones at q and the others exponential."""
+    are principal ones at q and the others exponential. Cached per kind (every
+    kind is a frozen dataclass), so repeated `measure` calls pay log Z once."""
     if isinstance(kind, QPPSquared):
         t = MiwaTimes.principal(kind.xi, kind.q)
         kind = SchurMeasure(t, t)
@@ -153,25 +163,51 @@ def _factors(kind: object) -> tuple[float, float, int, float]:
     raise TypeError(f"unknown measure kind {kind!r}")
 
 
-def _partition_stats(lams: Iterable[Partition], width: int) -> tuple[np.ndarray, ...]:
-    """Arrays over the partitions: size, first part, length, b(lambda), and the
-    uint8 matrix of hook-length counts m_h, h = 1..width, one row each."""
-    rows, counts = [], bytearray()
-    for lam in lams:
-        row, below = bytearray(width), [0] * lam.part(1)  # lower rows longer than j
-        for p in reversed(lam.parts):
-            for j in range(p):  # hook = arm p - j - 1 + leg below[j] + 1
-                row[p - j + below[j] - 1] += 1
-                below[j] += 1
-        counts += row
-        rows.append((lam.size, lam.part(1), len(lam), sum(i * p for i, p in enumerate(lam))))
-    return (*np.array(rows, np.int16).T,
-            np.frombuffer(counts, np.uint8).reshape(len(rows), width))
+def _partition_stats(lam: Partition, width: int) -> tuple[np.ndarray, ...]:
+    """One row of the `_enum_stats` table, for one partition: size, first part,
+    length, b(lambda), and the uint8 hook-length counts m_h, h = 1..width."""
+    row, below = bytearray(width), [0] * lam.part(1)  # lower rows longer than j
+    for p in reversed(lam.parts):
+        for j in range(p):  # hook = arm p - j - 1 + leg below[j] + 1
+            row[p - j + below[j] - 1] += 1
+            below[j] += 1
+    b = sum(i * p for i, p in enumerate(lam))
+    return (*np.array([(lam.size, lam.part(1), len(lam), b)], np.int16).T,
+            np.frombuffer(row, np.uint8).reshape(1, width))
 
 
 @lru_cache(maxsize=8)
 def _enum_stats(max_size: int) -> tuple[np.ndarray, ...]:
-    return _partition_stats(enumerate_partitions(max_size), max_size)
+    """Arrays over all partitions of size <= max_size in size-then-lex-descending
+    order: size, first part, length, b(lambda) (int16), and the uint8 matrix of
+    hook-length counts m_h, h = 1..max_size, one row each.
+
+    Built by size as the module docstring says: the top row of k cells put on
+    mu adds the hooks k - j + mu'_j + 1, j = 1..k, and gives b = b(mu) + |mu|,
+    length + 1 and columns mu'_j + 1.
+    """
+    if max_size < 0:
+        raise ValueError("max_size must be nonnegative")
+    if max_size > MAX_ENUM_SIZE:
+        raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM_SIZE}")
+    # per size: first part, length, b, hook counts, column lengths mu'_j
+    zero, empty = np.zeros(1, np.int16), np.zeros((1, max_size), np.uint8)
+    blocks = [(zero, zero, zero, empty, empty)]
+    for n in range(1, max_size + 1):
+        parts = []
+        for k in range(n, 0, -1):
+            first, length, b, counts, cols = blocks[n - k]
+            rows = slice(np.searchsorted(-first, -k), None)  # first part <= k
+            counts, cols = counts[rows].copy(), cols[rows].copy()
+            hooks = k - 1 - np.arange(k) + cols[:, :k]  # column index h - 1
+            counts[np.arange(len(counts))[:, None], hooks] += 1
+            cols[:, :k] += 1
+            parts.append((np.full(len(counts), k, np.int16), length[rows] + 1,
+                          b[rows] + (n - k), counts, cols))
+        blocks.append(tuple(np.concatenate(arrays) for arrays in zip(*parts)))
+    first, length, b, counts = (np.concatenate(arrays) for arrays in list(zip(*blocks))[:4])
+    size = np.repeat(np.arange(max_size + 1, dtype=np.int16), [len(f) for f, *_ in blocks])
+    return size, first, length, b, counts
 
 
 def _masses(kind: object, stats: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -206,7 +242,7 @@ def measure(kind: object, lam: Partition) -> float:
     """Probability mass of the partition under the named measure."""
     if isinstance(kind, Plancherel) and lam.size != kind.n:
         raise ValueError(f"Plancherel({kind.n}) needs |lambda| = {kind.n}")
-    return float(_masses(kind, _partition_stats([lam], lam.size))[0])
+    return float(_masses(kind, _partition_stats(lam, lam.size))[0])
 
 
 def normalization_partial_sum(kind: object, max_size: int) -> float:

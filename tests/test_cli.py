@@ -162,7 +162,17 @@ class TestPainleveTable:
         _, out, _ = run(["painleve", "--n-max", "6"], capsys)
         rows = json.loads(out)
         assert set(rows[0]) == {"n", "x", "residual", "tail_ratio"}
-        assert all(r["residual"] < 1e-7 for r in rows)
+        assert all(r["residual"] < 1e-7 for r in rows[1:-1])
+        # no recurrence is evaluated at the ends of the table
+        assert rows[0]["residual"] is None and rows[-1]["residual"] is None
+
+    def test_csv_end_rows_have_empty_residual(self, capsys):
+        _, out, _ = run(["painleve", "--n-max", "3", "--format", "csv"], capsys)
+        lines = out.splitlines()
+        col = lines[0].split(",").index("residual")
+        cells = [line.split(",")[col] for line in lines[1:]]
+        assert cells[0] == cells[-1] == ""
+        assert all(float(c) < 1e-7 for c in cells[1:-1])
 
     def test_n_max_past_guard_exits_2(self, capsys):
         code, _, err = run(["painleve", "--n-max", "30"], capsys)

@@ -161,6 +161,10 @@ class TestEnumerationRoute:
         with pytest.raises(ValueError):
             gap_probability(GapQuery("length", 3, P), "enumeration", max_size=MAX_ENUM + 1)
 
+    def test_negative_max_size_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gap_probability(GapQuery("length", 3, P), "enumeration", max_size=-1)
+
 
 class TestEnumerationTailBound:
     def test_zero_at_xi_zero(self):

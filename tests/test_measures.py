@@ -13,11 +13,12 @@ from qpart.measures import (
     QPPSquared,
     SchurMeasure,
     _enum_stats,
+    _partition_stats,
     measure,
     normalization_partial_sum,
     q_limit_check,
 )
-from qpart.partitions import Partition, cell_stats, enumerate_partitions
+from qpart.partitions import MAX_ENUM_SIZE, Partition, cell_stats, enumerate_partitions
 from qpart.qspecial import QParams, log_macmahon
 
 SAMPLE = [
@@ -215,6 +216,34 @@ class TestEnumStats:
         kind = QPPSquared(xi=0.4, q=0.6)
         each = math.fsum(measure(kind, lam) for lam in enumerate_partitions(10))
         assert normalization_partial_sum(kind, 10) == pytest.approx(each, rel=1e-15)
+
+    @pytest.mark.parametrize("max_size", [0, 1, 12, 25])
+    def test_table_equals_per_partition_rows(self, max_size):
+        # the row-prepending build against one row per enumerated partition
+        rows = [_partition_stats(lam, max_size) for lam in enumerate_partitions(max_size)]
+        want = [np.concatenate(col) for col in zip(*rows)]
+        got = _enum_stats(max_size)
+        assert len(got) == len(want) == 5
+        assert want[4].shape == (len(rows), max_size)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    def test_table_builds_no_partition(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the table is built without Partition objects")
+
+        monkeypatch.setattr(Partition, "__post_init__", refuse)
+        assert len(_enum_stats.__wrapped__(25)[0]) == 9296
+
+    @pytest.mark.parametrize("max_size", [-1, MAX_ENUM_SIZE + 1])
+    def test_size_guards(self, max_size):
+        with pytest.raises(ValueError, match="nonnegative|exceeds guard"):
+            _enum_stats(max_size)
+
+    def test_partial_sum_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalization_partial_sum(QPPSquared(xi=0.3, q=0.5), -1)
 
 
 class TestMiwaTimes:
