@@ -11,6 +11,7 @@ module, so `import qpart` stays light.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -313,11 +314,17 @@ class Check:
         return self.check_id.split(".")[0]
 
     def report(self, p: QParams) -> dict:
-        """The verify row at p; it passes when |measured| <= tolerance."""
-        measured = self.fn(*(p if a is POINT else a for a in self.args))
+        """The verify row at p; it passes when |measured| <= tolerance. A
+        series that does not converge fails the row, with measured None, and
+        says so on stderr."""
+        try:
+            measured = self.fn(*(p if a is POINT else a for a in self.args))
+        except qs.NonconvergenceError as exc:
+            print(f"qpart: {self.check_id}: did not converge: {exc}", file=sys.stderr)
+            measured = None
         return {"check_id": self.check_id, "paper_ref": self.paper_ref,
                 "measured": measured, "tolerance": self.tolerance,
-                "pass": bool(abs(measured) <= self.tolerance)}
+                "pass": measured is not None and bool(abs(measured) <= self.tolerance)}
 
 
 _MASS = "total mass of the measure sums to 1"

@@ -13,21 +13,24 @@ Two weight variants run through everything here:
             ys_n ys_{n+1}, so storage stays real.
 
 All OPUC data come from one Szego recursion with an a-posteriori precision
-check (`szego_recursion`). This determinant route is the ground truth; the
-forward q-Painleve recurrence is validated against it, not trusted
-standalone.
+check (`szego_recursion`), run in the standard library's `decimal`; the
+tests check it against mpmath determinants. This determinant route is the
+ground truth; the forward q-Painleve recurrence is validated against it,
+not trusted standalone.
 """
 
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
+import operator
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from mpmath import mp
 
 from .qspecial import NonconvergenceError, QParams, circle_weight
 
@@ -67,7 +70,7 @@ class OPSequence:
     variant: str
     params: QParams
     n_max: int
-    dps: int                     # mp working precision the values came from
+    dps: int                     # decimal digits of the run the values came from
     x: tuple[float, ...]         # x_n = pi_n(0) = (-1)^n Z_n^{(1)} / Z_n
     kappa_sq: tuple[float, ...]  # kappa_n^2 = 1 / E_n = Z_n / Z_{n+1}
     log_z: tuple[float, ...]     # log Z_n, Z_n the n x n Toeplitz determinant
@@ -113,8 +116,9 @@ class RHPSample:
     det_y: complex
 
 
-def _mp_moments(variant: str, top: int, q: "mp.mpf", xi: "mp.mpf") -> list:
-    """Symbol moments c_0..c_top (c_{-m} = c_m) at the working precision.
+def _moments(variant: str, top: int, q: Decimal, xi: Decimal) -> list:
+    """Symbol moments c_0..c_top (c_{-m} = c_m) in the current decimal
+    context's precision.
 
     plain:  c_m = sum_k u^{2k+m} / ((q;q)_k (q;q)_{k+m}), u = xi sqrt(q);
     check:  c_m = q^{m^2/2} sum_k q^{k(k+m)} u^{2k+m} / ((q;q)_k (q;q)_{k+m}),
@@ -133,22 +137,23 @@ def _mp_moments(variant: str, top: int, q: "mp.mpf", xi: "mp.mpf") -> list:
     coefficients, and the errors add over the top steps instead of
     multiplying. At a = 0 the symbol is 1, so c_0 = 1 and c_m = 0.
     """
-    a = xi * mp.sqrt(q)
+    root = q.sqrt()
+    a = xi * root
     if not a:
-        return [mp.mpf(1)] + [mp.mpf(0)] * top
+        return [Decimal(1)] + [Decimal(0)] * top
     check = variant == "check"
     u = xi if check else a
-    floor = mp.mpf(10) ** (-mp.dps - 5)
+    floor = Decimal(1).scaleb(-decimal.getcontext().prec - 5)
     q_top = q**top
     # with scale = u^top q^{top^2/2 [check]}:
     #   c_top     = scale sum_k r_k,
     #   c_{top+1} = scale sum_k r_k a q^{(k+top) [check]} / (1 - q^{k+top+1}),
-    #   r_k = u^{2k} q^{k(k+top) [check]} / ((q;q)_k (q;q)_{k+top})
-    row = 1 / mp.fprod(1 - q**j for j in range(1, top + 1))   # r_k
-    q_k = mp.mpf(1)                                            # q^k
-    sums = [mp.mpf(0), mp.mpf(0)]
+    #   r_k = u^{2k} q^{k(k+top) [check]} / ((q;q)_k (q;q)_{k+top}), held in row
+    row = 1 / math.prod((1 - q**j for j in range(1, top + 1)), start=Decimal(1))
+    q_k = Decimal(1)                                            # q^k
+    sums = [Decimal(0), Decimal(0)]
     while True:
-        q_kt = q_k * q_top                                     # q^{k+top}
+        q_kt = q_k * q_top                                      # q^{k+top}
         terms = (row, row * a * (q_kt if check else 1) / (1 - q_kt * q))
         sums = [s + t for s, t in zip(sums, terms)]
         if all(t < floor * s for s, t in zip(sums, terms)):
@@ -157,8 +162,8 @@ def _mp_moments(variant: str, top: int, q: "mp.mpf", xi: "mp.mpf") -> list:
         row *= u * u / ((1 - q_k) * (1 - q_k * q_top))
         if check:
             row *= q_k * q_k * q_top / q
-    scale = u**top * (q ** (mp.mpf(top * top) / 2) if check else 1)
-    c = [mp.mpf(0)] * top + [scale * s for s in sums]
+    scale = u**top * (root ** (top * top) if check else 1)
+    c = [Decimal(0)] * top + [scale * s for s in sums]
     for m in range(top, 0, -1):
         if check:
             c[m - 1] = ((a / q) * c[m + 1] + (1 - q**m) * c[m]) / (a * q ** (m - 1))
@@ -167,7 +172,7 @@ def _mp_moments(variant: str, top: int, q: "mp.mpf", xi: "mp.mpf") -> list:
     return c[: top + 1]
 
 
-def _mp_dps_for(variant: str, params: QParams, n_max: int) -> int:
+def _dps_for(variant: str, params: QParams, n_max: int) -> int:
     """Starting precision for the recursion, before its a-posteriori check.
 
     Two sources of lost digits: the shifted determinant of size n shrinks
@@ -184,48 +189,80 @@ def _mp_dps_for(variant: str, params: QParams, n_max: int) -> int:
     return 25 + max(0, int(lost))
 
 
-def _szego_mp(variant: str, params: QParams, top: int, dps: int) -> tuple:
-    """One run of the recursion at dps digits: lists x, E, log Z, monic.
+def _context(dps: int) -> decimal.Context:
+    """A decimal context of dps digits that ignores the caller's defaults."""
+    return decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN,
+                           Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                           traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                  decimal.Overflow])
+
+
+def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
+    """One run of the recursion at dps digits: lists x, E, log Z, monic, or
+    None if some E_n rounded to zero or below.
 
     pi_{n+1}(z) = z pi_n(z) + x_{n+1} pi_n^*(z), pi_n^* the reversed
     polynomial, with x_{n+1} = -<z pi_n, 1> / E_n fixed by orthogonality to 1
-    and E_{n+1} = E_n (1 - x_{n+1}^2), E_0 = c_0.
+    and E_{n+1} = E_n (1 - x_{n+1}^2), E_0 = c_0. The E_n are positive, so a
+    run where one is not has too few digits and counts as a disagreement.
+
+    Each log E_n is rounded to an absolute error below _AGREE^2 / (top + 1),
+    far below the agreement test, instead of to the working precision:
+    Decimal.ln takes up to 0.3 s per call at 1,300 digits, against tens of
+    microseconds at 40.
     """
-    with mp.workdps(dps):
-        c = _mp_moments(variant, top, mp.mpf(params.q), mp.mpf(params.xi))
-        x, e, monic = [mp.mpf(1)], [c[0]], [[mp.mpf(1)]]
+    with decimal.localcontext(_context(dps)):
+        c = _moments(variant, top, Decimal(params.q), Decimal(params.xi))
+        x, e, monic = [Decimal(1)], [c[0]], [[Decimal(1)]]
         for n in range(top):
             a = monic[-1]
-            xn = -mp.fdot(a, c[1 : n + 2]) / e[n]
+            xn = -sum(map(operator.mul, a, c[1 : n + 2])) / e[n]
             monic.append([s + xn * t for s, t in zip([0, *a], [*a[::-1], 0])])
             x.append(xn)
             e.append(e[n] * (1 - xn * xn))
-        log_z = [mp.mpf(0)]
+            if e[-1] <= 0:
+                return None
+        # |ln v| < 2.31 (|exponent of v| + 1) <= 10^whole, so whole + frac
+        # digits round it to an absolute error below _AGREE^2 / (top + 1)
+        frac = math.ceil(math.log10((top + 1) / _AGREE**2))
+        log_z = [Decimal(0)]
         for v in e:
-            log_z.append(log_z[-1] + mp.log(v))
+            whole = math.ceil(math.log10(2.31 * (abs(v.adjusted()) + 1)))
+            log_z.append(log_z[-1] + v.ln(_context(min(dps, whole + frac))))
     return x, e, log_z, monic
+
+
+def _agree(lo: tuple, hi: tuple) -> bool:
+    """Whether two runs agree to _AGREE in the current context: x, E and
+    pi_n relative, log Z absolute, which is relative in Z."""
+    agree = Decimal(_AGREE)
+    pairs = [*zip(lo[0], hi[0]), *zip(lo[1], hi[1]),
+             *(p for r0, r1 in zip(lo[3], hi[3]) for p in zip(r0, r1))]
+    return all(abs(a - b) <= agree * abs(b) for a, b in pairs) and all(
+        abs(a - b) <= agree for a, b in zip(lo[2], hi[2]))
+
+
+def _float(v: Decimal) -> float:
+    # an exact zero reads +0.0 (x_n = -0 / E_n where the symbol is 1), while
+    # a value below the double range keeps its sign, as -0.0 if negative
+    return float(v) if v else 0.0
 
 
 @lru_cache(maxsize=64)
 def _certified(variant: str, params: QParams, top: int) -> OPSequence:
-    dps = _mp_dps_for(variant, params, top)
-    lo = _szego_mp(variant, params, top, dps)
+    dps = _dps_for(variant, params, top)
+    lo = _szego(variant, params, top, dps)
     for _ in range(_MAX_RAISES):
         dps = dps * 3 // 2
-        hi = _szego_mp(variant, params, top, dps)
-        # x, E and pi_n relative; log Z absolute, which is relative in Z
-        pairs = [*zip(lo[0], hi[0]), *zip(lo[1], hi[1]),
-                 *(p for r0, r1 in zip(lo[3], hi[3]) for p in zip(r0, r1))]
-        with mp.workdps(dps):
-            if all(abs(a - b) <= _AGREE * abs(b) for a, b in pairs) and all(
-                abs(a - b) <= _AGREE for a, b in zip(lo[2], hi[2])
-            ):
+        hi = _szego(variant, params, top, dps)
+        with decimal.localcontext(_context(dps)):
+            if lo and hi and _agree(lo, hi):
                 x, e, log_z, monic = hi
                 return OPSequence(
                     variant=variant, params=params, n_max=top - 1, dps=dps,
-                    x=tuple(map(float, x)), kappa_sq=tuple(float(1 / v) for v in e),
-                    log_z=tuple(map(float, log_z)),
-                    monic=tuple(tuple(map(float, r)) for r in monic),
+                    x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
+                    log_z=tuple(map(_float, log_z)),
+                    monic=tuple(tuple(map(_float, r)) for r in monic),
                 )
         lo = hi
     raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) "
@@ -237,11 +274,12 @@ def szego_recursion(variant: str, params: QParams, top: int) -> OPSequence:
 
     One O(top^2) Szego (Levinson) recursion over the symbol moments (B.
     Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005, ch. 1.5),
-    run in mpmath at the _mp_dps_for precision and at 1.5 times that,
-    raised by 1.5 until two runs agree to 1e-17 relative in every value, so
-    the floats are correct to the last bit; NonconvergenceError if they
-    never agree. Tops up to _SHARED_TOP share one run, so the sequence may
-    be longer than asked.
+    run in decimal arithmetic at the _dps_for precision and at 1.5 times
+    that, raised by 1.5 until two runs agree to 1e-17 relative in every
+    value (log Z_n absolute), so the floats are correct to the last bit; a
+    run in which some E_n rounds to zero or below disagrees.
+    NonconvergenceError if no two runs agree. Tops up to _SHARED_TOP share
+    one run, so the sequence may be longer than asked.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")

@@ -194,7 +194,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["gap-table", "--n-max", "1", "--method", "fredholm"],
-        ["verify", "--suite", "kernels"],
+        ["painleve", "--branch", "y", "--n-max", "3"],
         ["painleve", "--n-max", "3"],
     ])
     @pytest.mark.filterwarnings("error")
@@ -205,6 +205,27 @@ class TestParser:
         code, _, err = run([*argv, "--q", "0.9999", "--xi", "0.5"], capsys)
         assert code == 2
         assert "did not converge" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, failing", [
+        (["--suite", "special", "--q", "0.5", "--xi", "0.999"],
+         ["special.modified_bessel_relation"]),
+        (["--suite", "kernels", "--q", "0.9999", "--xi", "0.5"],
+         ["kernels.christoffel_darboux", "kernels.schur_vs_qbessel", "kernels.symmetry"]),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_verify_reports_rows_that_do_not_converge(self, argv, failing, capsys):
+        # a row whose series does not converge fails with measured null; every
+        # other row is still measured, and verify exits 1
+        code, out, err = run(["verify", *argv], capsys)
+        assert code == 1
+        rows = json.loads(out)
+        assert len(rows) == 5
+        assert [r["check_id"] for r in rows if not r["pass"]] == failing
+        assert all(r["measured"] is None for r in rows if not r["pass"])
+        assert all(r["measured"] is not None for r in rows if r["pass"])
+        assert [line.split(": ")[1] for line in err.splitlines()] == failing
+        assert all(": did not converge: " in line for line in err.splitlines())
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

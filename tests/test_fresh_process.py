@@ -1,6 +1,7 @@
 """Fresh-process runs: the CLI runs end to end with small arguments, as
-`python -m qpart.cli`, and importing the package loads no scipy and builds
-no enumeration table, coefficient table or kernel lag row."""
+`python -m qpart.cli`, and importing the package loads no scipy (and,
+without `qpart.checks`, no mpmath) and builds no enumeration table,
+coefficient table or kernel lag row."""
 
 import os
 import subprocess
@@ -25,6 +26,14 @@ def test_cli_exits_0(args):
 def test_import_loads_no_scipy():
     proc = run_python("-c", "import sys, qpart, qpart.cli, qpart.checks; "
                       "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_mpmath():
+    # the OPUC engine runs in decimal; only qpart.checks reads mpmath
+    proc = run_python("-c", "import sys, qpart; "
+                      "print(sorted(m for m in sys.modules if m.startswith('mpmath')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -1,4 +1,7 @@
+import decimal
+import hashlib
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,6 +25,24 @@ from qpart.oppainleve import (
 from qpart.qspecial import NonconvergenceError, QParams, circle_fft
 
 P = QParams(q=0.5, xi=0.3)
+PINNED = [  # variant, q, xi, top, sha256 of repr((x, kappa_sq, log_z, monic))
+    ("plain", 0.9, 0.7, 16, "c3a4114b78cc7e23433758bfeaa86923b127c78e10c18e350e5400d5da850147"),
+    ("plain", 0.9, 0.7, 26, "c42ee518c582fd6e5138c4de0883108a1d0146675847b9715cc5004c2d5efae8"),
+    ("check", 0.9, 0.7, 16, "633340068692ed976d75a6bf05d9b68c4b5b19132a371640159cf485fe3e907a"),
+    ("check", 0.9, 0.7, 26, "1c13a8626c0586c4bbfcf96b5bfe9bf8048f6a3994352376c9ae8ec85b1c1dea"),
+    ("plain", 0.95, 0.7, 16, "4633c2689b3a9eb3d124e4ecc007f7977394ad26f95fee2b2a73fca7123dd310"),
+    ("plain", 0.95, 0.7, 26, "89f1b10dcbfd2f03689cb0d8a11f2c9a0fcf0a2f26028674a5f4c7e356147bdf"),
+    ("check", 0.95, 0.7, 16, "fe8303244c4375df272ad8e4d34a2ba2e34802eeec533b7a7e2a0ebe39c3fcd4"),
+    ("check", 0.95, 0.7, 26, "00eb524b5781ad88f423ef177ef0db5ba90ea9f7df694cad3d0a269bceb925c3"),
+    ("plain", 0.97, 0.7, 16, "abb1ac4bab85c11f7fcebfc6f6534382473fb7563ea9d8460ace31d9c210405d"),
+    ("plain", 0.97, 0.7, 26, "7022d5ff62536be1f7bdc6f951c4b459b45091335f79c1cba7a7a1a98926e26d"),
+    ("check", 0.97, 0.7, 16, "d19241a4abc38aacf1d0cb080c9bdad9d579d3295ee1c24b5bc210ca71655931"),
+    ("check", 0.97, 0.7, 26, "e597fab4fe557afcbea032ba4d5de4e79914f1ca6017588ddb9ff9f2565b482a"),
+    ("plain", 0.5, 0.3, 16, "96ca954be31cc61928bf74ba7bd2b6b811b3d880c6850f693104605f2b23e1d5"),
+    ("plain", 0.5, 0.3, 26, "fd9ee6d9f120c4e90d79d15bc040c3c115e6475156c859c543a83daddb971624"),
+    ("check", 0.5, 0.3, 16, "c417150238b6d7b35114ad82b5f33b994544bb06c9ef51fdf10e5e22f522fb25"),
+    ("check", 0.5, 0.3, 26, "92e99361c66820b883d5d0f4c35307f5fb076d075f8da3da9c9096dc3b34d589"),
+]
 PROBES = [0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j]
 
 
@@ -140,14 +161,37 @@ class TestSzegoRecursion:
                                        (0.97, 0.7), (0.99, 0.9), (0.5, 0.99)])
     @pytest.mark.parametrize("variant", ["plain", "check"])
     def test_moments_match_series_per_order(self, variant, q, xi):
-        # two series and the downward recurrence against one series per order
-        with mp.workdps(60):
-            q, xi = mp.mpf(q), mp.mpf(xi)
-            want = [_series_moment(variant, q, xi, m) for m in range(41)]
+        # two decimal series and the downward recurrence against one mpmath
+        # series per order
+        with mp.workdps(60), decimal.localcontext(decimal.Context(prec=60)):
+            want = [_series_moment(variant, mp.mpf(q), mp.mpf(xi), m) for m in range(41)]
             for top in (0, 1, 26, 40):
-                got = oppainleve._mp_moments(variant, top, q, xi)
+                got = oppainleve._moments(variant, top, Decimal(q), Decimal(xi))
                 assert len(got) == top + 1
-                assert all(abs(g - w) <= mp.mpf("1e-55") * w for g, w in zip(got, want))
+                assert all(abs(mp.mpf(str(g)) - w) <= mp.mpf("1e-55") * w
+                           for g, w in zip(got, want))
+
+    def test_nonpositive_norm_counts_as_disagreement(self, monkeypatch):
+        # at 33 digits some E_n of this point rounds to zero or below, which
+        # has no logarithm; such a run disagrees with every other, so the
+        # precision is raised until two runs agree
+        params = QParams(q=0.97, xi=0.7)
+        assert oppainleve._szego("plain", params, 26, 33) is None
+        want = oppainleve._certified("plain", params, 26)
+        monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
+        got = oppainleve._certified.__wrapped__("plain", params, 26)
+        assert (got.x, got.kappa_sq, got.log_z, got.monic) == (
+            want.x, want.kappa_sq, want.log_z, want.monic)
+
+    @pytest.mark.parametrize("variant, q, xi, top, digest", PINNED)
+    def test_certified_floats_are_pinned(self, variant, q, xi, top, digest):
+        # sha256 of the floats each certification returns, recorded from the
+        # mpmath engine that preceded the decimal one: a change of arithmetic
+        # or precision schedule keeps the near-scaling certifications and the
+        # desk point bit-identical
+        seq = oppainleve._certified(variant, QParams(q=q, xi=xi), top)
+        got = repr((seq.x, seq.kappa_sq, seq.log_z, seq.monic)).encode()
+        assert hashlib.sha256(got).hexdigest() == digest
 
     def test_near_scaling_norms_positive_and_tau_relation(self):
         params = QParams(q=0.97, xi=0.7)
