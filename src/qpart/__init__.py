@@ -38,7 +38,7 @@ from .oppainleve import (
     painleve_trajectory,
     rhp_sample,
 )
-from .partitions import Partition, cell_stats, enumerate_partitions
+from .partitions import Partition
 from .qspecial import QParams, macmahon
 
 __version__ = "0.1.0"
@@ -59,10 +59,8 @@ __all__ = [
     "SchurMeasure",
     "airy",
     "airy_kernel",
-    "cell_stats",
     "correlation",
     "discrete_bessel_kernel",
-    "enumerate_partitions",
     "gap_probability",
     "kernel_matrix",
     "lax_checks",

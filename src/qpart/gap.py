@@ -4,11 +4,8 @@ Toeplitz determinants of the circle-weight moments, discrete Fredholm
 determinants of the correlation kernel, and direct partition enumeration:
 one table of squared-type weights per (q, xi) (`measures._squared_table`),
 summed by length and by first part, so every N and both variants are a lookup.
-Its hook-length counts are built by prepending rows: the partitions of n with
-first part k are those of n - k with first part <= k under a new top row of k
-cells, whose hooks k - j + mu'_j + 1 are the only new ones. The rows keep
-`partitions.enumerate_partitions`' order, so the binned sums add in the same
-order and give the same bits.
+The enumeration route truncates at max_size (25 by default) and reads no tail
+bound.
 
 The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
 Szego recursion (`oppainleve.szego_recursion`), so it does not overflow
@@ -38,7 +35,6 @@ __all__ = [
 
 GAP_VARIANTS = ("length", "first-part")
 METHODS = ("toeplitz", "fredholm", "enumeration")
-MAX_ENUM = 40
 _SECTION = 40  # first Fredholm section size
 
 
@@ -113,8 +109,6 @@ def gap_probability(
     if method == "fredholm":
         return _fredholm(query.params, query.N, query.variant == "first-part")
     if method == "enumeration":
-        if max_size > MAX_ENUM:
-            raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM}")
         cumulative = _squared_table(query.params, max_size)[query.variant]
         return float(cumulative[min(query.N, max_size)])
     raise ValueError(f"unknown method {method!r}")

@@ -25,6 +25,7 @@ __all__ = [
     "NonconvergenceError",
     "macmahon",
     "log_macmahon",
+    "macmahon_series_coefficient",
     "circle_weight",
     "circle_fft",
 ]

@@ -22,8 +22,9 @@ from qpart.kernels import (
 )
 from qpart.measures import QPPMixed, QPPSquared, measure, q_limit_check
 from qpart.oppainleve import dpii_limit_check
-from qpart.partitions import Partition, cell_stats, enumerate_partitions
+from qpart.partitions import Partition
 from qpart.qspecial import QParams
+from reference_partitions import cell_stats, enumerate_partitions
 
 P = QParams(q=0.5, xi=0.3)
 

@@ -5,17 +5,16 @@ from mpmath import mp
 
 from qpart.gap import (
     GAP_VARIANTS,
-    MAX_ENUM,
     GapQuery,
     enumeration_tail_bound,
     gap_probability,
     monotonicity_scan,
 )
 from qpart.kernels import _j_gen
-from qpart.measures import QPPSquared, _squared_table, measure
+from qpart.measures import MAX_ENUM_SIZE, QPPSquared, _squared_table, measure
 from qpart.oppainleve import szego_recursion
-from qpart.partitions import cell_stats, enumerate_partitions
 from qpart.qspecial import QParams, circle_fft, macmahon
+from reference_partitions import cell_stats, enumerate_partitions
 
 P = QParams(q=0.5, xi=0.3)
 
@@ -159,7 +158,7 @@ class TestEnumerationRoute:
 
     def test_max_size_guard(self):
         with pytest.raises(ValueError):
-            gap_probability(GapQuery("length", 3, P), "enumeration", max_size=MAX_ENUM + 1)
+            gap_probability(GapQuery("length", 3, P), "enumeration", max_size=MAX_ENUM_SIZE + 1)
 
     def test_negative_max_size_raises(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -184,7 +184,7 @@ class TestQBesselKernel:
         # sum over r > 0 of K(r, r) plus sum over r < 0 of (1 - K(r, r))
         # equals the expected partition size; compare with enumeration
         from qpart.measures import QPPSquared, measure
-        from qpart.partitions import enumerate_partitions
+        from reference_partitions import enumerate_partitions
 
         mean_size = sum(
             lam.size * measure(QPPSquared(P.xi, P.q), lam)
@@ -272,7 +272,7 @@ class TestCorrelation:
         # P[r and s occupied] from the kernel determinant versus the
         # direct sum over partitions
         from qpart.measures import QPPSquared, measure
-        from qpart.partitions import enumerate_partitions
+        from reference_partitions import enumerate_partitions
 
         kind = QPPSquared(P.xi, P.q)
         pts = [Fraction(-1, 2), Fraction(3, 2)]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from qpart.measures import (
+    MAX_ENUM_SIZE,
     MiwaTimes,
     Plancherel,
     PoissonizedPlancherel,
@@ -18,8 +20,9 @@ from qpart.measures import (
     normalization_partial_sum,
     q_limit_check,
 )
-from qpart.partitions import MAX_ENUM_SIZE, Partition, cell_stats, enumerate_partitions
+from qpart.partitions import Partition
 from qpart.qspecial import QParams, log_macmahon
+from reference_partitions import cell_stats, enumerate_partitions
 
 SAMPLE = [
     Partition(()),
@@ -166,6 +169,28 @@ class TestQDeformations:
         assert devs[2] / devs[1] < 0.3
 
 
+@pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.9, 0.5), (0.97, 0.7)])
+def test_measure_matches_hook_content_mass(q, xi):
+    # 40-digit masses from the reference's hooks and b(lambda); the bound's
+    # second term is the rounding of exp(-log Z), log M = 566.5 at (0.97, 0.7)
+    with mp.workdps(40):
+        mq, mxi = mp.mpf(q), mp.mpf(xi)
+        # terms past n = 4000 are below 1e-45 for q <= 0.97
+        log_m = -mp.fsum(n * mp.log(1 - mxi**2 * mq**n) for n in range(1, 4000))
+        log_z = {QPPSquared: log_m, QPPMixed: mxi**2 / (1 - mq)}
+        for lam in enumerate_partitions(12):
+            stats = cell_stats(lam)
+            hooks = list(stats.hooks.values())
+            squared = ((mxi**2 * mq) ** lam.size * mq ** (2 * stats.b_of_lambda)
+                       / mp.fprod((1 - mq**h) ** 2 for h in hooks))
+            mixed = mxi ** (2 * lam.size) * mq**stats.b_of_lambda / mp.fprod(
+                (1 - mq**h) * h for h in hooks)
+            for kind, mass in ((QPPSquared, squared), (QPPMixed, mixed)):
+                want = mass * mp.exp(-log_z[kind])
+                rel = 2e-15 + 2.3e-16 * float(log_z[kind])
+                assert measure(kind(xi, q), lam) == pytest.approx(float(want), rel=rel, abs=0)
+
+
 class TestSchurSpecialized:
     def test_exponential_single_row(self):
         # s_(n) at the exponential specialization is xi^n / n!
@@ -236,10 +261,12 @@ class TestEnumStats:
         monkeypatch.setattr(Partition, "__post_init__", refuse)
         assert len(_enum_stats.__wrapped__(25)[0]) == 9296
 
-    @pytest.mark.parametrize("max_size", [-1, MAX_ENUM_SIZE + 1])
+    @pytest.mark.parametrize("max_size", [-1, MAX_ENUM_SIZE + 1, 61])
     def test_size_guards(self, max_size):
         with pytest.raises(ValueError, match="nonnegative|exceeds guard"):
             _enum_stats(max_size)
+        with pytest.raises(ValueError, match="nonnegative|exceeds guard"):
+            normalization_partial_sum(QPPSquared(xi=0.3, q=0.5), max_size)
 
     def test_partial_sum_rejects_negative_size(self):
         with pytest.raises(ValueError, match="nonnegative"):
