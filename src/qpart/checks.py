@@ -4,8 +4,10 @@ Each function takes the parameter point and the index or site range it
 sweeps and returns the measured residual (the yes/no monotonicity checks
 return 0.0 or 1.0). `CHECKS` is the verify table in output order. The
 acceptance tests call the same functions on their own grids; `painleve`
-reads the tail comparators. `qpart/__init__.py` does not import this
-module, so `import qpart` stays light.
+reads the tail comparators. The norm rows and `toeplitz_vs_enumeration` sum
+to the enumeration gap route's one cutoff, `measures.ENUM_SIZE`, so verify,
+`gap-table` and the route read one hook-count table. `qpart/__init__.py`
+does not import this module, so `import qpart` stays light.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .qspecial import QParams
 
 PLANE_PARTITIONS = (1, 1, 3, 6)  # of k = 0..3
 LAX_PROBES = (0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j)
-ENUM_SIZE = 22  # partition sizes summed by the enumeration gap route and the
-                # norm rows, so one hook-count table serves all four
 _MP_DPS = 30  # digits of the mp q-series; at 60 the tail comparators change no bit
 
 
@@ -201,26 +201,29 @@ def airy_diagonal(x: float) -> float:
     return abs(kernels.airy_kernel(x, x) - (float(aip) ** 2 - x * float(ai) ** 2))
 
 
-def _route_pairs(p: QParams, method: str, ns: Sequence[int]):
-    """(Toeplitz, method) gap probabilities for both variants and N in ns."""
+def _route_difference(p: QParams, method: str, ns: Sequence[int]) -> float:
+    """Largest |a - b| / max(|a|, |b|) of the Toeplitz route a and the method's
+    b, over both variants and N in ns. Relative, so that two tiny values that
+    differ in every digit do not pass: near q = 1 both are below 1e-160."""
+    dev = 0.0
     for variant in gap.GAP_VARIANTS:
         for n in ns:
             query = gap.GapQuery(variant=variant, N=n, params=p)
-            yield (gap.gap_probability(query, "toeplitz"),
-                   gap.gap_probability(query, method, max_size=ENUM_SIZE))
+            a, b = (gap.gap_probability(query, m) for m in ("toeplitz", method))
+            dev = max(dev, abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0)
+    return dev
 
 
 def toeplitz_vs_fredholm(p: QParams, ns: Sequence[int]) -> float:
-    """Largest |a - b| / max(|a|, |b|) of the Toeplitz and Fredholm routes.
-    Relative, since Fredholm is accurate only in absolute terms: two tiny
-    values that differ in every digit must not pass."""
-    return max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
-               for a, b in _route_pairs(p, "fredholm", ns))
+    """The relative difference of the Toeplitz and Fredholm routes; Fredholm
+    is accurate only in absolute terms."""
+    return _route_difference(p, "fredholm", ns)
 
 
 def toeplitz_vs_enumeration(p: QParams, ns: Sequence[int]) -> float:
-    """Largest |a - c| of the Toeplitz route and the partition sum to ENUM_SIZE."""
-    return max(abs(a - c) for a, c in _route_pairs(p, "enumeration", ns))
+    """The relative difference of the Toeplitz route and the partition sum to
+    measures.ENUM_SIZE."""
+    return _route_difference(p, "enumeration", ns)
 
 
 def z_infinity(p: QParams, n: int) -> float:
@@ -231,7 +234,7 @@ def z_infinity(p: QParams, n: int) -> float:
 def gap_monotone(p: QParams, variant: str, n_max: int) -> float:
     """0.0 if the gap probabilities for N <= n_max are nondecreasing up to
     1e-13, else 1.0."""
-    vals = gap.monotonicity_scan(variant, p, n_max)
+    vals = [gap.gap_probability(gap.GapQuery(variant, n, p)) for n in range(n_max + 1)]
     return 0.0 if all(b >= a - 1e-13 for a, b in zip(vals, vals[1:])) else 1.0
 
 
@@ -353,11 +356,11 @@ CHECKS = (
     Check("kernels.symmetry", "K(r, s) = K(s, r)",
           1e-12, kernel_symmetry, (POINT, range(-4, 4))),
     Check("measures.norm_mixed", _MASS,
-          1e-7, qpp_mass_deficit, (POINT, measures.QPPMixed, ENUM_SIZE)),
+          1e-7, qpp_mass_deficit, (POINT, measures.QPPMixed, measures.ENUM_SIZE)),
     Check("measures.norm_poissonized", _MASS,
-          1e-7, mass_deficit, (measures.PoissonizedPlancherel(eta=0.8), ENUM_SIZE)),
+          1e-7, mass_deficit, (measures.PoissonizedPlancherel(eta=0.8), measures.ENUM_SIZE)),
     Check("measures.norm_squared", _MASS,
-          1e-7, qpp_mass_deficit, (POINT, measures.QPPSquared, ENUM_SIZE)),
+          1e-7, qpp_mass_deficit, (POINT, measures.QPPSquared, measures.ENUM_SIZE)),
     Check("measures.plancherel_exact", "sum over |lambda| = n of (dim lambda)^2 / n! = 1",
           1e-12, plancherel_exact, (range(1, 7),)),
     Check("measures.q_to_1_chain", "both deformations approach the Poissonized value",

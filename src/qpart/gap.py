@@ -4,8 +4,8 @@ Toeplitz determinants of the circle-weight moments, discrete Fredholm
 determinants of the correlation kernel, and direct partition enumeration:
 one table of squared-type weights per (q, xi) (`measures._squared_table`),
 summed by length and by first part, so every N and both variants are a lookup.
-The enumeration route truncates at max_size (25 by default) and reads no tail
-bound.
+The enumeration route truncates at sizes <= `measures.ENUM_SIZE` and reads
+no tail bound; the mass it misses is the verify row `measures.norm_squared`.
 
 The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
 Szego recursion (`oppainleve.szego_recursion`), so it does not overflow
@@ -22,16 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import kernel_matrix
-from .measures import _squared_table
+from .measures import ENUM_SIZE, _squared_table
 from .oppainleve import szego_recursion
 from .qspecial import NonconvergenceError, QParams, log_macmahon
 
-__all__ = [
-    "GapQuery",
-    "gap_probability",
-    "enumeration_tail_bound",
-    "monotonicity_scan",
-]
+__all__ = ["GapQuery", "gap_probability"]
 
 GAP_VARIANTS = ("length", "first-part")
 METHODS = ("toeplitz", "fredholm", "enumeration")
@@ -76,31 +71,12 @@ def _fredholm(params: QParams, N: int, first_part: bool) -> float:
             raise NonconvergenceError(f"Fredholm section still short at {m // 2} sites")
 
 
-def enumeration_tail_bound(params: QParams, max_size: int) -> float:
-    """Bound on the squared-type mass beyond the enumeration cutoff.
-
-    Each partition of size n has mass at most (xi^2 q)^n / (1-q)^{2n} times
-    the normalization; summing p(n) copies with p(n) <= 2^n gives a
-    geometric bound, evaluated numerically.
-    """
-    q, xi = params.q, params.xi
-    ratio = 2.0 * xi * xi * q / (1.0 - q) ** 2
-    if ratio >= 1.0:
-        return math.inf
-    norm = math.exp(-log_macmahon(params))
-    return norm * ratio ** (max_size + 1) / (1.0 - ratio)
-
-
-def gap_probability(
-    query: GapQuery,
-    method: str = "toeplitz",
-    max_size: int = 25,
-) -> float:
+def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
     """P[l(lambda) <= N] or P[lambda_1 <= N] for the squared-type measure.
 
     method "toeplitz": exp(log Z_N - log M(xi;q)) with the variant's symbol;
     method "fredholm": discrete Fredholm determinant of the kernel;
-    method "enumeration": the sum over partitions up to max_size, a table lookup.
+    method "enumeration": the sum over partitions up to ENUM_SIZE, a table lookup.
     """
     if method == "toeplitz":
         variant = "plain" if query.variant == "length" else "check"
@@ -109,16 +85,7 @@ def gap_probability(
     if method == "fredholm":
         return _fredholm(query.params, query.N, query.variant == "first-part")
     if method == "enumeration":
-        cumulative = _squared_table(query.params, max_size)[query.variant]
-        return float(cumulative[min(query.N, max_size)])
+        cumulative = _squared_table(query.params)[query.variant]
+        return float(cumulative[min(query.N, ENUM_SIZE)])
     raise ValueError(f"unknown method {method!r}")
 
-
-def monotonicity_scan(variant: str, params: QParams, n_max: int) -> list[float]:
-    """Gap probabilities for N = 0..n_max; nondecreasing and -> 1."""
-    if n_max > 40:
-        raise ValueError("n_max exceeds guard 40")
-    return [
-        gap_probability(GapQuery(variant=variant, N=n, params=params))
-        for n in range(n_max + 1)
-    ]

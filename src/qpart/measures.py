@@ -15,6 +15,9 @@ exponential one at xi q^{-1/2}); Plancherel(n) is Poissonized Plancherel
 given |lambda| = n. One evaluator, `_masses`, weighs rows of hook-length
 counts: `measure` is its one-row case, `normalization_partial_sum` sums it
 over all partitions up to a size, and the enumeration gap route bins it.
+That route and the verify norm rows stop at one cutoff, ENUM_SIZE, so
+1 - normalization_partial_sum(QPPSquared(xi, q), ENUM_SIZE) is the mass the
+route misses.
 
 That table of all partitions up to a size (`_enum_stats`) is built by size
 without forming a partition: a row of k cells on top of mu with mu_1 <= k
@@ -53,6 +56,7 @@ __all__ = [
     "q_limit_check",
 ]
 
+ENUM_SIZE = 25  # the one enumeration cutoff: the gap route and the verify norm rows
 MAX_ENUM_SIZE = 40  # checked in `_enum_stats` alone; 215,308 rows at 40
 
 
@@ -229,12 +233,13 @@ def _masses(kind: object, stats: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _squared_table(params: QParams, max_size: int) -> dict[str, np.ndarray]:
-    """Entry N of "size", "first-part" or "length": the squared-type mass with that
-    statistic <= N over sizes <= max_size; every N and gap variant is a lookup."""
-    w = _masses(QPPSquared(xi=params.xi, q=params.q), _enum_stats(max_size))
-    return {key: np.cumsum(np.bincount(col, w, max_size + 1))
-            for key, col in zip(("size", "first-part", "length"), _enum_stats(max_size))}
+def _squared_table(params: QParams) -> dict[str, np.ndarray]:
+    """Entry N of "first-part" or "length": the squared-type mass with that
+    statistic <= N over sizes <= ENUM_SIZE; every N and gap variant is a lookup."""
+    _, first, length, *_ = stats = _enum_stats(ENUM_SIZE)
+    w = _masses(QPPSquared(xi=params.xi, q=params.q), stats)
+    return {key: np.cumsum(np.bincount(col, w, ENUM_SIZE + 1))
+            for key, col in (("first-part", first), ("length", length))}
 
 
 def measure(kind: object, lam: Partition) -> float:

@@ -505,13 +505,12 @@ def lax_checks(
 # Riemann-Hilbert samples
 
 
-def rhp_sample(n: int, z: complex, params: QParams, variant: str = "plain",
-               contour_radius: float = 1.0) -> RHPSample:
+def _rhp_y(n: int, z: complex, params: QParams, variant: str, radius: float) -> np.ndarray:
     """The 2x2 Riemann-Hilbert matrix at a probe point by circle quadrature.
 
     Y_n(z) = [[pi_n(z),              C[w^{-n} pi_n w](z)],
               [-k_{n-1}^2 pi*_{n-1}(z), -k_{n-1}^2 C[w^{-n} pi*_{n-1} w](z)]]
-    with C the Cauchy transform over the circle of radius contour_radius.
+    with C the Cauchy transform over the circle of the given radius.
     The integrand is analytic in the annulus between the weight poles, so
     the contour may be deformed off |w| = 1 to evaluate boundary values.
     """
@@ -526,7 +525,7 @@ def rhp_sample(n: int, z: complex, params: QParams, variant: str = "plain",
 
     g = _QUADRATURE
     theta = 2.0 * math.pi * np.arange(g) / g
-    w = contour_radius * np.exp(1j * theta)
+    w = radius * np.exp(1j * theta)
     wv = circle_weight(_WEIGHT[variant], params, w)
 
     # (1/2pi i) oint f(w)/(w - z) dw with dw = i w dtheta, dtheta = 2 pi / g
@@ -535,10 +534,15 @@ def rhp_sample(n: int, z: complex, params: QParams, variant: str = "plain",
         integrand = w ** (-float(n)) * pw * wv / (w - z)
         return complex(np.sum(integrand * w) / g)
 
-    y = np.array([
+    return np.array([
         [np.polyval(pn[::-1], z), cauchy(pn)],
         [-k2 * np.polyval(pstar[::-1], z), -k2 * cauchy(pstar)],
     ])
+
+
+def rhp_sample(n: int, z: complex, params: QParams, variant: str = "plain") -> RHPSample:
+    """Y_n(z) off the unit circle, by quadrature on the unit circle."""
+    y = _rhp_y(n, z, params, variant, 1.0)
     return RHPSample(variant=variant, n=n, z=z, y=y, det_y=complex(np.linalg.det(y)))
 
 
@@ -552,8 +556,8 @@ def rhp_jump_residual(n: int, z_angle: float, params: QParams, variant: str) -> 
     permits. The + value uses the outer contour (z inside), the - value the
     inner one."""
     z = cmath.exp(1j * z_angle)
-    y_plus = rhp_sample(n, z, params, variant, 1.0 + _RADIUS_OFFSET).y
-    y_minus = rhp_sample(n, z, params, variant, 1.0 - _RADIUS_OFFSET).y
+    y_plus = _rhp_y(n, z, params, variant, 1.0 + _RADIUS_OFFSET)
+    y_minus = _rhp_y(n, z, params, variant, 1.0 - _RADIUS_OFFSET)
     wz = complex(circle_weight(_WEIGHT[variant], params, np.array([z]))[0])
     jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
     return float(np.max(np.abs(y_plus - y_minus @ jump)))

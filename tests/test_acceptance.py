@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 from qpart import checks
-from qpart.gap import enumeration_tail_bound
 from qpart.kernels import (
     correlation,
     discrete_bessel_kernel,
@@ -51,7 +50,7 @@ def test_criterion_02_kernel_equivalence():
 
 def test_criterion_03_determinantal_law():
     sites = [Fraction(2 * k + 1, 2) for k in range(-6, 6)]
-    bound = enumeration_tail_bound(P, 22)
+    tail = checks.qpp_mass_deficit(P, QPPSquared, 22)  # the mass the sum below misses
     # accumulate the measure by occupation pattern over the probe window
     mass: dict = {}
     for lam in enumerate_partitions(22):
@@ -69,9 +68,9 @@ def test_criterion_03_determinantal_law():
                 v for key, v in mass.items() if all(p in key for p in pts)
             )
             dev = max(dev, abs(correlation(kern, list(pts)) - direct))
-    ok = dev <= 1e-5 and bound < 1e-5
+    ok = dev <= 1e-5 and tail < 1e-5
     _report(3, "determinantal law", ok,
-            f"max dev={dev:.3e}, tail bound={bound:.3e}")
+            f"max dev={dev:.3e}, tail={tail:.3e}")
 
 
 def test_criterion_04_gap_three_way():

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp
 
-from qpart import checks, measures
+from qpart import checks, gap, measures
 from qpart.qspecial import NonconvergenceError, QParams
 
 NEAR = QParams(q=0.97, xi=0.7)
@@ -58,6 +58,26 @@ def test_toeplitz_vs_fredholm_fails_near_scaling():
     row = _check("gap.toeplitz_vs_fredholm").report(NEAR)
     assert not row["pass"]
     assert row["measured"] == pytest.approx(1.0)
+
+
+def test_toeplitz_vs_enumeration_fails_near_scaling():
+    # both routes are below 1e-160 at N <= 4 here, and an absolute |a - c|
+    # passed at 5.0e-163; relatively they differ in every digit
+    assert checks.toeplitz_vs_enumeration(NEAR, range(5)) > 1e-6
+
+
+def test_toeplitz_vs_enumeration_reads_the_route_cutoff():
+    # verify sums the partitions gap-table sums: the row is the largest
+    # relative difference of the route's toeplitz and enumeration values
+    p = QParams(q=0.9, xi=0.5)
+    want = 0.0
+    for variant in gap.GAP_VARIANTS:
+        for n in range(5):
+            query = gap.GapQuery(variant, n, p)
+            a, c = (gap.gap_probability(query, m) for m in ("toeplitz", "enumeration"))
+            want = max(want, abs(a - c) / max(a, c))
+    assert want > 0.04
+    assert checks.toeplitz_vs_enumeration(p, range(5)) == want
 
 
 def test_parseval_holds_near_scaling():
@@ -121,10 +141,13 @@ def test_schur_vs_qbessel_holds_near_q_one():
 
 
 def test_one_stats_table_per_verify():
-    # the norm rows and the enumeration gap route read one hook-count table
+    # the norm rows, the verify route row and the gap route itself read one
+    # hook-count table
     measures._enum_stats.cache_clear()
     measures._squared_table.cache_clear()
+    p = QParams(q=0.5, xi=0.3)
     for check_id in ("measures.norm_mixed", "measures.norm_poissonized",
                      "measures.norm_squared", "gap.toeplitz_vs_enumeration"):
-        _check(check_id).report(QParams(q=0.5, xi=0.3))
+        _check(check_id).report(p)
+    gap.gap_probability(gap.GapQuery("length", 3, p), "enumeration")
     assert measures._enum_stats.cache_info().misses == 1

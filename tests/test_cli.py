@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from qpart.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, capsys):
@@ -146,6 +149,14 @@ class TestGapTable:
         assert code == 0
         assert "Traceback" not in err
         assert [r["N"] for r in json.loads(out)] == [0, 1]
+
+    def test_readme_example_is_the_output(self, capsys):
+        # the README's example block: "$ qpart <args>", then what it prints
+        block = README.read_text().split("```\n$ qpart ")[1].split("```")[0]
+        command, *shown = block.splitlines()
+        code, out, _ = run(command.split(), capsys)
+        assert code == 0
+        assert out.splitlines() == shown
 
     def test_variant_flag(self, capsys):
         _, out_l, _ = run(

@@ -3,15 +3,9 @@ import math
 import pytest
 from mpmath import mp
 
-from qpart.gap import (
-    GAP_VARIANTS,
-    GapQuery,
-    enumeration_tail_bound,
-    gap_probability,
-    monotonicity_scan,
-)
+from qpart.gap import GAP_VARIANTS, GapQuery, gap_probability
 from qpart.kernels import _j_gen
-from qpart.measures import MAX_ENUM_SIZE, QPPSquared, _squared_table, measure
+from qpart.measures import ENUM_SIZE, QPPSquared, _squared_table, measure
 from qpart.oppainleve import szego_recursion
 from qpart.qspecial import QParams, circle_fft, macmahon
 from reference_partitions import cell_stats, enumerate_partitions
@@ -104,7 +98,7 @@ class TestGapProbability:
 
     def test_monotone_and_saturating(self):
         for variant in ("length", "first-part"):
-            vals = monotonicity_scan(variant, P, 12)
+            vals = [gap_probability(GapQuery(variant, n, P)) for n in range(13)]
             assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
             assert vals[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -120,13 +114,11 @@ class TestGapProbability:
 
 
 class TestEnumerationRoute:
-    MAX_SIZE = 25  # gap_probability's default
-
     @pytest.fixture(scope="class")
     def rows(self):
         """(first part, length, size, b, hook lengths) from cell_stats."""
         return [(lam.part(1), lam.length, lam.size, st.b_of_lambda, tuple(st.hooks.values()))
-                for lam in enumerate_partitions(self.MAX_SIZE) for st in [cell_stats(lam)]]
+                for lam in enumerate_partitions(ENUM_SIZE) for st in [cell_stats(lam)]]
 
     @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.7, 0.5), (0.9, 0.5)])
     def test_matches_mpmath_sum(self, rows, q, xi):
@@ -134,10 +126,10 @@ class TestEnumerationRoute:
         # the bound fails a sum that adds the partitions one by one onto the
         # leading 1, which is off by 8.0e-15 at (0.7, 0.5)
         p = QParams(q=q, xi=xi)
-        ns = [*range(13), self.MAX_SIZE + 3]
+        ns = [*range(13), ENUM_SIZE + 3]
         with mp.workdps(40):
             mq, mxi = mp.mpf(q), mp.mpf(xi)
-            den = [(1 - mq**h) ** 2 for h in range(self.MAX_SIZE + 1)]
+            den = [(1 - mq**h) ** 2 for h in range(ENUM_SIZE + 1)]
             weights = [(mxi * mxi * mq) ** size * mq ** (2 * b) / mp.fprod(den[h] for h in hooks)
                        for _, _, size, b, hooks in rows]
             # terms past n = 2000 are below 1e-80 for q <= 0.9
@@ -155,29 +147,3 @@ class TestEnumerationRoute:
             for n in range(11):
                 gap_probability(GapQuery(variant, n, p), "enumeration")
         assert _squared_table.cache_info().misses - before == 1
-
-    def test_max_size_guard(self):
-        with pytest.raises(ValueError):
-            gap_probability(GapQuery("length", 3, P), "enumeration", max_size=MAX_ENUM_SIZE + 1)
-
-    def test_negative_max_size_raises(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            gap_probability(GapQuery("length", 3, P), "enumeration", max_size=-1)
-
-
-class TestEnumerationTailBound:
-    def test_zero_at_xi_zero(self):
-        assert enumeration_tail_bound(QParams(q=0.5, xi=0.0), 10) == 0.0
-
-    def test_bounds_actual_tail(self):
-        bound = enumeration_tail_bound(P, 20)
-        kind = QPPSquared(P.xi, P.q)
-        tail = sum(
-            measure(kind, lam)
-            for lam in enumerate_partitions(26)
-            if lam.size > 20
-        )
-        assert 0.0 < tail < bound
-
-    def test_infinite_when_ratio_diverges(self):
-        assert enumeration_tail_bound(QParams(q=0.7, xi=0.9), 10) == math.inf
