@@ -14,18 +14,19 @@ catastrophically, and Parseval (sum c_n^2 = 1) certifies each table's order
 range. One assembler, `_lag_sums`, builds any block from a table as
 K(r, s) = sum_{n > r} c_n c_{n+s-r}, free of the Christoffel-Darboux division
 that amplified rounding near q = 1. Its sums are lag rows
-R_d[n] = sum_{m >= n} c_m c_{m+d}, each computed once per (table, lag) and
-kept in `_LAG_ROWS` (at most 32 MiB of row data): a block reads the rows of
-its distinct lags and computes the ones it lacks in one 2-D pass, and a
-single entry, `_lag_sum`, is one read of one kept row, about 4 us. The Schur
-series form `schur_kernel` takes its J and Jtilde tables from the Miwa-time
-symbol, not from J_gen, an independent check.
+R_d[n] = sum_{m >= n} c_m c_{m+d}, reversed cumulative sums from the table's
+top: a block computes the rows of its distinct lags in one 2-D pass per
+call and reads each entry at its row's first order. A single entry,
+`_lag_sum`, sums only its own terms, in the row's order, so it is the
+block's value bit for bit; it costs about 10 us. Nothing is kept between
+calls but the coefficient tables. The Schur series form `schur_kernel`
+takes its J and Jtilde tables from the Miwa-time symbol, not from J_gen,
+an independent check.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,18 +61,19 @@ _LEGENDRE_T, _LEGENDRE_W = np.polynomial.legendre.leggauss(24)  # the Omega rule
 
 
 def twice(r) -> int:
-    """Validate a half-integer and return 2r as an odd integer."""
+    """Validate a half-integer, up to a relative 1e-9 of rounding, and return
+    2r as an odd integer."""
     try:
         num, den = r.as_integer_ratio()  # in lowest terms: num is odd if den is 2
     except AttributeError:  # a string, say, which Fraction reads
         den = 0
     if den == 2:
         return num
-    fr = Fraction(r).limit_denominator(4)
-    t = fr * 2
-    if t.denominator != 1 or t.numerator % 2 == 0:
+    t = 2 * Fraction(r)
+    n = round(t)
+    if n % 2 == 0 or abs(t - n) > 1e-9 * abs(n):
         raise ValueError(f"{r} is not a half-integer")
-    return int(t)
+    return n
 
 
 def _table(fft: Callable[[int], np.ndarray], what: str) -> tuple[int, np.ndarray]:
@@ -113,72 +115,6 @@ def _bessel(eta: float) -> tuple[int, np.ndarray]:
     return _table(fft, f"J_n(2 eta) at eta = {eta}")
 
 
-_LAG_ROW_BYTES = 1 << 25  # lag-row data kept, 32 MiB
-
-
-class _LagRows:
-    """Lag rows R_d[n] = sum_{m >= n} c_m c_{m+d} of the coefficient tables,
-    one per (table function, argument, d), least recently used first.
-
-    A row is the reversed cumulative sum of c_n c_{n+d} over the whole
-    table, so it runs down from the table's top and an entry read from it
-    is the same bit for bit whichever block or entry computed it. The rows
-    one call lacks come from one 2-D pass and are views of its array, which
-    is freed once the store holds none of them. Past _LAG_ROW_BYTES of such
-    arrays it drops rows, least recently used first, so it retains at most
-    32 MiB of row data. A row is 8 (2L + 3) bytes for a table of span L:
-    2 KiB at the smallest span, 128, 16 KiB at (0.99, 0.9) and 1 MiB at the
-    largest. So the store holds at most about 16,000 rows, each with under
-    1 KiB of keys and views: under 48 MiB in all."""
-
-    def __init__(self) -> None:
-        self._rows: OrderedDict = OrderedDict()  # key -> (row, its batch)
-        self._nbytes = 0   # bytes of the pass arrays still referenced
-        self.misses = 0   # rows computed
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def cache_clear(self) -> None:
-        self._rows.clear()
-        self._nbytes = 0
-
-    def get(self, table: Callable, arg, c: np.ndarray, lags: Sequence[int]) -> list:
-        """The rows at the distinct lags, |d| <= len(c), of table(arg) = (span, c)."""
-        store, found, missing = self._rows, [], []
-        for d in lags:
-            hit = store.get((table, arg, d))
-            if hit is None:
-                missing.append(d)
-            else:
-                store.move_to_end((table, arg, d))
-            found.append(None if hit is None else hit[0])
-        if not missing:
-            return found
-        size = len(c)
-        padded = np.zeros(3 * size)  # c with a table's length of zeros each side
-        padded[size : 2 * size] = c
-        # row k of the window view is c_{n+d}, n = 0 .. size - 1
-        sums = sliding_window_view(padded, size)[size + np.array(missing)]
-        sums *= c
-        np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
-        batch = [sums.nbytes, len(missing)]  # the array's bytes, its rows stored
-        for d, row in zip(missing, sums):
-            store[table, arg, d] = (row, batch)
-        self._nbytes += sums.nbytes
-        self.misses += len(missing)
-        while self._nbytes > _LAG_ROW_BYTES:
-            _, (_, batch) = store.popitem(last=False)
-            batch[1] -= 1
-            if not batch[1]:
-                self._nbytes -= batch[0]
-        new = iter(sums)
-        return [next(new) if row is None else row for row in found]
-
-
-_LAG_ROWS = _LagRows()
-
-
 def _lag_sums(table: Callable, arg, rows: Sequence, cols: Sequence) -> np.ndarray:
     """The block K(r, s) = sum_{n > r} c_n c_{n+s-r}, r in rows, s in cols, over
     the `_table` of c_n that table(arg) returns: the lag row of d = s - r read
@@ -190,11 +126,13 @@ def _lag_sums(table: Callable, arg, rows: Sequence, cols: Sequence) -> np.ndarra
     size = len(c)
     start = np.clip((tr + 1) // 2 + span + 1, 0, size - 1)  # index of order r + 1/2
     lags, which = _distinct_lags(tr, ts, size)
-    lo = start.min(initial=size - 1)
-    hi = start.max(initial=lo)
-    found = _LAG_ROWS.get(table, arg, c, lags.tolist())
-    block = np.array([row[lo : hi + 1] for row in found]).reshape(len(found), hi + 1 - lo)
-    return block[which, (start - lo)[:, None]]
+    padded = np.zeros(3 * size)  # c with a table's length of zeros each side
+    padded[size : 2 * size] = c
+    # row k of the window view is c_{n+d}, n = 0 .. size - 1, d = lags[k]
+    sums = sliding_window_view(padded, size)[size + lags]
+    sums *= c
+    np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
+    return sums[which, start[:, None]]
 
 
 def _distinct_lags(tr: np.ndarray, ts: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,12 +146,18 @@ def _distinct_lags(tr: np.ndarray, ts: np.ndarray, size: int) -> tuple[np.ndarra
 
 
 def _lag_sum(table: Callable, arg, r, s) -> float:
-    """One entry of `_lag_sums`, its row start and lag in Python ints."""
+    """One entry of `_lag_sums`: its own terms c_n c_{n+d}, n >= r + 1/2, summed
+    from the table's top down as the block's lag row sums them, so it is the
+    block's value bit for bit."""
     tr, ts = twice(r), twice(s)
     span, c = table(arg)
     size = len(c)
-    row, = _LAG_ROWS.get(table, arg, c, [min(max((ts - tr) // 2, -size), size)])
-    return float(row[min(max((tr + 1) // 2 + span + 1, 0), size - 1)])
+    start = min(max((tr + 1) // 2 + span + 1, 0), size - 1)
+    d = min(max((ts - tr) // 2, -size), size)
+    padded = np.zeros(3 * size)
+    padded[size : 2 * size] = c
+    terms = padded[size + d + start : 2 * size + d] * c[start:]
+    return float(np.add.accumulate(terms[::-1])[-1])  # np.cumsum, less its overhead
 
 
 def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray:

@@ -86,16 +86,17 @@ def macmahon_series_coefficient(k: int) -> int:
     """Exact integer coefficient of q^k in prod_{n>=1} (1 - q^n)^{-n}.
 
     Counts plane partitions of k. Expanded by repeated polynomial division
-    over the integers, truncated at degree _MACMAHON_DEGREE.
+    over the integers, truncated at degree k: the factors with n > k do not
+    reach it.
     """
     if k < 0 or k > _MACMAHON_DEGREE:
         raise ValueError(f"k must lie in [0, {_MACMAHON_DEGREE}]")
-    coeffs = [0] * (_MACMAHON_DEGREE + 1)
+    coeffs = [0] * (k + 1)
     coeffs[0] = 1
-    for n in range(1, _MACMAHON_DEGREE + 1):
+    for n in range(1, k + 1):
         for _ in range(n):
             # multiply by 1/(1 - q^n): running prefix sums with stride n
-            for i in range(n, _MACMAHON_DEGREE + 1):
+            for i in range(n, k + 1):
                 coeffs[i] += coeffs[i - n]
     return coeffs[k]
 

@@ -1,7 +1,7 @@
 """Fresh-process runs: the CLI runs end to end with small arguments, as
 `python -m qpart.cli`, and importing the package loads no scipy (and,
-without `qpart.checks`, no mpmath) and builds no enumeration table,
-coefficient table or kernel lag row."""
+without `qpart.checks`, no mpmath) and builds no enumeration table or
+coefficient table."""
 
 import os
 import subprocess
@@ -44,9 +44,9 @@ def test_import_builds_no_enumeration_table():
                       "print(measures._enum_stats.cache_info().currsize, "
                       "measures._squared_table.cache_info().currsize, "
                       "kernels._j_gen.cache_info().currsize, "
-                      "kernels._bessel.cache_info().currsize, len(kernels._LAG_ROWS))")
+                      "kernels._bessel.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 0 0 0 0"
+    assert proc.stdout.strip() == "0 0 0 0"
 
 
 def run_python(*args):

@@ -8,10 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qpart import kernels
-from qpart.gap import GapQuery, gap_probability
 from qpart.kernels import (
-    _LAG_ROWS,
     _bessel,
     _j_gen,
     _lag_sums,
@@ -49,7 +46,8 @@ class TestHalfIntegerValidation:
     def test_accepts_near_half_integer(self, r, want):
         assert twice(r) == want
 
-    @pytest.mark.parametrize("r", [Fraction(1, 4), 3])
+    @pytest.mark.parametrize("r", [Fraction(1, 4), 3, 0.55, 0.45, -0.49,
+                                   pytest.param("0.55", id="str-0.55")])
     def test_rejects_non_half_integer(self, r):
         with pytest.raises(ValueError):
             twice(r)
@@ -118,67 +116,26 @@ class TestQBesselKernel:
             for j, s in enumerate(HALF[1::3]):
                 assert k[i, j] == q_bessel_kernel(p, r, s)
 
-    def test_entries_match_blocks_in_any_cache_state(self):
+    def test_entries_match_blocks(self):
         # the near-scaling edge block at (0.97, 0.7), with sites past the
-        # table's span on both sides, built from single entries and as one
-        # block, each from an empty lag-row store and from a half-filled one
+        # table's span on both sides, the (0.9, 0.5) block of HALF and the
+        # Bessel table: single entries equal their blocks struct for struct,
+        # signed zeros included, where list == would take -0.0 for 0.0
         p = QParams(q=0.97, xi=0.7)
         span = _j_gen(p)[0]
         far = [Fraction(sign * (2 * k + 1), 2) for sign in (-1, 1)
                for k in (span - 1, span, span + 3, 3 * span)]
         sites = [Fraction(k, 2) for k in range(119, 199, 2)] + far
         eta, orders = 3.0, HALF + [Fraction(2 * k + 1, 2) for k in (-90, 70, 200)]
-
-        def entries():
-            return ([[q_bessel_kernel(p, r, s) for s in sites] for r in sites],
-                    [[discrete_bessel_kernel(eta, r, s) for s in orders] for r in orders])
-
-        def blocks():
-            return (kernel_matrix(p, sites, sites).tolist(),
-                    _lag_sums(_bessel, eta, orders, orders).tolist())
-
-        _LAG_ROWS.cache_clear()
-        from_entries = entries()  # every row from a one-lag pass
-        _LAG_ROWS.cache_clear()
-        assert blocks() == from_entries  # every row from one 2-D pass
-        assert entries() == from_entries  # read from the block's rows
-        _LAG_ROWS.cache_clear()
-        for s in sites:  # the first row's lags from entries, the rest from the block
-            q_bessel_kernel(p, sites[0], s)
-        for s in orders:
-            discrete_bessel_kernel(eta, orders[0], s)
-        assert blocks() == from_entries
-
-    def test_entries_compute_one_row_per_lag(self):
-        p = QParams(q=0.93, xi=0.6)  # a point no other test uses
-        sites = [Fraction(k, 2) for k in range(1, 81, 2)]
-
-        def rows_at_p():
-            return {key for key in _LAG_ROWS._rows if key[1] == p}
-
-        before = _LAG_ROWS.misses
-        for _ in range(2):
-            for r in sites:
-                for s in sites:
-                    q_bessel_kernel(p, r, s)
-            assert _LAG_ROWS.misses - before == 79  # lags -39 .. 39
-        entry_rows = rows_at_p()
-        before = _LAG_ROWS.misses
-        gap_probability(GapQuery("first-part", 0, p), "fredholm")
-        assert entry_rows < rows_at_p()
-        assert _LAG_ROWS.misses - before == len(rows_at_p() - entry_rows)
-
-    def test_lag_row_store_keeps_its_byte_bound(self, monkeypatch):
-        # 24 KiB holds about ten 2 KiB rows of the span-128 table; a block of
-        # 31 lags overflows it in one pass and entries overflow it row by row
-        monkeypatch.setattr(kernels, "_LAG_ROW_BYTES", 24 * 1024)
-        p = QParams(q=0.9, xi=0.5)
-        _LAG_ROWS.cache_clear()
-        block = kernel_matrix(p, HALF, HALF).tolist()
-        assert _LAG_ROWS._nbytes <= 24 * 1024
-        entries = [[q_bessel_kernel(p, r, s) for s in HALF] for r in HALF]
-        assert 0 < _LAG_ROWS._nbytes <= 24 * 1024
-        assert block == entries
+        half = QParams(q=0.9, xi=0.5)
+        cases = [(functools.partial(q_bessel_kernel, p), kernel_matrix(p, sites, sites), sites),
+                 (functools.partial(q_bessel_kernel, half), kernel_matrix(half, HALF, HALF), HALF),
+                 (functools.partial(discrete_bessel_kernel, eta),
+                  _lag_sums(_bessel, eta, orders, orders), orders)]
+        for entry, block, at in cases:
+            entries = np.array([[entry(r, s) for s in at] for r in at])
+            assert entries.tobytes() == block.tobytes()
+        assert (np.signbit(block) & (block == 0)).any()  # far orders hold -0.0
 
     def test_trace_equals_mean_size_contribution(self):
         # sum over r > 0 of K(r, r) plus sum over r < 0 of (1 - K(r, r))
