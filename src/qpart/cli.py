@@ -8,10 +8,10 @@ tail-comparator columns.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
 error, a series, grid or precision that did not converge, a division
-that is singular at the given (q, xi), or an output file that cannot be
-written. A `verify` row whose own series does not converge is a failed
-check: it reads measured null, stderr names it, and every other row is
-still reported. Output is deterministic.
+that is singular at the given (q, xi), a float that overflows there, or
+an output file that cannot be written. A `verify` row whose own series
+does not converge is a failed check: it reads measured null, stderr names
+it, and every other row is still reported. Output is deterministic.
 """
 
 from __future__ import annotations
@@ -171,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qpart: did not converge: {exc}", file=sys.stderr)
     except ZeroDivisionError as exc:
         print(f"qpart: singular at this point: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"qpart: overflow at this point: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"qpart: cannot write output: {exc}", file=sys.stderr)
     return 2

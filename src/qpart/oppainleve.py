@@ -8,9 +8,15 @@ Two weight variants run through everything here:
             xs_n = xi^{1/2} q^{n/2} x_n.
   check  -- the dual weight with moments the Icheck_n symbol (first-part
             variant); data y_n, Painleve variable ys_n = (-xi)^{1/2}
-            q^{-n/2} y_n, which is imaginary for xi > 0. All public
-            quantities for this branch are the real bilinears ys_n^2 and
-            ys_n ys_{n+1}, so storage stays real.
+            q^{-n/2} y_n, which is imaginary for xi > 0.
+
+Both branches are held in one real variable v_n with a sign e: e = +1 and
+v_n = xs_n on the x branch, e = -1 and v_n = -i ys_n = xi^{1/2} q^{-n/2} y_n
+on the y branch. Then both satisfy one q-P_V system,
+  (v_n v_{n+1} - e)(v_{n-1} v_n - e)
+      = (v_n^2 - xi)(v_n^2 - 1/xi) / (1 - v_n^2 / (xi q^{e n})),
+and the y branch's bilinears ys_n^2 = e v_n^2 and ys_n ys_{n+1} = e v_n v_{n+1}
+are real.
 
 All OPUC data come from one Szego recursion with an a-posteriori precision
 check (`szego_recursion`), run in the standard library's `decimal`; the
@@ -42,8 +48,7 @@ __all__ = [
     "szego_recursion",
     "op_sequence",
     "painleve_trajectory",
-    "x_recurrence_rhs",
-    "y_recurrence_rhs",
+    "recurrence_rhs",
     "dpii_limit_check",
     "lax_matrices",
     "inversion_k",
@@ -56,6 +61,7 @@ __all__ = [
 
 OP_VARIANTS = ("plain", "check")
 _WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
+_SIGN = {"x": 1, "y": -1}  # the sign e of each Painleve branch
 MAX_N = 25
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
@@ -81,14 +87,27 @@ class OPSequence:
 
 @dataclass(frozen=True)
 class PainleveState:
+    """The real q-P_V variables v_0 .. v_{n_max+1} of one branch; values, sq
+    and cross read v_n, e v_n^2 and e v_n v_{n+1} for n <= n_max."""
+
     variant: str  # "x" or "y"
     source: str   # "determinant" or "recurrence"
     params: QParams
-    # x branch: values[n] = xs_n. y branch: sq[n] = ys_n^2 and
-    # cross[n] = ys_n ys_{n+1}, both real.
-    values: tuple[float, ...] = ()
-    sq: tuple[float, ...] = ()
-    cross: tuple[float, ...] = ()
+    v: tuple[float, ...]
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return self.v[:-1]
+
+    @property
+    def sq(self) -> tuple[float, ...]:
+        e = _SIGN[self.variant]
+        return tuple(e * a * a for a in self.v[:-1])
+
+    @property
+    def cross(self) -> tuple[float, ...]:
+        e = _SIGN[self.variant]
+        return tuple(e * a * b for a, b in zip(self.v, self.v[1:]))
 
 
 @dataclass(frozen=True)
@@ -307,85 +326,49 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
 # Painleve trajectories
 
 
-def x_recurrence_rhs(xs_n: float, n: int, params: QParams) -> float:
-    """(xs^2 - xi)(xs^2 - 1/xi) / (1 - q^{-n} xs^2 / xi)."""
+def recurrence_rhs(variant: str, v_n: float, n: int, params: QParams) -> float:
+    """(v_n^2 - xi)(v_n^2 - 1/xi) / (1 - v_n^2 / (xi q^{e n})), e the sign of
+    the branch."""
     q, xi = params.q, params.xi
-    s = xs_n * xs_n
-    return (s - xi) * (s - 1.0 / xi) / (1.0 - s / (xi * q**n))
-
-
-def y_recurrence_rhs(ys_sq_n: float, n: int, params: QParams) -> float:
-    """(ys^2 + xi)(ys^2 + 1/xi) / (1 + q^{n} ys^2 / xi), in the real
-    bilinear ys_n^2."""
-    q, xi = params.q, params.xi
-    s = ys_sq_n
-    return (s + xi) * (s + 1.0 / xi) / (1.0 + s * q**n / xi)
+    s = v_n * v_n
+    return (s - xi) * (s - 1.0 / xi) / (1.0 - s / (xi * q ** (_SIGN[variant] * n)))
 
 
 def painleve_trajectory(
     variant: str, source: str, params: QParams, n_max: int
 ) -> PainleveState:
-    """Painleve variables up to index n_max from either route.
+    """The real variables v_n of a branch, n <= n_max + 1, from either route.
 
-    x branch, determinant: xs_n = q^{n/2} xi^{1/2} x_n, x_n = (-1)^n Z_n^{(1)} / Z_n.
-    y branch, determinant: real bilinears ys_n^2 = -xi q^{-n} y_n^2 and
-    ys_n ys_{n+1} = -xi q^{-n-1/2} y_n y_{n+1} with
-    y_n = (-1)^n Zcheck_n^{(1)} / Zcheck_n.
-    Recurrence source iterates the q-Painleve V relation forward, seeded
+    Determinant source: v_n = xi^{1/2} q^{e n/2} x_n, with x_n = pi_n(0) =
+    (-1)^n Z_n^{(1)} / Z_n of the plain weight on the x branch (e = +1,
+    v_n = xs_n) and of the check weight on the y branch (e = -1, the data
+    y_n and v_n = -i ys_n).
+    Recurrence source iterates the q-P_V relation forward,
+    v_{n+1} = (e + recurrence_rhs(v_n) / (v_{n-1} v_n - e)) / v_n, seeded
     from the determinant values at n = 0, 1 (the relation at n = 0 would
     reference an undefined index -1). The x branch decays like a minimal
     recurrence solution, so its forward iteration is exponentially
     unstable; expect agreement with the determinant route only for small n.
     The y branch is no better: its forward ys_n^2 is off the determinant
     route by 3.1e-4 relative at n = 12 and 0.40 at n = 15 at (0.5, 0.3),
-    and by 1.3 at n = 15 at (0.97, 0.7). n_max above MAX_N raises ValueError.
+    and by 0.28 at n = 15 at (0.97, 0.7). n_max above MAX_N raises ValueError.
     """
-    if variant not in ("x", "y"):
+    if variant not in _SIGN:
         raise ValueError("variant must be 'x' or 'y'")
     if source not in ("determinant", "recurrence"):
         raise ValueError("source must be 'determinant' or 'recurrence'")
-    q, xi = params.q, params.xi
-
+    e = _SIGN[variant]
     op = op_sequence("plain" if variant == "x" else "check", params, n_max)
-
-    if variant == "x":
-        det_vals = [
-            math.sqrt(q) ** n * math.sqrt(xi) * op.x[n] for n in range(n_max + 1)
-        ]
-        if source == "determinant":
-            return PainleveState(variant="x", source=source, params=params,
-                                 values=tuple(det_vals))
-        vals = [det_vals[0], det_vals[1]]
-        for n in range(1, n_max):
-            rhs = x_recurrence_rhs(vals[n], n, params)
-            prev = vals[n - 1] * vals[n] - 1.0
-            if abs(prev) < 1e-13 or abs(vals[n]) < 1e-280:
-                raise ZeroDivisionError(
-                    f"recurrence near-singular at index {n}"
-                )
-            vals.append((1.0 + rhs / prev) / vals[n])
-        return PainleveState(variant="x", source=source, params=params,
-                             values=tuple(vals))
-
-    y_vals = [op.x[n] for n in range(n_max + 2)]
-    det_sq = [-xi * q ** (-n) * y_vals[n] ** 2 for n in range(n_max + 1)]
-    det_cross = [
-        -xi * q ** (-n - 0.5) * y_vals[n] * y_vals[n + 1] for n in range(n_max + 1)
-    ]
-    if source == "determinant":
-        return PainleveState(variant="y", source=source, params=params,
-                             sq=tuple(det_sq), cross=tuple(det_cross))
-    sq = [det_sq[0]]
-    cross = [det_cross[0]]
-    for n in range(1, n_max + 1):
-        sq.append(cross[n - 1] ** 2 / sq[n - 1])
-        rhs = y_recurrence_rhs(sq[n], n, params)
-        prev = cross[n - 1] - 1.0
-        if abs(prev) < 1e-13:
-            raise ZeroDivisionError(f"recurrence near-singular at index {n}")
-        cross.append(1.0 + rhs / prev)
-    return PainleveState(variant="y", source=source, params=params,
-                         sq=tuple(sq), cross=tuple(cross))
+    root_xi = math.sqrt(params.xi)
+    v = [root_xi * params.q ** (e * n / 2) * x for n, x in enumerate(op.x)]
+    if source == "recurrence":
+        for n in range(1, n_max + 1):
+            rhs = recurrence_rhs(variant, v[n], n, params)
+            prev = v[n - 1] * v[n] - e
+            if abs(prev) < 1e-13 or abs(v[n]) < 1e-280:
+                raise ZeroDivisionError(f"recurrence near-singular at index {n}")
+            v[n + 1] = (e + rhs / prev) / v[n]
+    return PainleveState(variant=variant, source=source, params=params, v=tuple(v))
 
 
 def dpii_limit_check(
@@ -585,19 +568,12 @@ def tau_relation_check(
 
 
 def recurrence_residuals(state: PainleveState) -> list[float]:
-    """Relative residuals of the branch's q-difference recurrence at
-    n = 1..n_max-1 (entry n - 1), n_max the last index of the trajectory.
-
-    x: (xs_n xs_{n+1} - 1)(xs_{n-1} xs_n - 1) = x_recurrence_rhs(xs_n);
-    y: (ys_n ys_{n+1} - 1)(ys_{n-1} ys_n - 1) = y_recurrence_rhs(ys_n^2).
-    """
-    v, sq, cross, out = state.values, state.sq, state.cross, []
-    for n in range(1, len(v or sq) - 1):
-        if state.variant == "x":
-            lhs = (v[n] * v[n + 1] - 1.0) * (v[n - 1] * v[n] - 1.0)
-            rhs = x_recurrence_rhs(v[n], n, state.params)
-        else:
-            lhs = (cross[n] - 1.0) * (cross[n - 1] - 1.0)
-            rhs = y_recurrence_rhs(sq[n], n, state.params)
+    """Relative residuals of the q-P_V relation
+    (v_n v_{n+1} - e)(v_{n-1} v_n - e) = recurrence_rhs(v_n) at
+    n = 1..n_max-1 (entry n - 1), n_max the last index of values."""
+    v, e, out = state.v, _SIGN[state.variant], []
+    for n in range(1, len(v) - 2):
+        lhs = (v[n] * v[n + 1] - e) * (v[n - 1] * v[n] - e)
+        rhs = recurrence_rhs(state.variant, v[n], n, state.params)
         out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return out

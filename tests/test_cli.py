@@ -260,3 +260,14 @@ class TestParser:
         assert code == 2
         assert "qpart: singular at this point" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["painleve", "--branch", "y", "--q", "1e-30", "--xi", "0.3", "--n-max", "25"],
+    ])
+    def test_overflow_exits_2(self, argv, capsys):
+        # q^{-n/2} of the y branch leaves the float range
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "qpart: overflow at this point" in err
+        assert "Traceback" not in err

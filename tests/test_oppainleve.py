@@ -17,12 +17,11 @@ from qpart.oppainleve import (
     lax_matrices,
     op_sequence,
     painleve_trajectory,
+    recurrence_rhs,
     rhp_jump_residual,
     rhp_sample,
     szego_recursion,
     tau_relation_check,
-    x_recurrence_rhs,
-    y_recurrence_rhs,
 )
 from qpart.qspecial import NonconvergenceError, QParams, circle_fft
 
@@ -250,23 +249,37 @@ class TestPainleveTrajectories:
         state = painleve_trajectory("y", "determinant", P, 5)
         assert state.sq[0] == pytest.approx(-P.xi, rel=1e-13)
 
-    @pytest.mark.parametrize("params", [P, QParams(q=0.5, xi=0.2)])
-    def test_x_recurrence_residual(self, params):
-        state = painleve_trajectory("x", "determinant", params, 13)
-        for n in range(1, 13):
-            lhs = (state.values[n] * state.values[n + 1] - 1.0) * (
-                state.values[n - 1] * state.values[n] - 1.0
-            )
-            rhs = x_recurrence_rhs(state.values[n], n, params)
-            assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-300)
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.5, 0.2), (0.9, 0.5), (0.97, 0.7)])
+    def test_recurrence_residual(self, q, xi):
+        # the x branch in v_n = xs_n (e = +1), the y branch in v_n = -i ys_n
+        # (e = -1): (v_n v_{n+1} - e)(v_{n-1} v_n - e) = recurrence_rhs(v_n)
+        params = QParams(q=q, xi=xi)
+        for variant, e in (("x", 1.0), ("y", -1.0)):
+            v = painleve_trajectory(variant, "determinant", params, 13).values
+            for n in range(1, 13):
+                lhs = (v[n] * v[n + 1] - e) * (v[n - 1] * v[n] - e)
+                rhs = recurrence_rhs(variant, v[n], n, params)
+                assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-300)
 
-    @pytest.mark.parametrize("params", [P, QParams(q=0.5, xi=0.2)])
-    def test_y_recurrence_residual(self, params):
-        state = painleve_trajectory("y", "determinant", params, 13)
-        for n in range(1, 13):
-            lhs = (state.cross[n] - 1.0) * (state.cross[n - 1] - 1.0)
-            rhs = y_recurrence_rhs(state.sq[n], n, params)
-            assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-300)
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.7, 0.5), (0.9, 0.5), (0.97, 0.7)])
+    def test_determinant_trajectory_is_rounded_once(self, q, xi):
+        # the products of the certified x_n, y_n, evaluated at 50 digits:
+        # xs_n = xi^{1/2} q^{n/2} x_n, ys_n^2 = -xi q^{-n} y_n^2 and
+        # ys_n ys_{n+1} = -xi q^{-n-1/2} y_n y_{n+1}
+        params = QParams(q=q, xi=xi)
+        x = painleve_trajectory("x", "determinant", params, 25)
+        y = painleve_trajectory("y", "determinant", params, 25)
+        assert len(x.values) == len(y.sq) == len(y.cross) == 26
+        xs, ys = op_sequence("plain", params, 25).x, op_sequence("check", params, 25).x
+        with mp.workdps(50):
+            mq, mxi = mp.mpf(q), mp.mpf(xi)
+            for n in range(26):
+                want_x = mp.sqrt(mxi) * mq ** (mp.mpf(n) / 2) * xs[n]
+                want_sq = -mxi * mq ** -n * mp.mpf(ys[n]) ** 2
+                want_cross = -mxi * mq ** (-n - mp.mpf(1) / 2) * ys[n] * ys[n + 1]
+                assert x.values[n] == pytest.approx(float(want_x), rel=1e-15, abs=0)
+                assert y.sq[n] == pytest.approx(float(want_sq), rel=1e-15, abs=0)
+                assert y.cross[n] == pytest.approx(float(want_cross), rel=1e-15, abs=0)
 
     def test_forward_recurrence_matches_determinant_x_small_n(self):
         # each forward step amplifies rounding by about 1/x_n, so only the
@@ -291,6 +304,15 @@ class TestPainleveTrajectories:
                            README.read_text())
         for n, err in zip((9, 12), map(float, quoted.groups())):
             assert err / 2 <= abs(rec.sq[n] / det.sq[n] - 1) <= 2 * err
+
+    @pytest.mark.parametrize("variant", ["x", "y"])
+    def test_recurrence_source_at_n_max_zero_and_one(self, variant):
+        # the seeds v_0, v_1 are all the values up to n_max
+        for n_max in (0, 1):
+            det = painleve_trajectory(variant, "determinant", P, n_max)
+            rec = painleve_trajectory(variant, "recurrence", P, n_max)
+            assert rec.values == det.values
+            assert len(rec.values) == len(rec.sq) == len(rec.cross) == n_max + 1
 
     def test_x_tail_comparator(self):
         state = painleve_trajectory("x", "determinant", P, 12)
