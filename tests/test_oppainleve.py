@@ -240,6 +240,9 @@ class TestMonicPolynomials:
             assert val == pytest.approx(1.0 / seq.kappa_sq[n], rel=1e-10)
 
 
+RESIDUAL_POINTS = [P, QParams(q=0.5, xi=0.2), QParams(q=0.9, xi=0.5), QParams(q=0.97, xi=0.7)]
+
+
 class TestPainleveTrajectories:
     def test_x0_seed(self):
         state = painleve_trajectory("x", "determinant", P, 5)
@@ -249,17 +252,24 @@ class TestPainleveTrajectories:
         state = painleve_trajectory("y", "determinant", P, 5)
         assert state.sq[0] == pytest.approx(-P.xi, rel=1e-13)
 
-    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.5, 0.2), (0.9, 0.5), (0.97, 0.7)])
-    def test_recurrence_residual(self, q, xi):
-        # the x branch in v_n = xs_n (e = +1), the y branch in v_n = -i ys_n
-        # (e = -1): (v_n v_{n+1} - e)(v_{n-1} v_n - e) = recurrence_rhs(v_n)
-        params = QParams(q=q, xi=xi)
-        for variant, e in (("x", 1.0), ("y", -1.0)):
-            v = painleve_trajectory(variant, "determinant", params, 13).values
-            for n in range(1, 13):
-                lhs = (v[n] * v[n + 1] - e) * (v[n - 1] * v[n] - e)
-                rhs = recurrence_rhs(variant, v[n], n, params)
-                assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-300)
+    @staticmethod
+    def _assert_recurrence_residual(variant, e, params):
+        # (v_n v_{n+1} - e)(v_{n-1} v_n - e) = recurrence_rhs(v_n)
+        v = painleve_trajectory(variant, "determinant", params, 13).values
+        for n in range(1, 13):
+            lhs = (v[n] * v[n + 1] - e) * (v[n - 1] * v[n] - e)
+            rhs = recurrence_rhs(variant, v[n], n, params)
+            assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-300)
+
+    @pytest.mark.parametrize("params", RESIDUAL_POINTS)
+    def test_x_recurrence_residual(self, params):
+        # the x branch in v_n = xs_n, e = +1
+        self._assert_recurrence_residual("x", 1.0, params)
+
+    @pytest.mark.parametrize("params", RESIDUAL_POINTS)
+    def test_y_recurrence_residual(self, params):
+        # the y branch in v_n = -i ys_n, e = -1
+        self._assert_recurrence_residual("y", -1.0, params)
 
     @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.7, 0.5), (0.9, 0.5), (0.97, 0.7)])
     def test_determinant_trajectory_is_rounded_once(self, q, xi):
