@@ -8,7 +8,7 @@ The enumeration route truncates at sizes <= `measures.ENUM_SIZE` and reads
 no tail bound; the mass it misses is the verify row `measures.norm_squared`.
 
 The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
-Szego recursion (`oppainleve.szego_recursion`), so it does not overflow
+Szego recursion (`oppainleve.op_sequence`), so it does not overflow
 near q = 1. The Toeplitz determinants themselves, and the shifted ones the
 Painleve variables are built from, are read off that recursion: Z_N =
 exp(log Z_N) and Z_N^(1) = (-1)^N x_N Z_N.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import kernel_matrix
 from .measures import ENUM_SIZE, _squared_table
-from .oppainleve import szego_recursion
+from .oppainleve import op_sequence
 from .qspecial import NonconvergenceError, QParams, log_macmahon
 
 __all__ = ["GapQuery", "gap_probability"]
@@ -80,8 +80,8 @@ def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
     """
     if method == "toeplitz":
         variant = "plain" if query.variant == "length" else "check"
-        seq = szego_recursion(variant, query.params, query.N)
-        return math.exp(seq.log_z[query.N] - log_macmahon(query.params))
+        log_z = op_sequence(variant, query.params, query.N).log_z[query.N]
+        return math.exp(log_z - log_macmahon(query.params))
     if method == "fredholm":
         return _fredholm(query.params, query.N, query.variant == "first-part")
     if method == "enumeration":

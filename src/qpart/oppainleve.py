@@ -19,10 +19,11 @@ and the y branch's bilinears ys_n^2 = e v_n^2 and ys_n ys_{n+1} = e v_n v_{n+1}
 are real.
 
 All OPUC data come from one Szego recursion with an a-posteriori precision
-check (`szego_recursion`), run in the standard library's `decimal`; the
-tests check it against mpmath determinants. This determinant route is the
-ground truth; the forward q-Painleve recurrence is validated against it,
-not trusted standalone.
+check, run in the standard library's `decimal` under a limit of _MAX_DPS
+digits; `op_sequence` is its one public entry, and the tests check it
+against mpmath determinants. This determinant route is the ground truth;
+the forward q-Painleve recurrence is validated against it, not trusted
+standalone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import cmath
 import decimal
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from typing import Sequence
@@ -45,7 +46,6 @@ __all__ = [
     "PainleveState",
     "LaxMatrices",
     "RHPSample",
-    "szego_recursion",
     "op_sequence",
     "painleve_trajectory",
     "recurrence_rhs",
@@ -62,22 +62,21 @@ __all__ = [
 OP_VARIANTS = ("plain", "check")
 _WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
 _SIGN = {"x": 1, "y": -1}  # the sign e of each Painleve branch
-MAX_N = 25
+MAX_N = 25         # index guard of painleve_trajectory, the painleve table
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
-_MAX_RAISES = 8    # precision raises, by a factor 1.5 each, before giving up
+_MAX_DPS = 10_000  # working digits past which the engine gives up
 _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
 _RADIUS_OFFSET = 1e-2  # contour distance from the circle for boundary values
 
 
 @dataclass(frozen=True)
 class OPSequence:
-    """Szego recursion output: x, kappa_sq, monic for n <= n_max + 1, log_z
-    for n <= n_max + 2."""
+    """The certified Szego run op_sequence returns: x, kappa_sq and monic
+    for n <= top, log_z for n <= top + 1, top = max(n_max + 1, _SHARED_TOP)."""
 
     variant: str
     params: QParams
-    n_max: int
     dps: int                     # decimal digits of the run the values came from
     x: tuple[float, ...]         # x_n = pi_n(0) = (-1)^n Z_n^{(1)} / Z_n
     kappa_sq: tuple[float, ...]  # kappa_n^2 = 1 / E_n = Z_n / Z_{n+1}
@@ -228,9 +227,10 @@ def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
     run where one is not has too few digits and counts as a disagreement.
 
     Each log E_n is rounded to an absolute error below _AGREE^2 / (top + 1),
-    far below the agreement test, instead of to the working precision:
-    Decimal.ln takes up to 0.3 s per call at 1,300 digits, against tens of
-    microseconds at 40.
+    far below the agreement test, instead of to the working precision, and
+    E_n is rounded to the log's precision first: libmpdec's ln reads every
+    digit of its operand, so at 1,300 working digits a log of a full E_n
+    costs up to 0.3 s whatever its own precision.
     """
     with decimal.localcontext(_context(dps)):
         c = _moments(variant, top, Decimal(params.q), Decimal(params.xi))
@@ -244,12 +244,14 @@ def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
             if e[-1] <= 0:
                 return None
         # |ln v| < 2.31 (|exponent of v| + 1) <= 10^whole, so whole + frac
-        # digits round it to an absolute error below _AGREE^2 / (top + 1)
+        # digits round it to an absolute error below _AGREE^2 / (top + 1);
+        # a guard digit keeps the roundings of v and of ln v each under a tenth
         frac = math.ceil(math.log10((top + 1) / _AGREE**2))
         log_z = [Decimal(0)]
         for v in e:
             whole = math.ceil(math.log10(2.31 * (abs(v.adjusted()) + 1)))
-            log_z.append(log_z[-1] + v.ln(_context(min(dps, whole + frac))))
+            ctx = _context(min(dps, whole + frac) + 1)
+            log_z.append(log_z[-1] + ctx.plus(v).ln(ctx))
     return x, e, log_z, monic
 
 
@@ -272,54 +274,48 @@ def _float(v: Decimal) -> float:
 @lru_cache(maxsize=64)
 def _certified(variant: str, params: QParams, top: int) -> OPSequence:
     dps = _dps_for(variant, params, top)
+    if dps * 3 // 2 > _MAX_DPS:
+        raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) "
+                                  f"needs {dps * 3 // 2} digits, past the limit of {_MAX_DPS}")
     lo = _szego(variant, params, top, dps)
-    for _ in range(_MAX_RAISES):
+    while dps * 3 // 2 <= _MAX_DPS:
         dps = dps * 3 // 2
         hi = _szego(variant, params, top, dps)
         with decimal.localcontext(_context(dps)):
             if lo and hi and _agree(lo, hi):
                 x, e, log_z, monic = hi
                 return OPSequence(
-                    variant=variant, params=params, n_max=top - 1, dps=dps,
+                    variant=variant, params=params, dps=dps,
                     x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
                     log_z=tuple(map(_float, log_z)),
                     monic=tuple(tuple(map(_float, r)) for r in monic),
                 )
         lo = hi
-    raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) "
-                              f"not settled to {_AGREE:g} by {dps} digits")
-
-
-def szego_recursion(variant: str, params: QParams, top: int) -> OPSequence:
-    """x_n, kappa_n^2 = 1/E_n and pi_n for n <= top, log Z_n for n <= top + 1.
-
-    One O(top^2) Szego (Levinson) recursion over the symbol moments (B.
-    Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005, ch. 1.5),
-    run in decimal arithmetic at the _dps_for precision and at 1.5 times
-    that, raised by 1.5 until two runs agree to 1e-17 relative in every
-    value (log Z_n absolute), so the floats are correct to the last bit; a
-    run in which some E_n rounds to zero or below disagrees.
-    NonconvergenceError if no two runs agree. Tops up to _SHARED_TOP share
-    one run, so the sequence may be longer than asked.
-    """
-    if variant not in OP_VARIANTS:
-        raise ValueError(f"variant must be one of {OP_VARIANTS}")
-    if top < 0:
-        raise ValueError("top must be nonnegative")
-    return _certified(variant, params, max(top, _SHARED_TOP))
+    raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) not settled "
+                              f"to {_AGREE:g} by {dps} digits; {dps * 3 // 2} digits would "
+                              f"pass the limit of {_MAX_DPS}")
 
 
 @lru_cache(maxsize=32)
 def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
-    """The Szego recursion output truncated to n_max (x_n and kappa_n^2 up
-    to n_max + 1, log Z_n up to n_max + 2)."""
-    if n_max > MAX_N:
-        raise ValueError(f"n_max {n_max} exceeds guard {MAX_N}")
-    seq = szego_recursion(variant, params, n_max + 1)
-    return replace(
-        seq, n_max=n_max, x=seq.x[: n_max + 2], kappa_sq=seq.kappa_sq[: n_max + 2],
-        log_z=seq.log_z[: n_max + 3], monic=seq.monic[: n_max + 2],
-    )
+    """x_n, kappa_n^2 = 1/E_n and pi_n for n <= n_max + 1, log Z_n for
+    n <= n_max + 2, in one shared certified run that may be longer.
+
+    One O(top^2) Szego (Levinson) recursion over the symbol moments (B.
+    Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005, ch. 1.5),
+    top = max(n_max + 1, _SHARED_TOP), so requests up to _SHARED_TOP share
+    one run per symbol. It runs in decimal arithmetic at the _dps_for
+    precision and at 1.5 times that, raised by 1.5 until two runs agree to
+    1e-17 relative in every value (log Z_n absolute), so the floats are
+    correct to the last bit; a run in which some E_n rounds to zero or below
+    disagrees. NonconvergenceError, before any run, if the first pair would
+    pass _MAX_DPS digits, and if no two runs under the limit agree.
+    """
+    if variant not in OP_VARIANTS:
+        raise ValueError(f"variant must be one of {OP_VARIANTS}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return _certified(variant, params, max(n_max + 1, _SHARED_TOP))
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +347,19 @@ def painleve_trajectory(
     unstable; expect agreement with the determinant route only for small n.
     The y branch is no better: its forward ys_n^2 is off the determinant
     route by 3.1e-4 relative at n = 12 and 0.40 at n = 15 at (0.5, 0.3),
-    and by 0.28 at n = 15 at (0.97, 0.7). n_max above MAX_N raises ValueError.
+    and by 0.28 at n = 15 at (0.97, 0.7). n_max above MAX_N raises
+    ValueError: this is the guard of the `painleve` table.
     """
     if variant not in _SIGN:
         raise ValueError("variant must be 'x' or 'y'")
     if source not in ("determinant", "recurrence"):
         raise ValueError("source must be 'determinant' or 'recurrence'")
+    if n_max > MAX_N:
+        raise ValueError(f"n_max {n_max} exceeds guard {MAX_N}")
     e = _SIGN[variant]
     op = op_sequence("plain" if variant == "x" else "check", params, n_max)
     root_xi = math.sqrt(params.xi)
-    v = [root_xi * params.q ** (e * n / 2) * x for n, x in enumerate(op.x)]
+    v = [root_xi * params.q ** (e * n / 2) * x for n, x in enumerate(op.x[: n_max + 2])]
     if source == "recurrence":
         for n in range(1, n_max + 1):
             rhs = recurrence_rhs(variant, v[n], n, params)

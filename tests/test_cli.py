@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qpart import oppainleve
 from qpart.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -190,6 +191,20 @@ class TestPainleveTable:
         assert code == 2
         assert "exceeds guard" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["painleve", "--q", "1e-300", "--n-max", "2"],
+        ["painleve", "--source", "recurrence", "--q", "1e-100", "--n-max", "25"],
+    ])
+    def test_precision_past_the_limit_exits_2(self, argv, capsys, monkeypatch):
+        # the engine refuses before its first run, naming the digits it needs
+        monkeypatch.setattr(oppainleve, "_szego", None)
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "did not converge" in err
+        assert "digits, past the limit of 10000" in err
+        assert "Traceback" not in err
+
     def test_y_branch_tail_ratio_converges(self, capsys):
         _, out, _ = run(
             ["painleve", "--branch", "y", "--n-max", "10"], capsys
@@ -263,9 +278,11 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["painleve", "--branch", "y", "--q", "1e-30", "--xi", "0.3", "--n-max", "25"],
+        ["verify", "--q", "1e-300", "--xi", "0.3"],
     ])
     def test_overflow_exits_2(self, argv, capsys):
-        # q^{-n/2} of the y branch leaves the float range
+        # q^{-n/2} of the y branch leaves the float range; at q = 1e-300 the
+        # engine first refuses the plain rows, past its digit limit
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""

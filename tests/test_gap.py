@@ -6,7 +6,7 @@ from mpmath import mp
 from qpart.gap import GAP_VARIANTS, GapQuery, gap_probability
 from qpart.kernels import _j_gen
 from qpart.measures import ENUM_SIZE, QPPSquared, _squared_table, measure
-from qpart.oppainleve import szego_recursion
+from qpart.oppainleve import op_sequence
 from qpart.qspecial import QParams, circle_fft, macmahon
 from reference_partitions import cell_stats, enumerate_partitions
 
@@ -15,7 +15,7 @@ P = QParams(q=0.5, xi=0.3)
 
 def _z(variant, n):
     """The Toeplitz determinant Z_n of the variant's symbol at P."""
-    return math.exp(szego_recursion(variant, P, n).log_z[n])
+    return math.exp(op_sequence(variant, P, n).log_z[n])
 
 
 class TestToeplitzDet:
