@@ -85,8 +85,9 @@ def gen_fn_coefficients(p: QParams, ns: Sequence[int]) -> float:
 def negative_order_reflection(p: QParams, ns: Sequence[int]) -> float:
     """Largest |J_{-n}(x) - (-1)^n q^{n/2} J_n(q^{n/2} x)| at x = 2 xi, the left
     side read off the J_gen table as q^{n/2} c_{-n}, the right side the mp
-    series. The comparison is absolute, with the table's absolute error as its
-    floor: 5.6e-17 at (0.5, 0.3), 1.8e-15 at (0.97, 0.7), 6.7e-15 at (0.99, 0.9)."""
+    series. The comparison is absolute; the table is relatively accurate, so
+    the floor is the rounding of the values and of the product with q^{n/2}:
+    5.6e-17 at (0.5, 0.3), 6.9e-18 at (0.97, 0.7) and at (0.99, 0.9)."""
     span, c = kernels._j_gen(p)
     with mp.workdps(_MP_DPS):
         q, x = mp.mpf(p.q), 2 * mp.mpf(p.xi)

@@ -5,30 +5,34 @@ carried as doubled integers internally so no floating-point index drift can
 occur; the public API accepts floats like 0.5 or fractions.
 
 Numerical route: the q-Bessel kernel and its q -> 1 limit are built from
-the Fourier coefficients of a unimodular symbol, taken by FFT on the unit
-circle: c_n = q^{n/2} J^(3)_n(2 xi; q) of the generating function J_gen,
-and J_n(2 eta) of exp(eta (z - 1/z)). The symbol has modulus 1 there, so
-the coefficients come out with absolute accuracy near machine precision
-even for q close to 1, where the raw hypergeometric series cancels
-catastrophically, and Parseval (sum c_n^2 = 1) certifies each table's order
-range. One assembler, `_lag_sums`, builds any block from a table as
-K(r, s) = sum_{n > r} c_n c_{n+s-r}, free of the Christoffel-Darboux division
-that amplified rounding near q = 1. Its sums are lag rows
-R_d[n] = sum_{m >= n} c_m c_{m+d}, reversed cumulative sums from the table's
-top: a block computes the rows of its distinct lags in one 2-D pass per
-call and reads each entry at its row's first order. A single entry,
-`_lag_sum`, sums only its own terms, in the row's order, so it is the
-block's value bit for bit; it costs about 10 us. Nothing is kept between
-calls but the coefficient tables. The Schur series form `schur_kernel`
-takes its J and Jtilde tables from the Miwa-time symbol, not from J_gen,
-an independent check.
+the Fourier coefficients of a unimodular symbol: c_n = q^{n/2} J^(3)_n(2 xi; q)
+of the generating function J_gen, and J_n(2 eta) of exp(eta (z - 1/z)).
+Both are the solution of a three-term recurrence that decays at both ends,
+and `_miller` finds it by Miller's algorithm in decimal at 34 digits, so
+every entry is relatively accurate, even for q close to 1, where the raw
+hypergeometric series cancels catastrophically and an FFT of the product
+form keeps only absolute digits; the squared mass left outside the span
+fixes each table's order range. One assembler, `_lag_sums`, builds any
+block from a table as K(r, s) = sum_{n > r} c_n c_{n+s-r}, free of the
+Christoffel-Darboux division that amplified rounding near q = 1. Its sums
+are lag rows R_d[n] = sum_{m >= n} c_m c_{m+d}, reversed cumulative sums
+from the table's top: a block computes the rows of its distinct lags in one
+2-D pass per call and reads each entry at its row's first order. A single
+entry, `_lag_sum`, sums only its own terms, in the row's order, so it is
+the block's value bit for bit; it costs about 10 us. Nothing is kept
+between calls but the coefficient tables. The Schur series form
+`schur_kernel` takes its J and Jtilde tables by FFT of the Miwa-time
+symbol (`_table`), not from J_gen, an independent check.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from decimal import Decimal
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -36,7 +40,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import MiwaTimes
-from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, circle_fft
+from .oppainleve import _context
+from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, _check_product
 
 __all__ = [
     "LimitShape",
@@ -53,10 +58,14 @@ __all__ = [
     "scaling_probe",
 ]
 
-_GRID = 512              # first FFT grid of the J_gen table
-_MAX_GRID = 1 << 18      # the table gives up past this grid
-_OUTSIDE_MASS = 1e-24    # squared mass a table may drop; the J_gen FFT's
-                         # own rounding floor is 1e-32 to 3e-28 up to q = 0.99
+_GRID = 512              # first FFT grid of a Schur table
+_MAX_GRID = 1 << 18      # a Schur table gives up past this grid
+_MIN_SPAN = 128          # smallest order span of a recurrence table
+_MAX_SPAN = 1 << 16      # a recurrence table gives up past this span
+_OUTSIDE_MASS = 1e-24    # squared mass a table may drop
+_DIGITS = 34             # decimal digits of a recurrence run
+_RUN_TOL = 1e-30         # start error a run may leave at the span, relative
+_MIN_PAD = 4             # fewest orders a run starts past the span
 _LEGENDRE_T, _LEGENDRE_W = np.polynomial.legendre.leggauss(24)  # the Omega rule
 
 
@@ -96,23 +105,147 @@ def _table(fft: Callable[[int], np.ndarray], what: str) -> tuple[int, np.ndarray
     return span, np.concatenate([[0.0], c[-span:], c[: span + 1], [0.0]])
 
 
+def _unit() -> tuple[int, np.ndarray]:
+    """The table of the symbol 1: c_n = delta_{n,0}."""
+    c = np.zeros(2 * _MIN_SPAN + 3)
+    c[_MIN_SPAN + 1] = 1.0
+    return _MIN_SPAN, c
+
+
+def _root(b: Decimal) -> Decimal:
+    """The root of r^2 - b r + 1 = 0 inside the unit disk, for |b| > 2."""
+    return 2 / (b + (b * b - 4).sqrt().copy_sign(b))
+
+
+def _pad(beta: Callable[[int, int], list], n: int, step: int) -> int | None:
+    """Orders past n, away from the band in the direction of step = +-1, at
+    which a run starts so that its start error is below _RUN_TOL relative
+    at n; None if n lies in the band, |beta_n| <= 2.
+
+    A run starts at the local decaying root r of r^2 - beta r + 1, which is
+    off the solution's ratio by about |r (beta_{n+step} - beta_n)| /
+    (beta_n^2 - 4), an error in the other solution. That error shrinks by
+    r^2 per order the run moves toward the band, and the estimate by its own
+    ratio per order the start moves out; both factors only shrink farther
+    out, so their values at n bound the pad."""
+    b = beta(n, n + 2) if step > 0 else beta(n - 2, n)[::-1]  # beta_n, .._{n+step}, .._{n+2 step}
+    if abs(b[0]) <= 2:
+        return None
+
+    def error(b0: Decimal, b1: Decimal) -> Decimal:
+        return abs(_root(b0) * (b1 - b0)) / (b0 * b0 - 4)
+
+    start = error(b[0], b[1])
+    if start <= Decimal(_RUN_TOL):
+        return _MIN_PAD
+    rate = error(b[1], b[2]) / start * _root(b[0]) ** 2
+    if rate >= 1:
+        return None
+    rough = _context(6)  # the logs need a few digits, and cost less with few
+    steps = (Decimal(_RUN_TOL) / start).ln(rough) / rate.ln(rough)
+    return max(_MIN_PAD, int(steps.to_integral_value(decimal.ROUND_CEILING)))
+
+
+def _run(betas: list) -> tuple[Decimal, list]:
+    """(r, e): e_0 = 1, e_{k+1} = betas[k] e_k - e_{k-1}, with e_{-1} = r e_0 at
+    the local decaying root r of the first order."""
+    prev, cur = _root(betas[0]), Decimal(1)
+    r, e = prev, [cur]
+    for b in betas:
+        prev, cur = cur, b * cur - prev
+        e.append(cur)
+    return r, e
+
+
+def _miller(beta: Callable[[int, int], list], root: Decimal, band: tuple[float, float],
+            what: str) -> tuple[int, np.ndarray]:
+    """(L, c) for the coefficients c_n = root^n e_n of a symbol on the circle
+    with value 1 at z = 1, e_n the solution of e_{n+1} + e_{n-1} = beta_n e_n
+    that decays at both ends; beta(m, n) lists beta_m .. beta_n in the
+    current decimal context. c holds c_n for |n| <= L at index n + L + 1, and
+    0 at each end.
+
+    Miller's algorithm (W. Gautschi, SIAM Rev. 9 (1967)), in decimal at
+    _DIGITS digits, whose exponent range needs no rescaling. Outside the
+    oscillatory band, the orders in `band` where |beta_n| < 2, one solution
+    grows away from the band and one decays, so a run downward from L + pad
+    keeps the decaying solution to the band's lower edge, and a run upward
+    from -L - pad to its upper edge; `_pad` sizes each start. The two runs
+    are stitched by least squares over the band's integers, where both hold
+    the solution, and scaled so that sum_n c_n = 1 over the whole run and
+    its geometric tails. Each entry is then relatively accurate: the float
+    of c_n, correctly rounded but for ties. L is the smallest power of two
+    from _MIN_SPAN whose squared mass outside, read off the run, is below
+    _OUTSIDE_MASS; a span inside the band is skipped."""
+    lo, hi = math.ceil(band[0]), math.floor(band[1])
+    span = _MIN_SPAN
+    with decimal.localcontext(_context(_DIGITS)):
+        while span <= _MAX_SPAN:
+            pads = _pad(beta, span, 1), _pad(beta, -span, -1)
+            if None in pads:
+                span *= 2
+                continue
+            top, bot = span + pads[0], -span - pads[1]
+            r_top, down = _run(beta(lo + 1, top)[::-1])  # e_top .. e_lo
+            r_bot, up = _run(beta(bot, hi - 1))         # e_bot .. e_hi
+            down.reverse()
+            both = up[lo - bot :]                         # e_lo .. e_hi, upward
+            scale = sum(map(operator.mul, down, both)) / sum(u * u for u in both)
+            c, w = [], root**bot
+            for v in [scale * u for u in up[: lo - bot]] + down:
+                c.append(w * v)
+                w *= root
+            # past the ends c_n runs on by the start ratios
+            tails = ((c[-1], root * r_top), (c[0], r_bot / root))
+            total = sum(c) + sum(v * t / (1 - t) for v, t in tails)
+            zero = -bot  # index of c_0 in c
+            outside = sum(v * v for v in c[: zero - span]) + sum(v * v for v in c[zero + span + 1 :])
+            if outside < Decimal(_OUTSIDE_MASS) * total * total:
+                kept = (float(v / total) for v in c[zero - span : zero + span + 1])
+                return span, np.array([0.0, *kept, 0.0])
+            span *= 2
+    raise NonconvergenceError(f"{what} coefficients not negligible by order {_MAX_SPAN}")
+
+
 @lru_cache(maxsize=64)
 def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
-    """The `_table` of c_n = q^{n/2} J^(3)_n(2 xi;q). Past the edge -2 log(1-xi)/(-log q)
-    c_n decays only like (xi q^{1/2})^n, so near q = 1 the range runs hundreds of
-    orders past the edge. At q = 0 or xi = 0, c_n = delta_{n,0}."""
-    return _table(lambda grid: circle_fft("J_gen", params, grid), f"J_gen of {params}")
+    """The `_miller` table of c_n = q^{n/2} J^(3)_n(2 xi;q), the coefficients
+    of J_gen. The Hahn-Exton function e_n = J^(3)_n(2 xi;q) solves
+    e_{n+1} + e_{n-1} = ((1 + xi^2 - q^n) / xi) e_n, which is the q-difference
+    equation J_gen(qz) = (1 - a/(qz))(1 - a z) J_gen(z), a = xi q^{1/2}, in
+    c_n: (a/q) c_{n+1} = (1 + a^2/q - q^n) c_n - a c_{n-1}. Its band is the
+    limit shape's support (a, b) over -log q. Past the upper edge
+    -2 log(1-xi)/(-log q) c_n decays only like a^n, so near q = 1 the span
+    runs hundreds of orders past the edge. At q = 0 or xi = 0, c_n =
+    delta_{n,0}. Where the product form of J_gen needs more than _MAX_TERMS
+    factors, NonconvergenceError before any work."""
+    _check_product("J_gen", params)
+    if params.q == 0.0 or params.xi == 0.0:
+        return _unit()
+    q, xi = Decimal(params.q), Decimal(params.xi)
+    shift = xi + 1 / xi
+
+    def beta(m: int, n: int) -> list:
+        t, out = q**m / xi, []  # t = q^k / xi at order k
+        for _ in range(m, n + 1):
+            out.append(shift - t)
+            t *= q
+        return out
+
+    shape, eps = limit_shape(params.xi), -math.log(params.q)
+    return _miller(beta, q.sqrt(), (shape.a / eps, shape.b / eps), f"J_gen of {params}")
 
 
 @lru_cache(maxsize=64)
 def _bessel(eta: float) -> tuple[int, np.ndarray]:
-    """The `_table` of J_n(2 eta), the coefficients of exp(eta (z - 1/z)), which
-    is exp(2i eta sin theta) on the circle; at eta = 0 it is exactly delta_{n,0}."""
-    def fft(grid: int) -> np.ndarray:
-        symbol = np.exp(2j * eta * np.sin(2.0 * math.pi * np.arange(grid) / grid))
-        return (np.fft.fft(symbol) / grid).real
-
-    return _table(fft, f"J_n(2 eta) at eta = {eta}")
+    """The `_miller` table of J_n(2 eta), the coefficients of exp(eta (z - 1/z)):
+    J_{n+1} + J_{n-1} = (n/eta) J_n, with band |n| < 2 eta. At eta = 0, J_n =
+    delta_{n,0}."""
+    if eta == 0.0:
+        return _unit()
+    e = Decimal(eta)
+    return _miller(lambda m, n: [Decimal(k) / e for k in range(m, n + 1)], Decimal(1),
+                   (-2.0 * eta, 2.0 * eta), f"J_n(2 eta) at eta = {eta}")
 
 
 def _lag_sums(table: Callable, arg, rows: Sequence, cols: Sequence) -> np.ndarray:

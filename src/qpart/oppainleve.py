@@ -218,19 +218,13 @@ def _context(dps: int) -> decimal.Context:
 
 
 def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
-    """One run of the recursion at dps digits: lists x, E, log Z, monic, or
-    None if some E_n rounded to zero or below.
+    """One run of the recursion at dps digits: lists x, E, monic, or None if
+    some E_n rounded to zero or below.
 
     pi_{n+1}(z) = z pi_n(z) + x_{n+1} pi_n^*(z), pi_n^* the reversed
     polynomial, with x_{n+1} = -<z pi_n, 1> / E_n fixed by orthogonality to 1
     and E_{n+1} = E_n (1 - x_{n+1}^2), E_0 = c_0. The E_n are positive, so a
     run where one is not has too few digits and counts as a disagreement.
-
-    Each log E_n is rounded to an absolute error below _AGREE^2 / (top + 1),
-    far below the agreement test, instead of to the working precision, and
-    E_n is rounded to the log's precision first: libmpdec's ln reads every
-    digit of its operand, so at 1,300 working digits a log of a full E_n
-    costs up to 0.3 s whatever its own precision.
     """
     with decimal.localcontext(_context(dps)):
         c = _moments(variant, top, Decimal(params.q), Decimal(params.xi))
@@ -243,26 +237,39 @@ def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
             e.append(e[n] * (1 - xn * xn))
             if e[-1] <= 0:
                 return None
-        # |ln v| < 2.31 (|exponent of v| + 1) <= 10^whole, so whole + frac
-        # digits round it to an absolute error below _AGREE^2 / (top + 1);
-        # a guard digit keeps the roundings of v and of ln v each under a tenth
-        frac = math.ceil(math.log10((top + 1) / _AGREE**2))
-        log_z = [Decimal(0)]
+    return x, e, monic
+
+
+def _log_z(e: list, dps: int) -> list:
+    """log Z_0 .. log Z_{top+1} of a run at dps digits from its E_0 .. E_top,
+    log Z_{n+1} = log Z_n + log E_n.
+
+    Each log E_n is rounded to an absolute error below _AGREE^2 / (top + 1),
+    far below the agreement test, instead of to the working precision, and
+    E_n is rounded to the log's precision first: libmpdec's ln reads every
+    digit of its operand, so at 1,300 working digits a log of a full E_n
+    costs up to 0.3 s whatever its own precision.
+    """
+    # |ln v| < 2.31 (|exponent of v| + 1) <= 10^whole, so whole + frac
+    # digits round it to an absolute error below _AGREE^2 / (top + 1);
+    # a guard digit keeps the roundings of v and of ln v each under a tenth
+    frac = math.ceil(math.log10(len(e) / _AGREE**2))
+    log_z = [Decimal(0)]
+    with decimal.localcontext(_context(dps)):
         for v in e:
             whole = math.ceil(math.log10(2.31 * (abs(v.adjusted()) + 1)))
             ctx = _context(min(dps, whole + frac) + 1)
             log_z.append(log_z[-1] + ctx.plus(v).ln(ctx))
-    return x, e, log_z, monic
+    return log_z
 
 
 def _agree(lo: tuple, hi: tuple) -> bool:
-    """Whether two runs agree to _AGREE in the current context: x, E and
-    pi_n relative, log Z absolute, which is relative in Z."""
+    """Whether x, E and pi_n of two runs agree to _AGREE relative in the
+    current context."""
     agree = Decimal(_AGREE)
     pairs = [*zip(lo[0], hi[0]), *zip(lo[1], hi[1]),
-             *(p for r0, r1 in zip(lo[3], hi[3]) for p in zip(r0, r1))]
-    return all(abs(a - b) <= agree * abs(b) for a, b in pairs) and all(
-        abs(a - b) <= agree for a, b in zip(lo[2], hi[2]))
+             *(p for r0, r1 in zip(lo[2], hi[2]) for p in zip(r0, r1))]
+    return all(abs(a - b) <= agree * abs(b) for a, b in pairs)
 
 
 def _float(v: Decimal) -> float:
@@ -273,23 +280,28 @@ def _float(v: Decimal) -> float:
 
 @lru_cache(maxsize=64)
 def _certified(variant: str, params: QParams, top: int) -> OPSequence:
+    """Runs at dps and 1.5 dps until x, E and pi_n of two runs agree
+    relatively and then their log Z absolutely, which is relative in Z; the
+    logs of a run are taken only for such a pair."""
     dps = _dps_for(variant, params, top)
     if dps * 3 // 2 > _MAX_DPS:
         raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) "
                                   f"needs {dps * 3 // 2} digits, past the limit of {_MAX_DPS}")
     lo = _szego(variant, params, top, dps)
     while dps * 3 // 2 <= _MAX_DPS:
-        dps = dps * 3 // 2
+        lo_dps, dps = dps, dps * 3 // 2
         hi = _szego(variant, params, top, dps)
         with decimal.localcontext(_context(dps)):
             if lo and hi and _agree(lo, hi):
-                x, e, log_z, monic = hi
-                return OPSequence(
-                    variant=variant, params=params, dps=dps,
-                    x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
-                    log_z=tuple(map(_float, log_z)),
-                    monic=tuple(tuple(map(_float, r)) for r in monic),
-                )
+                log_z = _log_z(hi[1], dps)
+                if all(abs(a - b) <= Decimal(_AGREE) for a, b in zip(_log_z(lo[1], lo_dps), log_z)):
+                    x, e, monic = hi
+                    return OPSequence(
+                        variant=variant, params=params, dps=dps,
+                        x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
+                        log_z=tuple(map(_float, log_z)),
+                        monic=tuple(tuple(map(_float, r)) for r in monic),
+                    )
         lo = hi
     raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) not settled "
                               f"to {_AGREE:g} by {dps} digits; {dps * 3 // 2} digits would "

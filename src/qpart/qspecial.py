@@ -1,10 +1,11 @@
 """The parameter point and the circle weights.
 
 QParams, the modified MacMahon function with its plane-partition series,
-and the circle weights I, I_check and J_gen with their FFT coefficients,
-which feed the Toeplitz and kernel machinery. The kernel's q-Bessel values
-c_n = q^{n/2} J^(3)_n(2 xi; q) are the J_gen coefficients, read off
-`kernels._j_gen`; the mp series that checks them lives in `qpart.checks`.
+and the circle weights I, I_check and J_gen in product form, which the
+Riemann-Hilbert quadrature reads. The kernel's q-Bessel values
+c_n = q^{n/2} J^(3)_n(2 xi; q) are the J_gen coefficients, which
+`kernels._j_gen` builds from their q-difference recurrence; the mp series
+that checks them lives in `qpart.checks`.
 
 The products and series here are geometric for q, xi in [0,1), so binary64
 with a tail tolerance is enough. The truncation is fixed, not a setting: a
@@ -27,21 +28,16 @@ __all__ = [
     "log_macmahon",
     "macmahon_series_coefficient",
     "circle_weight",
-    "circle_fft",
 ]
 
 _TAIL_TOL = 1e-16
 _MAX_TERMS = 10_000
 _MACMAHON_DEGREE = 64  # degree of the exact plane-partition series
 
-# coefficients this small are numerically indistinguishable from 0 and can
-# underflow in downstream products; flush them
-_FLUSH = 1e-300
-
 
 class NonconvergenceError(RuntimeError):
-    """A truncated series, product or iteration used up its term, grid or
-    precision budget before its tail fell below the fixed tolerance."""
+    """A truncated series, product or iteration used up its term, grid, span
+    or precision budget before its tail fell below the fixed tolerance."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +100,16 @@ def macmahon_series_coefficient(k: int) -> int:
 WEIGHTS = ("I", "I_check", "J_gen")
 
 
+def _check_product(weight: str, params: QParams) -> None:
+    """NonconvergenceError if the weight's product, a_k = xi q^{k+1/2}, has a
+    factor past _MAX_TERMS at or above _TAIL_TOL. It is decided before any
+    work: the partial products of a product that cannot converge overflow
+    long before its last factor, and near q = 1 the coefficient table would
+    run to spans of tens of thousands."""
+    if params.xi * math.sqrt(params.q) * params.q ** (_MAX_TERMS - 1) >= _TAIL_TOL:
+        raise NonconvergenceError(f"{weight} weight product did not converge")
+
+
 def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
     """The circle weight at complex points z, off its poles and zeros.
 
@@ -111,16 +117,13 @@ def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
       I:       1 / prod (1 - a_k z)(1 - a_k / z), the symbol of the moments I_n;
       I_check: prod (1 + a_k z)(1 + a_k / z), the dual symbol;
       J_gen:   prod (1 - a_k / z) / (1 - a_k z), the kernel generating
-               function, of modulus 1 on the circle, so its FFT
-               coefficients carry no cancellation error.
+               function, of modulus 1 on the circle.
+    It is the one product-form evaluator; no coefficient table reads it.
     """
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
+    _check_product(weight, params)
     a = params.xi * math.sqrt(params.q)
-    # decided before multiplying: the partial products of a product that
-    # cannot converge overflow long before its last factor
-    if a * params.q ** (_MAX_TERMS - 1) >= _TAIL_TOL:
-        raise NonconvergenceError(f"{weight} weight product did not converge")
     if weight == "I_check":
         a = -a
     num = np.ones_like(z, dtype=complex)
@@ -135,13 +138,3 @@ def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
     if weight == "I_check":
         return den
     return num / den
-
-
-def circle_fft(weight: str, params: QParams, grid: int) -> np.ndarray:
-    """Real parts of the FFT coefficients of the weight on `grid` equispaced
-    points of the circle: entry k holds order k for k < grid/2 and order
-    k - grid above. Values below 1e-300 are flushed to 0."""
-    theta = 2.0 * math.pi * np.arange(grid) / grid
-    c = (np.fft.fft(circle_weight(weight, params, np.exp(1j * theta))) / grid).real
-    c[np.abs(c) < _FLUSH] = 0.0
-    return c

@@ -7,7 +7,8 @@ from qpart.gap import GAP_VARIANTS, GapQuery, gap_probability
 from qpart.kernels import _j_gen
 from qpart.measures import ENUM_SIZE, QPPSquared, _squared_table, measure
 from qpart.oppainleve import op_sequence
-from qpart.qspecial import QParams, circle_fft, macmahon
+from qpart.qspecial import QParams, macmahon
+from reference_fft import circle_fft
 from reference_partitions import cell_stats, enumerate_partitions
 
 P = QParams(q=0.5, xi=0.3)

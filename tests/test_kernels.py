@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from qpart import checks
 from qpart.kernels import (
     _bessel,
     _j_gen,
@@ -25,7 +26,8 @@ from qpart.kernels import (
     twice,
 )
 from qpart.measures import MiwaTimes
-from qpart.qspecial import QParams, circle_fft
+from qpart.qspecial import QParams
+from reference_fft import circle_fft
 
 P = QParams(q=0.5, xi=0.3)
 HALF = [Fraction(2 * k + 1, 2) for k in range(-8, 8)]
@@ -154,6 +156,77 @@ class TestQBesselKernel:
             rm = Fraction(-2 * k - 1, 2)
             total += float(-rm) * (1.0 - q_bessel_kernel(P, rm, rm))
         assert total == pytest.approx(mean_size, abs=1e-7)
+
+
+class TestCoefficientTables:
+    # the recurrence tables against the series, entry for entry: the float of
+    # c_n = q^{n/2} J^(3)_n(2 xi; q) at 40 digits, and J_n(2 eta)
+    NINE = [(q, xi) for q in (0.5, 0.7, 0.9) for xi in (0.3, 0.5)] + [
+        (q, 0.7) for q in (0.9, 0.95, 0.97)]
+
+    @staticmethod
+    def _series(p, orders):
+        with mp.workdps(40):
+            q, x = mp.mpf(p.q), 2 * mp.mpf(p.xi)
+            return np.array([float(q ** (mp.mpf(n) / 2) * (
+                checks._j3(n, x, q) if n >= 0 else checks._j3_reflected(-n, x, q)))
+                for n in orders])
+
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.9, 0.5), (0.97, 0.7)])
+    def test_j_gen_entries_are_the_rounded_series(self, q, xi):
+        span, c = _j_gen(QParams(q=q, xi=xi))
+        want = self._series(QParams(q=q, xi=xi), range(-span, span + 1))
+        got = c[1:-1]
+        big = np.abs(want) > 1e-300
+        assert big.sum() > span  # the comparison reaches deep into both tails
+        assert (got[big] == want[big]).all()
+        assert (np.abs(got[~big]) <= 1e-300).all()
+
+    @pytest.mark.parametrize("q, xi, step", [(0.99, 0.9, 37), (0.5, 0.999, 1)])
+    def test_j_gen_entries_relative_near_one(self, q, xi, step):
+        # where the FFT table kept only absolute digits: xi^2 near 1 makes
+        # the two decay rates past the band nearly equal
+        p = QParams(q=q, xi=xi)
+        span, c = _j_gen(p)
+        orders = list(range(-span, span + 1, step)) + [span]
+        want = self._series(p, orders)
+        got = c[np.array(orders) + span + 1]
+        big = np.abs(want) > 1e-300
+        assert big.sum() >= 40
+        assert got[big] == pytest.approx(want[big], rel=1e-15, abs=0)
+
+    @staticmethod
+    def _fft_span(p):
+        # the grid-doubling FFT table's span: the first grid from 512 whose
+        # orders past grid/4 carry a squared mass below 1e-24, over 4
+        grid = 512
+        while (circle_fft("J_gen", p, grid)[grid // 4 + 1 : 3 * grid // 4] ** 2).sum() >= 1e-24:
+            grid *= 2
+        return grid // 4
+
+    @pytest.mark.parametrize("q, xi", NINE)
+    def test_spans_match_the_fft_table(self, q, xi):
+        p = QParams(q=q, xi=xi)
+        assert _j_gen(p)[0] == self._fft_span(p)
+
+    @pytest.mark.parametrize("table", [lambda: _j_gen(QParams(q=0.0, xi=0.5)),
+                                       lambda: _j_gen(QParams(q=0.5, xi=0.0)),
+                                       lambda: _bessel(0.0)])
+    def test_unit_symbol_gives_delta(self, table):
+        span, c = table()
+        assert span == 128
+        assert c[span + 1] == 1.0
+        assert np.count_nonzero(c) == 1
+
+    @pytest.mark.parametrize("eta", [0.3, 3.0, 40.0])
+    def test_bessel_entries_are_the_rounded_series(self, eta):
+        span, c = _bessel(eta)
+        with mp.workdps(40):
+            want = np.array([float(mp.besselj(n, 2 * mp.mpf(eta)))
+                             for n in range(-span, span + 1)])
+        big = np.abs(want) > 1e-300
+        assert (c[1:-1][big] == want[big]).all()
+        assert (np.abs(c[1:-1][~big]) <= 1e-300).all()
 
 
 class TestSchurKernel:

@@ -22,7 +22,8 @@ from qpart.oppainleve import (
     rhp_sample,
     tau_relation_check,
 )
-from qpart.qspecial import NonconvergenceError, QParams, circle_fft
+from qpart.qspecial import NonconvergenceError, QParams
+from reference_fft import circle_fft
 
 P = QParams(q=0.5, xi=0.3)
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -2,21 +2,23 @@
 q-series of `qpart.checks` that the special verify rows and the tail
 comparators read, against mpmath references."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpart import checks, kernels
+from qpart import checks, kernels, oppainleve
 from qpart.qspecial import (
     QParams,
-    circle_fft,
     log_macmahon,
     macmahon,
     macmahon_series_coefficient,
 )
+from reference_fft import circle_fft
 
 P = QParams(q=0.5, xi=0.3)
 
@@ -194,21 +196,31 @@ class TestFourierCoefficients:
         )
 
     def test_symbol_moments_match_modified_bessel(self):
+        # the engine's decimal moments relatively; the FFT of the product form
+        # to its absolute floor, 2.2e-16 here, where the moments near 1e-5
+        # have no relative digits left
         t_i = circle_fft("I", P, 512)
         t_c = circle_fft("I_check", P, 512)
+        with decimal.localcontext(oppainleve._context(34)):
+            m_i = oppainleve._moments("plain", 5, Decimal(P.q), Decimal(P.xi))
+            m_c = oppainleve._moments("check", 5, Decimal(P.q), Decimal(P.xi))
         q, xi = mpmath.mpf(P.q), mpmath.mpf(P.xi)
         for n in range(-5, 6):
             with mpmath.workdps(30):
                 want_i = float(_jackson_i(1, abs(n), xi * mpmath.sqrt(q), q))
                 want_c = float(q ** (mpmath.mpf(n * n) / 2) * _jackson_i(2, abs(n), xi, q))
-            assert t_i[n] == pytest.approx(want_i, rel=1e-12)
-            assert t_c[n] == pytest.approx(want_c, rel=1e-12)
+            assert float(m_i[abs(n)]) == pytest.approx(want_i, rel=1e-15, abs=0)
+            assert float(m_c[abs(n)]) == pytest.approx(want_c, rel=1e-15, abs=0)
+            assert t_i[n] == pytest.approx(want_i, rel=1e-12, abs=4e-16)
+            assert t_c[n] == pytest.approx(want_c, rel=1e-12, abs=4e-16)
 
     def test_symbols_even(self):
+        # the FFT halves differ by up to 6.9e-18, which is relative 0.57 at
+        # I_check order 9 (1.0e-17)
         for weight in ("I", "I_check"):
             table = circle_fft(weight, P, 512)
             for n in range(1, 10):
-                assert table[n] == pytest.approx(table[-n], rel=1e-13)
+                assert table[n] == pytest.approx(table[-n], rel=1e-13, abs=1e-17)
 
 
 class TestQParams:
