@@ -157,13 +157,13 @@ def _run(betas: list) -> tuple[Decimal, list]:
     return r, e
 
 
-def _miller(beta: Callable[[int, int], list], root: Decimal, band: tuple[float, float],
+def _miller(beta: Callable[[int, int], list], q: Decimal, band: tuple[float, float],
             what: str) -> tuple[int, np.ndarray]:
-    """(L, c) for the coefficients c_n = root^n e_n of a symbol on the circle
+    """(L, c) for the coefficients c_n = q^{n/2} e_n of a symbol on the circle
     with value 1 at z = 1, e_n the solution of e_{n+1} + e_{n-1} = beta_n e_n
     that decays at both ends; beta(m, n) lists beta_m .. beta_n in the
-    current decimal context. c holds c_n for |n| <= L at index n + L + 1, and
-    0 at each end.
+    current decimal context, which is the run's, whatever the caller's. c
+    holds c_n for |n| <= L at index n + L + 1, and 0 at each end.
 
     Miller's algorithm (W. Gautschi, SIAM Rev. 9 (1967)), in decimal at
     _DIGITS digits, whose exponent range needs no rescaling. Outside the
@@ -180,6 +180,7 @@ def _miller(beta: Callable[[int, int], list], root: Decimal, band: tuple[float, 
     lo, hi = math.ceil(band[0]), math.floor(band[1])
     span = _MIN_SPAN
     with decimal.localcontext(_context(_DIGITS)):
+        root = q.sqrt()
         while span <= _MAX_SPAN:
             pads = _pad(beta, span, 1), _pad(beta, -span, -1)
             if None in pads:
@@ -216,24 +217,26 @@ def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
     c_n: (a/q) c_{n+1} = (1 + a^2/q - q^n) c_n - a c_{n-1}. Its band is the
     limit shape's support (a, b) over -log q. Past the upper edge
     -2 log(1-xi)/(-log q) c_n decays only like a^n, so near q = 1 the span
-    runs hundreds of orders past the edge. At q = 0 or xi = 0, c_n =
-    delta_{n,0}. Where the product form of J_gen needs more than _MAX_TERMS
-    factors, NonconvergenceError before any work."""
+    runs hundreds of orders past the edge. As xi -> 1 the two rates a and
+    q/a there merge and a run loses about log10(1/(1 - xi)) of its digits:
+    at xi = 1 - 1.1e-16, the largest double below 1, entries are off by up
+    to 1.6e-15 relative at q = 0.9. At q = 0 or xi = 0, c_n = delta_{n,0}.
+    Where the product form of J_gen needs more than _MAX_TERMS factors,
+    NonconvergenceError before any work."""
     _check_product("J_gen", params)
     if params.q == 0.0 or params.xi == 0.0:
         return _unit()
     q, xi = Decimal(params.q), Decimal(params.xi)
-    shift = xi + 1 / xi
 
     def beta(m: int, n: int) -> list:
-        t, out = q**m / xi, []  # t = q^k / xi at order k
+        shift, t, out = xi + 1 / xi, q**m / xi, []  # t = q^k / xi at order k
         for _ in range(m, n + 1):
             out.append(shift - t)
             t *= q
         return out
 
     shape, eps = limit_shape(params.xi), -math.log(params.q)
-    return _miller(beta, q.sqrt(), (shape.a / eps, shape.b / eps), f"J_gen of {params}")
+    return _miller(beta, q, (shape.a / eps, shape.b / eps), f"J_gen of {params}")
 
 
 @lru_cache(maxsize=64)

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import math
 from fractions import Fraction
@@ -217,6 +218,13 @@ class TestCoefficientTables:
         assert span == 128
         assert c[span + 1] == 1.0
         assert np.count_nonzero(c) == 1
+
+    def test_caller_decimal_context_does_not_reach_the_run(self):
+        p = QParams(q=0.97, xi=0.7)
+        want = _j_gen.__wrapped__(p)[1]
+        for ctx in (decimal.Context(prec=5), decimal.Context(prec=60, rounding=decimal.ROUND_FLOOR)):
+            with decimal.localcontext(ctx):
+                assert _j_gen.__wrapped__(p)[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eta", [0.3, 3.0, 40.0])
     def test_bessel_entries_are_the_rounded_series(self, eta):
