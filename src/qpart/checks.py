@@ -3,11 +3,11 @@
 Each function takes the parameter point and the index or site range it
 sweeps and returns the measured residual (the yes/no monotonicity checks
 return 0.0 or 1.0). `CHECKS` is the verify table in output order. The
-acceptance tests call the same functions on their own grids; `painleve`
-reads the tail comparators. The norm rows and `toeplitz_vs_enumeration` sum
-to the enumeration gap route's one cutoff, `measures.ENUM_SIZE`, so verify,
-`gap-table` and the route read one hook-count table. `qpart/__init__.py`
-does not import this module, so `import qpart` stays light.
+acceptance tests call the same functions on their own grids. The norm rows
+and `toeplitz_vs_enumeration` sum to the enumeration gap route's one cutoff,
+`measures.ENUM_SIZE`, so verify, `gap-table` and the route read one
+hook-count table. mpmath is the reference of the `special` rows and
+`kernels.airy_diagonal` alone, and only `qpart verify` imports this module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .qspecial import QParams
 
 PLANE_PARTITIONS = (1, 1, 3, 6)  # of k = 0..3
 LAX_PROBES = (0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j)
-_MP_DPS = 30  # digits of the mp q-series; at 60 the tail comparators change no bit
+_MP_DPS = 30  # digits of the mp q-series
 
 
 def macmahon_coeffs(ks: Sequence[int]) -> float:
@@ -284,22 +284,6 @@ def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
 def rhp_jump(p: QParams, probes: Sequence[tuple[int, float, str]]) -> float:
     """Largest |Y_+ - Y_- J| over (n, angle on the unit circle, variant) probes."""
     return max(op.rhp_jump_residual(n, angle, p, variant) for n, angle, variant in probes)
-
-
-def x_tail_comparator(p: QParams, n: int) -> float:
-    """sqrt(xi) J^(3)_{-n}(2 xi; q), from the mp series; xs_n divided by it
-    tends to 1."""
-    with mp.workdps(_MP_DPS):
-        xi = mp.mpf(p.xi)
-        return float(mp.sqrt(xi) * _j3_reflected(n, 2 * xi, mp.mpf(p.q)))
-
-
-def y_tail_comparator(p: QParams, n: int) -> float:
-    """-xi J^(3)_n(-2 xi; q)^2 = -xi J^(3)_n(2 xi; q)^2, J^(3)_n having the
-    parity of n, from the mp series; ys_n^2 divided by it tends to 1."""
-    with mp.workdps(_MP_DPS):
-        xi = mp.mpf(p.xi)
-        return float(-xi * _j3(n, 2 * xi, mp.mpf(p.q)) ** 2)
 
 
 POINT = object()  # in Check.args: the parameter point verify runs at

@@ -4,7 +4,7 @@ Four subcommands: `verify` evaluates the rows of the `qpart.checks` table
 for the named suites and reports residuals, `limit-shape` tabulates the
 macroscopic profile, `gap-table` tabulates gap probabilities by one or all
 methods, `painleve` tabulates the recurrence variables with residual and
-tail-comparator columns.
+tail-comparator columns. Only `verify` imports `qpart.checks` and mpmath.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
 error, a series, grid or precision that did not converge, a division
@@ -22,7 +22,6 @@ import io
 import json
 import sys
 
-from . import checks
 from . import gap as gap_mod
 from . import kernels as kern_mod
 from . import oppainleve as op_mod
@@ -57,6 +56,7 @@ def _require_n_max(args: argparse.Namespace) -> None:
 
 
 def cmd_verify(args: argparse.Namespace, params: QParams) -> int:
+    from . import checks  # here, so that no other command loads mpmath
     rows = [check.report(params) for check in checks.CHECKS
             if args.suite in ("all", check.suite)]
     _emit(rows, args)
@@ -80,36 +80,29 @@ def cmd_gap_table(args: argparse.Namespace, params: QParams) -> int:
     _require_n_max(args)
     methods = gap_mod.METHODS if args.method == "all" else (args.method,)
     rows = []
-    for n in range(args.n_max + 1):
+    for n in range(args.n_max, -1, -1):  # the largest N first: a refused run fails at once
         query = gap_mod.GapQuery(variant=args.variant, N=n, params=params)
         vals = {m: gap_mod.gap_probability(query, m) for m in methods}
-        row: dict = {"N": n}
-        row.update(vals)
+        row: dict = {"N": n, **vals}
         if len(methods) > 1:
             row["max_discrepancy"] = max(vals.values()) - min(vals.values())
         rows.append(row)
-    _emit(rows, args)
+    _emit(rows[::-1], args)
     return 0
 
 
 def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
     _require_n_max(args)
-    # the comparators cost a fraction of the engine, so they fail before it runs
-    tail = checks.x_tail_comparator if args.branch == "x" else checks.y_tail_comparator
-    comps = [tail(params, n) for n in range(args.n_max + 1)]
+    # the J_gen table fails before the engine runs: q = 0.9999 fails its product check
+    comps = [op_mod.tail_comparator(args.branch, params, n) for n in range(args.n_max + 1)]
     state = op_mod.painleve_trajectory(args.branch, args.source, params, args.n_max)
     # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual
     residuals = [None, *op_mod.recurrence_residuals(state), None]
-    rows = []
-    for n, comp in enumerate(comps):
-        if args.branch == "x":
-            row: dict = {"n": n, "x": state.values[n], "residual": residuals[n]}
-        else:
-            row = {"n": n, "y_sq": state.sq[n], "y_cross": state.cross[n],
-                   "residual": residuals[n]}
-        value = state.values[n] if args.branch == "x" else state.sq[n]
-        row["tail_ratio"] = value / comp if comp != 0.0 else 0.0
-        rows.append(row)
+    values = state.values if args.branch == "x" else state.sq
+    cols = {"x": values} if args.branch == "x" else {"y_sq": values, "y_cross": state.cross}
+    rows = [{"n": n, **{c: v[n] for c, v in cols.items()}, "residual": residuals[n],
+             "tail_ratio": values[n] / comp if comp != 0.0 else 0.0}
+            for n, comp in enumerate(comps)]
     _emit(rows, args)
     return 0
 

@@ -8,7 +8,7 @@ Numerical route: the q-Bessel kernel and its q -> 1 limit are built from
 the Fourier coefficients of a unimodular symbol: c_n = q^{n/2} J^(3)_n(2 xi; q)
 of the generating function J_gen, and J_n(2 eta) of exp(eta (z - 1/z)).
 Both are the solution of a three-term recurrence that decays at both ends,
-and `_miller` finds it by Miller's algorithm in decimal at 34 digits, so
+and `_miller` finds it by Miller's algorithm in decimal at 34+ digits, so
 every entry is relatively accurate, even for q close to 1, where the raw
 hypergeometric series cancels catastrophically and an FFT of the product
 form keeps only absolute digits; the squared mass left outside the span
@@ -40,8 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import MiwaTimes
-from .oppainleve import _context
-from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, _check_product
+from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, _check_product, _context
 
 __all__ = [
     "LimitShape",
@@ -63,7 +62,7 @@ _MAX_GRID = 1 << 18      # a Schur table gives up past this grid
 _MIN_SPAN = 128          # smallest order span of a recurrence table
 _MAX_SPAN = 1 << 16      # a recurrence table gives up past this span
 _OUTSIDE_MASS = 1e-24    # squared mass a table may drop
-_DIGITS = 34             # decimal digits of a recurrence run
+_DIGITS = 34             # decimal digits of a recurrence run, before J_gen's extra
 _RUN_TOL = 1e-30         # start error a run may leave at the span, relative
 _MIN_PAD = 4             # fewest orders a run starts past the span
 _LEGENDRE_T, _LEGENDRE_W = np.polynomial.legendre.leggauss(24)  # the Omega rule
@@ -158,7 +157,7 @@ def _run(betas: list) -> tuple[Decimal, list]:
 
 
 def _miller(beta: Callable[[int, int], list], q: Decimal, band: tuple[float, float],
-            what: str) -> tuple[int, np.ndarray]:
+            digits: int, what: str) -> tuple[int, np.ndarray]:
     """(L, c) for the coefficients c_n = q^{n/2} e_n of a symbol on the circle
     with value 1 at z = 1, e_n the solution of e_{n+1} + e_{n-1} = beta_n e_n
     that decays at both ends; beta(m, n) lists beta_m .. beta_n in the
@@ -166,7 +165,7 @@ def _miller(beta: Callable[[int, int], list], q: Decimal, band: tuple[float, flo
     holds c_n for |n| <= L at index n + L + 1, and 0 at each end.
 
     Miller's algorithm (W. Gautschi, SIAM Rev. 9 (1967)), in decimal at
-    _DIGITS digits, whose exponent range needs no rescaling. Outside the
+    `digits` digits, whose exponent range needs no rescaling. Outside the
     oscillatory band, the orders in `band` where |beta_n| < 2, one solution
     grows away from the band and one decays, so a run downward from L + pad
     keeps the decaying solution to the band's lower edge, and a run upward
@@ -179,7 +178,7 @@ def _miller(beta: Callable[[int, int], list], q: Decimal, band: tuple[float, flo
     _OUTSIDE_MASS; a span inside the band is skipped."""
     lo, hi = math.ceil(band[0]), math.floor(band[1])
     span = _MIN_SPAN
-    with decimal.localcontext(_context(_DIGITS)):
+    with decimal.localcontext(_context(digits)):
         root = q.sqrt()
         while span <= _MAX_SPAN:
             pads = _pad(beta, span, 1), _pad(beta, -span, -1)
@@ -218,9 +217,9 @@ def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
     limit shape's support (a, b) over -log q. Past the upper edge
     -2 log(1-xi)/(-log q) c_n decays only like a^n, so near q = 1 the span
     runs hundreds of orders past the edge. As xi -> 1 the two rates a and
-    q/a there merge and a run loses about log10(1/(1 - xi)) of its digits:
-    at xi = 1 - 1.1e-16, the largest double below 1, entries are off by up
-    to 1.6e-15 relative at q = 0.9. At q = 0 or xi = 0, c_n = delta_{n,0}.
+    q/a there merge and a run loses about log10(1/(1 - xi)) of its digits, so
+    it runs at _DIGITS plus that many, rounded up: 50 at xi = 1 - 1.1e-16, the
+    largest double below 1. At q = 0 or xi = 0, c_n = delta_{n,0}.
     Where the product form of J_gen needs more than _MAX_TERMS factors,
     NonconvergenceError before any work."""
     _check_product("J_gen", params)
@@ -236,7 +235,8 @@ def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
         return out
 
     shape, eps = limit_shape(params.xi), -math.log(params.q)
-    return _miller(beta, q, (shape.a / eps, shape.b / eps), f"J_gen of {params}")
+    digits = _DIGITS + math.ceil(-math.log10(1.0 - params.xi))
+    return _miller(beta, q, (shape.a / eps, shape.b / eps), digits, f"J_gen of {params}")
 
 
 @lru_cache(maxsize=64)
@@ -248,7 +248,7 @@ def _bessel(eta: float) -> tuple[int, np.ndarray]:
         return _unit()
     e = Decimal(eta)
     return _miller(lambda m, n: [Decimal(k) / e for k in range(m, n + 1)], Decimal(1),
-                   (-2.0 * eta, 2.0 * eta), f"J_n(2 eta) at eta = {eta}")
+                   (-2.0 * eta, 2.0 * eta), _DIGITS, f"J_n(2 eta) at eta = {eta}")
 
 
 def _lag_sums(table: Callable, arg, rows: Sequence, cols: Sequence) -> np.ndarray:

@@ -20,10 +20,10 @@ are real.
 
 All OPUC data come from one Szego recursion with an a-posteriori precision
 check, run in the standard library's `decimal` under a limit of _MAX_DPS
-digits; `op_sequence` is its one public entry, and the tests check it
-against mpmath determinants. This determinant route is the ground truth;
-the forward q-Painleve recurrence is validated against it, not trusted
-standalone.
+working digits and one of _MAX_STORED held digits; `op_sequence` is its
+one public entry, and the tests check it against mpmath determinants.
+This determinant route is the ground truth; the forward q-Painleve
+recurrence is validated against it, not trusted standalone.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qspecial import NonconvergenceError, QParams, circle_weight
+from .kernels import _j_gen
+from .qspecial import NonconvergenceError, QParams, _context, circle_weight
 
 __all__ = [
     "OPSequence",
@@ -48,6 +49,7 @@ __all__ = [
     "RHPSample",
     "op_sequence",
     "painleve_trajectory",
+    "tail_comparator",
     "recurrence_rhs",
     "dpii_limit_check",
     "lax_matrices",
@@ -66,6 +68,7 @@ MAX_N = 25         # index guard of painleve_trajectory, the painleve table
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
 _MAX_DPS = 10_000  # working digits past which the engine gives up
+_MAX_STORED = 5e8  # top^2 x digits, held by two runs at about 0.58 bytes each: 290 MB
 _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
 _RADIUS_OFFSET = 1e-2  # contour distance from the circle for boundary values
 
@@ -209,14 +212,6 @@ def _dps_for(variant: str, params: QParams, n_max: int) -> int:
     return 25 + max(0, int(lost))
 
 
-def _context(dps: int) -> decimal.Context:
-    """A decimal context of dps digits that ignores the caller's defaults."""
-    return decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN,
-                           Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
-                           traps=[decimal.InvalidOperation, decimal.DivisionByZero,
-                                  decimal.Overflow])
-
-
 def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
     """One run of the recursion at dps digits: lists x, E, monic, or None if
     some E_n rounded to zero or below.
@@ -278,17 +273,25 @@ def _float(v: Decimal) -> float:
     return float(v) if v else 0.0
 
 
+def _refused(top: int, dps: int) -> str:
+    """Why no pair of runs ending at dps digits is made: dps or top^2 dps past its limit."""
+    if dps > _MAX_DPS:
+        return f"{dps} digits, past the limit of {_MAX_DPS}"
+    if top * top * dps > _MAX_STORED:
+        return f"{top * top * dps:.2g} stored digits (top^2 x {dps}), past the limit of {_MAX_STORED:.0e}"
+    return ""
+
+
 @lru_cache(maxsize=64)
 def _certified(variant: str, params: QParams, top: int) -> OPSequence:
     """Runs at dps and 1.5 dps until x, E and pi_n of two runs agree
     relatively and then their log Z absolutely, which is relative in Z; the
     logs of a run are taken only for such a pair."""
-    dps = _dps_for(variant, params, top)
-    if dps * 3 // 2 > _MAX_DPS:
-        raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) "
-                                  f"needs {dps * 3 // 2} digits, past the limit of {_MAX_DPS}")
+    dps, what = _dps_for(variant, params, top), f"Szego recursion ({variant}, {params}, top {top})"
+    if why := _refused(top, dps * 3 // 2):
+        raise NonconvergenceError(f"{what} needs {why}")
     lo = _szego(variant, params, top, dps)
-    while dps * 3 // 2 <= _MAX_DPS:
+    while not (why := _refused(top, dps * 3 // 2)):
         lo_dps, dps = dps, dps * 3 // 2
         hi = _szego(variant, params, top, dps)
         with decimal.localcontext(_context(dps)):
@@ -303,9 +306,8 @@ def _certified(variant: str, params: QParams, top: int) -> OPSequence:
                         monic=tuple(tuple(map(_float, r)) for r in monic),
                     )
         lo = hi
-    raise NonconvergenceError(f"Szego recursion ({variant}, {params}, top {top}) not settled "
-                              f"to {_AGREE:g} by {dps} digits; {dps * 3 // 2} digits would "
-                              f"pass the limit of {_MAX_DPS}")
+    raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by {dps} digits; "
+                              f"the next pair needs {why}")
 
 
 @lru_cache(maxsize=32)
@@ -321,7 +323,8 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     1e-17 relative in every value (log Z_n absolute), so the floats are
     correct to the last bit; a run in which some E_n rounds to zero or below
     disagrees. NonconvergenceError, before any run, if the first pair would
-    pass _MAX_DPS digits, and if no two runs under the limit agree.
+    pass _MAX_DPS digits or hold more than _MAX_STORED, and if no two runs
+    under both limits agree.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")
@@ -380,6 +383,16 @@ def painleve_trajectory(
                 raise ZeroDivisionError(f"recurrence near-singular at index {n}")
             v[n + 1] = (e + rhs / prev) / v[n]
     return PainleveState(variant=variant, source=source, params=params, v=tuple(v))
+
+
+def tail_comparator(branch: str, params: QParams, n: int) -> float:
+    """What the branch's variable tends to past the edge index: xs_n ~ sqrt(xi)
+    J^(3)_{-n}(2 xi; q), ys_n^2 ~ -xi J^(3)_n(2 xi; q)^2, with J^(3)_m = q^{-m/2} c_m
+    from the J_gen table; relatively accurate where |c_m| > 1e-300, 0 where it underflows."""
+    m = -_SIGN[branch] * n
+    span, c = _j_gen(params)
+    j = float(c.take(m + span + 1, mode="clip")) * params.q ** (-m / 2)  # 0 past the table
+    return math.sqrt(params.xi) * j if branch == "x" else -params.xi * j * j
 
 
 def dpii_limit_check(

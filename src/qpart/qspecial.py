@@ -16,6 +16,7 @@ and raises NonconvergenceError after _MAX_TERMS terms.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,14 @@ __all__ = [
 _TAIL_TOL = 1e-16
 _MAX_TERMS = 10_000
 _MACMAHON_DEGREE = 64  # degree of the exact plane-partition series
+
+
+def _context(dps: int) -> decimal.Context:
+    """A decimal context of dps digits that ignores the caller's defaults."""
+    return decimal.Context(prec=dps, rounding=decimal.ROUND_HALF_EVEN,
+                           Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                           traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                  decimal.Overflow])
 
 
 class NonconvergenceError(RuntimeError):

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp
 
 from qpart import checks, gap, measures
+from qpart.oppainleve import tail_comparator
 from qpart.qspecial import NonconvergenceError, QParams
 
 NEAR = QParams(q=0.97, xi=0.7)
@@ -116,22 +117,26 @@ def _j3_60(n, x, q):
 
 
 def test_tail_comparators_match_the_series_near_q_one():
-    # the binary64 series they replaced were 9.9e3 (x, n = 0) and 3.4e9
-    # (y, n = 18) off here
-    with mp.workdps(60):
-        q, xi = mp.mpf(NEAR.q), mp.mpf(NEAR.xi)
-        for n in range(26):
-            s = q ** (mp.mpf(n) / 2)
-            want_x = float(mp.sqrt(xi) * (-1) ** n * s * _j3_60(n, 2 * s * xi, q))
-            want_y = float(-xi * _j3_60(n, 2 * xi, q) ** 2)
-            assert checks.x_tail_comparator(NEAR, n) == pytest.approx(want_x, rel=1e-14, abs=0)
-            assert checks.y_tail_comparator(NEAR, n) == pytest.approx(want_y, rel=1e-14, abs=0)
+    # the J_gen table's comparators against the series: a binary64 series was
+    # 9.9e3 (x, n = 0) and 3.4e9 (y, n = 18) off at NEAR; at (1e-12, 0.3) the
+    # x comparator underflows to 0 from n = 7 on, as the series does
+    for p in (NEAR, QParams(q=0.5, xi=0.3), QParams(q=0.9, xi=0.5),
+              QParams(q=1e-12, xi=0.3), QParams(q=0.5, xi=0.999)):
+        with mp.workdps(60):
+            q, xi = mp.mpf(p.q), mp.mpf(p.xi)
+            for n in range(26):
+                s = q ** (mp.mpf(n) / 2)
+                want_x = float(mp.sqrt(xi) * (-1) ** n * s * _j3_60(n, 2 * s * xi, q))
+                want_y = float(-xi * _j3_60(n, 2 * xi, q) ** 2)
+                assert tail_comparator("x", p, n) == pytest.approx(want_x, rel=1e-14, abs=0)
+                assert tail_comparator("y", p, n) == pytest.approx(want_y, rel=1e-14, abs=0)
 
 
 def test_tail_comparator_nonconvergence_is_typed():
-    # mp.qhyper gives up on the series at q = 0.9999; the CLI reports that
+    # the J_gen table is refused at q = 0.9999, where its product needs more
+    # than 10,000 factors; the CLI reports that
     with pytest.raises(NonconvergenceError):
-        checks.x_tail_comparator(QParams(q=0.9999, xi=0.5), 3)
+        tail_comparator("x", QParams(q=0.9999, xi=0.5), 3)
 
 
 def test_schur_vs_qbessel_holds_near_q_one():

@@ -132,6 +132,16 @@ class TestGapTable:
         for row in rows:
             assert row["max_discrepancy"] < 1e-6
 
+    def test_run_past_the_stored_digit_limit_exits_2(self, capsys, monkeypatch):
+        # the row N = 3000 needs two runs holding 3.9e10 digits, about 22 GB;
+        # the table starts from its largest N, so it is refused before any run
+        monkeypatch.setattr(oppainleve, "_szego", None)
+        code, out, err = run(["gap-table", "--method", "toeplitz", "--q", "0.999", "--xi", "0.5",
+                              "--n-max", "3000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "needs 3.9e+10 stored digits (top^2 x 4326), past the limit of 5e+08" in err
+
     def test_near_q_one_exits_0(self, capsys):
         # log M = 9148 here; M itself overflows a double
         code, out, _ = run(
@@ -227,7 +237,7 @@ class TestParser:
     def test_nonconvergence_exits_2(self, argv, capsys):
         # at q = 0.9999 the J_gen product needs more than its fixed 10,000
         # factors and is refused before its partial products overflow; the
-        # painleve tail comparators' mp series gives up before the engine runs
+        # painleve tail comparators read that table before the engine runs
         code, _, err = run([*argv, "--q", "0.9999", "--xi", "0.5"], capsys)
         assert code == 2
         assert "did not converge" in err

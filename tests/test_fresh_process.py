@@ -1,7 +1,7 @@
 """Fresh-process runs: the CLI runs end to end with small arguments, as
-`python -m qpart.cli`, and importing the package loads no scipy (and,
-without `qpart.checks`, no mpmath) and builds no enumeration table or
-coefficient table."""
+`python -m qpart.cli`, only its `verify` command loads mpmath, and
+importing the package loads no scipy (and, without `qpart.checks`, no
+mpmath) and builds no enumeration table or coefficient table."""
 
 import os
 import subprocess
@@ -21,6 +21,28 @@ def test_cli_exits_0(args):
     proc = run_python("-m", "qpart.cli", *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_only_verify_loads_mpmath():
+    # each command runs through runpy in one process, in this order; after
+    # each, its exit code and whether any mpmath module is loaded so far
+    commands = [["gap-table", "--method", "all", "--n-max", "2"], ["limit-shape"],
+                ["painleve", "--branch", "x", "--n-max", "4"],
+                ["painleve", "--branch", "y", "--n-max", "4"], ["verify", "--suite", "special"]]
+    script = (
+        "import contextlib, io, runpy, sys\n"
+        f"for argv in {commands!r}:\n"
+        "    sys.argv = ['qpart', *argv]\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            runpy.run_module('qpart.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        print(argv[0], exc.code, any(m.startswith('mpmath') for m in sys.modules))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["gap-table 0 False", "limit-shape 0 False",
+                                        "painleve 0 False", "painleve 0 False", "verify 0 True"]
 
 
 def test_import_loads_no_scipy():

@@ -166,8 +166,8 @@ class TestCoefficientTables:
         (q, 0.7) for q in (0.9, 0.95, 0.97)]
 
     @staticmethod
-    def _series(p, orders):
-        with mp.workdps(40):
+    def _series(p, orders, dps=40):
+        with mp.workdps(dps):
             q, x = mp.mpf(p.q), 2 * mp.mpf(p.xi)
             return np.array([float(q ** (mp.mpf(n) / 2) * (
                 checks._j3(n, x, q) if n >= 0 else checks._j3_reflected(-n, x, q)))
@@ -195,6 +195,20 @@ class TestCoefficientTables:
         big = np.abs(want) > 1e-300
         assert big.sum() >= 40
         assert got[big] == pytest.approx(want[big], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_j_gen_entries_are_the_rounded_series_as_xi_approaches_one(self, q):
+        # a run loses about log10(1/(1 - xi)) digits, 16 at the largest double
+        # below 1; at 34 digits 15 of these 25 orders were off at q = 0.5 (by
+        # up to 2.2e-16 relative) and 148 of 163 at q = 0.9 (by up to 1.5e-15)
+        p = QParams(q=q, xi=1 - 1.1e-16)
+        span, c = _j_gen(p)
+        orders = range(-span, span + 1, 7)
+        want = self._series(p, orders, dps=60)
+        got = c[np.array(orders) + span + 1]
+        big = np.abs(want) > 1e-300
+        assert big.sum() >= 25
+        assert (got[big] == want[big]).all()
 
     @staticmethod
     def _fft_span(p):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from qpart import checks, oppainleve
+from qpart import oppainleve
 from qpart.oppainleve import (
     dpii_limit_check,
     inversion_k,
@@ -20,6 +20,7 @@ from qpart.oppainleve import (
     recurrence_rhs,
     rhp_jump_residual,
     rhp_sample,
+    tail_comparator,
     tau_relation_check,
 )
 from qpart.qspecial import NonconvergenceError, QParams
@@ -207,9 +208,27 @@ class TestSzegoRecursion:
         # disagree, and the next run would pass the limit
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
         monkeypatch.setattr(oppainleve, "_MAX_DPS", 45)
-        with pytest.raises(NonconvergenceError, match="by 45 digits; 67 digits would "
-                                                      "pass the limit of 45"):
+        with pytest.raises(NonconvergenceError, match="by 45 digits; the next pair needs "
+                                                      "67 digits, past the limit of 45"):
             op_sequence("plain", QParams(q=0.41, xi=0.23), 4)
+
+    def test_stored_digits_are_refused_before_any_run(self, monkeypatch):
+        # two runs at top 3001 would hold 3.9e10 digits, about 22 GB; the
+        # slowest accepted pairs hold 1.0e8 (top 100 at 9,999 digits) and
+        # 7.7e7 ((0.99, 0.7), top 330, certified at 703 digits)
+        monkeypatch.setattr(oppainleve, "_szego", None)
+        with pytest.raises(NonconvergenceError, match=r"top 3001\) needs 3\.9e\+10 stored digits "
+                                                      r"\(top\^2 x 4326\), past the limit of 5e\+08"):
+            op_sequence("plain", QParams(q=0.999, xi=0.5), 3000)
+        assert oppainleve._refused(100, 9999) == oppainleve._refused(330, 703) == ""
+
+    def test_stored_digits_bound_the_raised_precision(self, monkeypatch):
+        # (0.97, 0.7), plain, top 26 settles only at 109 digits, after runs at
+        # 33, 49 and 73; a limit of 26^2 x 73 digits stops it before that pair
+        monkeypatch.setattr(oppainleve, "_MAX_STORED", 26 * 26 * 73)
+        with pytest.raises(NonconvergenceError, match=r"by 73 digits; the next pair needs 7\.4e\+04 "
+                                                      r"stored digits \(top\^2 x 109\)"):
+            oppainleve._certified.__wrapped__("plain", QParams(q=0.97, xi=0.7), 26)
 
     def test_long_run_past_the_painleve_guard(self):
         # the engine has no index guard: x_40 at (0.97, 0.7) against mp.det
@@ -342,13 +361,13 @@ class TestPainleveTrajectories:
     def test_x_tail_comparator(self):
         state = painleve_trajectory("x", "determinant", P, 12)
         for n in range(4, 13):
-            comp = checks.x_tail_comparator(P, n)
+            comp = tail_comparator("x", P, n)
             assert state.values[n] / comp == pytest.approx(1.0, rel=1e-8)
 
     def test_y_tail_comparator(self):
         state = painleve_trajectory("y", "determinant", P, 12)
         for n in range(6, 13):
-            comp = checks.y_tail_comparator(P, n)
+            comp = tail_comparator("y", P, n)
             assert state.sq[n] / comp == pytest.approx(1.0, rel=1e-6)
 
     def test_dpii_residual_decreasing(self):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qpart import checks, kernels, oppainleve
 from qpart.qspecial import (
     QParams,
+    _context,
     log_macmahon,
     macmahon,
     macmahon_series_coefficient,
@@ -201,7 +202,7 @@ class TestFourierCoefficients:
         # have no relative digits left
         t_i = circle_fft("I", P, 512)
         t_c = circle_fft("I_check", P, 512)
-        with decimal.localcontext(oppainleve._context(34)):
+        with decimal.localcontext(_context(34)):
             m_i = oppainleve._moments("plain", 5, Decimal(P.q), Decimal(P.xi))
             m_c = oppainleve._moments("check", 5, Decimal(P.q), Decimal(P.xi))
         q, xi = mpmath.mpf(P.q), mpmath.mpf(P.xi)
