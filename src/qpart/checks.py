@@ -216,8 +216,9 @@ def _route_difference(p: QParams, method: str, ns: Sequence[int]) -> float:
 
 
 def toeplitz_vs_fredholm(p: QParams, ns: Sequence[int]) -> float:
-    """The relative difference of the Toeplitz and Fredholm routes; Fredholm
-    is accurate only in absolute terms."""
+    """The relative difference of the Toeplitz and Fredholm routes: the
+    symbol's Toeplitz determinant against the kernel's Fredholm determinant
+    in Gram form."""
     return _route_difference(p, "fredholm", ns)
 
 

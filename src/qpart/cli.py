@@ -93,7 +93,7 @@ def cmd_gap_table(args: argparse.Namespace, params: QParams) -> int:
 
 def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
     _require_n_max(args)
-    # the J_gen table fails before the engine runs: q = 0.9999 fails its product check
+    # the J_gen table fails before the engine runs: at q = 0.99999 it passes its span limit
     comps = [op_mod.tail_comparator(args.branch, params, n) for n in range(args.n_max + 1)]
     state = op_mod.painleve_trajectory(args.branch, args.source, params, args.n_max)
     # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual

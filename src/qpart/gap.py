@@ -12,6 +12,12 @@ Szego recursion (`oppainleve.op_sequence`), so it does not overflow
 near q = 1. The Toeplitz determinants themselves, and the shifted ones the
 Painleve variables are built from, are read off that recursion: Z_N =
 exp(log Z_N) and Z_N^(1) = (-1)^N x_N Z_N.
+
+The Fredholm route is det(1 - K) in Gram form, B B^T over a section B of
+the J_gen table (`_fredholm`), its log det from a QR: relative digits, and
+never a negative value, where np.linalg.det of 1 - K keeps absolute digits
+only (F. Bornemann, Math. Comp. 79 (2010), arXiv:0804.2543). It reads the
+table, not the moments of I, so it stays independent of the Toeplitz route.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .kernels import kernel_matrix
+from .kernels import _j_gen
 from .measures import ENUM_SIZE, _squared_table
 from .oppainleve import op_sequence
 from .qspecial import NonconvergenceError, QParams, log_macmahon
@@ -30,7 +37,8 @@ __all__ = ["GapQuery", "gap_probability"]
 
 GAP_VARIANTS = ("length", "first-part")
 METHODS = ("toeplitz", "fredholm", "enumeration")
-_SECTION = 40  # first Fredholm section size
+_ROW_TAIL = 1e-18  # squared row deficit at which a Fredholm section ends
+_MAX_ENTRIES = 1 << 23  # largest Fredholm B, 67 MB; its QR peaks near twice that
 
 
 @dataclass(frozen=True)
@@ -47,35 +55,33 @@ class GapQuery:
 
 
 def _fredholm(params: QParams, N: int, first_part: bool) -> float:
-    """The gap probability from the kernel on a section of m sites, m doubled
-    from _SECTION until the site past the section is negligible.
-
-    first part: det(1 - K) on l^2([N+1/2, N+m-1/2]), done once K(r, r) < 1e-12
-    at the next site. length: det(K) on [-N-m+1/2, -N-1/2]. The length
-    constraint says every site at or below -N-1/2 is occupied, a
-    full-occupation event, whose probability is the determinant of the
-    kernel restricted to that set (particle-hole complement of the gap
-    event); done once the occupation deficit 1 - K(r, r) < 1e-12.
-    """
-    sign = 1 if first_part else -1
-    m = _SECTION
-    while True:
-        sites = [sign * (N + j + 0.5) for j in range(m + 1)]
-        k = kernel_matrix(params, sites, sites)
-        far = k[m, m]
-        if (far if first_part else 1.0 - far) < 1e-12:
-            section = k[:m, :m]
-            return float(np.linalg.det(np.eye(m) - section if first_part else section))
-        m *= 2
-        if m > 2048:
-            raise NonconvergenceError(f"Fredholm section still short at {m // 2} sites")
+    """log P of the gap event by the Gram form of det(1 - K) (A. Borodin,
+    A. Okounkov, arXiv:math/9907165). The J_gen symbol has modulus 1, so
+    sum_n c_n c_{n+l} = delta_{l,0}, and on the sites N+1/2+i, i >= 0,
+    1 - K = B B^T exactly, B[i, k] = d_{N+i-k}, d_n = c_n; the length event,
+    every site below -N occupied, is det K there, the same B over d_n = c_{-n}.
+    log det = sum log R_ii^2 of the QR of B^T, ill-conditioned near q = 1.
+    Row i has squared norm 1 - t_i, t_i = sum_{n > N+i} d_n^2; the section
+    ends at the first row with t_i < _ROW_TAIL, and a B of more than
+    _MAX_ENTRIES entries is refused before it is built."""
+    span, c = _j_gen(params)
+    d = c if first_part else c[::-1]  # the table is laid out symmetrically in n
+    tail = np.cumsum((d * d)[::-1])[::-1]  # tail[j]: squared mass of d from index j up
+    top = N + span + 2  # index of d_{N+1}
+    m = int(np.argmax(tail[top:] < _ROW_TAIL)) if top < len(d) else 0
+    if m * (top + m) > _MAX_ENTRIES:
+        raise NonconvergenceError(f"the Fredholm section at {params}, N = {N} needs {m:,} "
+                                  f"sites by {top + m:,} orders, past {_MAX_ENTRIES:,} entries")
+    # row k of B^T is d_{N-k} .. d_{N-k+m-1}: a window read back from d_N, a view
+    b_t = sliding_window_view(np.concatenate([np.zeros(m), d]), m)[top + m - 1 :: -1]
+    return 2.0 * float(np.sum(np.log(np.abs(np.diagonal(np.linalg.qr(b_t, mode="r"))))))
 
 
 def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
     """P[l(lambda) <= N] or P[lambda_1 <= N] for the squared-type measure.
 
     method "toeplitz": exp(log Z_N - log M(xi;q)) with the variant's symbol;
-    method "fredholm": discrete Fredholm determinant of the kernel;
+    method "fredholm": the kernel's Fredholm determinant, exp of `_fredholm`;
     method "enumeration": the sum over partitions up to ENUM_SIZE, a table lookup.
     """
     if method == "toeplitz":
@@ -83,7 +89,7 @@ def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
         log_z = op_sequence(variant, query.params, query.N).log_z[query.N]
         return math.exp(log_z - log_macmahon(query.params))
     if method == "fredholm":
-        return _fredholm(query.params, query.N, query.variant == "first-part")
+        return math.exp(_fredholm(query.params, query.N, query.variant == "first-part"))
     if method == "enumeration":
         cumulative = _squared_table(query.params)[query.variant]
         return float(cumulative[min(query.N, ENUM_SIZE)])

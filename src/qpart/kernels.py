@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import MiwaTimes
-from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, _check_product, _context
+from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, _context
 
 __all__ = [
     "LimitShape",
@@ -219,10 +219,8 @@ def _j_gen(params: QParams) -> tuple[int, np.ndarray]:
     runs hundreds of orders past the edge. As xi -> 1 the two rates a and
     q/a there merge and a run loses about log10(1/(1 - xi)) of its digits, so
     it runs at _DIGITS plus that many, rounded up: 50 at xi = 1 - 1.1e-16, the
-    largest double below 1. At q = 0 or xi = 0, c_n = delta_{n,0}.
-    Where the product form of J_gen needs more than _MAX_TERMS factors,
-    NonconvergenceError before any work."""
-    _check_product("J_gen", params)
+    largest double below 1. At q = 0 or xi = 0, c_n = delta_{n,0}. The
+    table never reads the product form, so the one limit is _MAX_SPAN."""
     if params.q == 0.0 or params.xi == 0.0:
         return _unit()
     q, xi = Decimal(params.q), Decimal(params.xi)

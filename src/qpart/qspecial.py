@@ -45,8 +45,8 @@ def _context(dps: int) -> decimal.Context:
 
 
 class NonconvergenceError(RuntimeError):
-    """A truncated series, product or iteration used up its term, grid, span
-    or precision budget before its tail fell below the fixed tolerance."""
+    """A truncated series, product or iteration used up its term, grid, span,
+    section or precision budget before its tail fell below the fixed tolerance."""
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,6 @@ def macmahon_series_coefficient(k: int) -> int:
 WEIGHTS = ("I", "I_check", "J_gen")
 
 
-def _check_product(weight: str, params: QParams) -> None:
-    """NonconvergenceError if the weight's product, a_k = xi q^{k+1/2}, has a
-    factor past _MAX_TERMS at or above _TAIL_TOL. It is decided before any
-    work: the partial products of a product that cannot converge overflow
-    long before its last factor, and near q = 1 the coefficient table would
-    run to spans of tens of thousands."""
-    if params.xi * math.sqrt(params.q) * params.q ** (_MAX_TERMS - 1) >= _TAIL_TOL:
-        raise NonconvergenceError(f"{weight} weight product did not converge")
-
-
 def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
     """The circle weight at complex points z, off its poles and zeros.
 
@@ -128,11 +118,14 @@ def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
       J_gen:   prod (1 - a_k / z) / (1 - a_k z), the kernel generating
                function, of modulus 1 on the circle.
     It is the one product-form evaluator; no coefficient table reads it.
+    NonconvergenceError before any work if a factor past _MAX_TERMS is at or
+    above _TAIL_TOL: such a product overflows long before its last factor.
     """
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
-    _check_product(weight, params)
     a = params.xi * math.sqrt(params.q)
+    if a * params.q ** (_MAX_TERMS - 1) >= _TAIL_TOL:
+        raise NonconvergenceError(f"{weight} weight product did not converge")
     if weight == "I_check":
         a = -a
     num = np.ones_like(z, dtype=complex)

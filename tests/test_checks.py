@@ -54,11 +54,18 @@ def test_verify_table_is_pinned():
 
 
 def test_toeplitz_vs_fredholm_fails_near_scaling():
-    # Fredholm has absolute accuracy only: at N = 3 it returns ~4e-143 for
-    # the true 2.47e-202, which an absolute comparison passed at 6.6e-127
+    # the binary64 QR of the Fredholm route is ill-conditioned here: at N = 3
+    # it returns 3.93e-193 for the first part's true 2.47e-202, which an
+    # absolute comparison would pass at 8.2e-162
     row = _check("gap.toeplitz_vs_fredholm").report(NEAR)
     assert not row["pass"]
     assert row["measured"] == pytest.approx(1.0)
+
+
+def test_toeplitz_vs_fredholm_holds_at_stressed_point():
+    # det(1 - K) of a float kernel block kept absolute digits only: 2.67e-10
+    # here; the Gram form reads 1.76e-14
+    assert _check("gap.toeplitz_vs_fredholm").report(QParams(q=0.9, xi=0.5))["pass"]
 
 
 def test_toeplitz_vs_enumeration_fails_near_scaling():
@@ -132,11 +139,20 @@ def test_tail_comparators_match_the_series_near_q_one():
                 assert tail_comparator("y", p, n) == pytest.approx(want_y, rel=1e-14, abs=0)
 
 
+def test_j_gen_table_holds_past_the_product_limit():
+    # the table once shared the product form's 10,000-factor refusal, which
+    # refused every q above 0.9964 at xi = 0.7; at q = 0.998 its span is 2,048
+    # and the sampled entries read 0.0 and 3.5e-18 off the mp series
+    p = QParams(q=0.998, xi=0.7)
+    for check_id in ("special.gen_fn_coefficients", "special.negative_order_reflection"):
+        assert _check(check_id).report(p)["pass"]
+
+
 def test_tail_comparator_nonconvergence_is_typed():
-    # the J_gen table is refused at q = 0.9999, where its product needs more
-    # than 10,000 factors; the CLI reports that
+    # the J_gen table is refused at q = 0.99999, where the band alone reaches
+    # past the span limit of 65,536 orders; the CLI reports that
     with pytest.raises(NonconvergenceError):
-        tail_comparator("x", QParams(q=0.9999, xi=0.5), 3)
+        tail_comparator("x", QParams(q=0.99999, xi=0.5), 3)
 
 
 def test_schur_vs_qbessel_holds_near_q_one():

@@ -3,6 +3,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qpart import oppainleve
@@ -161,6 +162,20 @@ class TestGapTable:
         assert "Traceback" not in err
         assert [r["N"] for r in json.loads(out)] == [0, 1]
 
+    def test_oversized_fredholm_section_exits_2(self, capsys, monkeypatch):
+        # the J_gen table builds here, but the section needs 8,220 sites by
+        # 24,607 orders, a B of 1.6 GB, which is refused before it is built
+        def no_qr(*args, **kwargs):
+            raise AssertionError("the section is refused before any QR")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        code, out, err = run(["gap-table", "--method", "fredholm", "--q", "0.9999",
+                              "--xi", "0.5", "--n-max", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "needs 8,220 sites" in err
+        assert "Traceback" not in err
+
     def test_readme_example_is_the_output(self, capsys):
         # the README's example block: "$ qpart <args>", then what it prints
         block = README.read_text().split("```\n$ qpart ")[1].split("```")[0]
@@ -235,10 +250,10 @@ class TestParser:
     ])
     @pytest.mark.filterwarnings("error")
     def test_nonconvergence_exits_2(self, argv, capsys):
-        # at q = 0.9999 the J_gen product needs more than its fixed 10,000
-        # factors and is refused before its partial products overflow; the
+        # at q = 0.99999 the J_gen table's band alone reaches past its span
+        # limit of 65,536 orders, and it is refused before any run; the
         # painleve tail comparators read that table before the engine runs
-        code, _, err = run([*argv, "--q", "0.9999", "--xi", "0.5"], capsys)
+        code, _, err = run([*argv, "--q", "0.99999", "--xi", "0.5"], capsys)
         assert code == 2
         assert "did not converge" in err
         assert "Traceback" not in err
@@ -246,7 +261,7 @@ class TestParser:
     @pytest.mark.parametrize("argv, failing", [
         (["--suite", "special", "--q", "0.5", "--xi", "0.999"],
          ["special.modified_bessel_relation"]),
-        (["--suite", "kernels", "--q", "0.9999", "--xi", "0.5"],
+        (["--suite", "kernels", "--q", "0.99999", "--xi", "0.5"],
          ["kernels.christoffel_darboux", "kernels.schur_vs_qbessel", "kernels.symmetry"]),
     ])
     @pytest.mark.filterwarnings("error")

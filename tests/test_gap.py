@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from qpart.gap import GAP_VARIANTS, GapQuery, gap_probability
@@ -68,6 +70,31 @@ class TestGapProbability:
         a = gap_probability(query, "toeplitz")
         b = gap_probability(query, "fredholm")
         assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("variant", GAP_VARIANTS)
+    def test_fredholm_is_positive_near_scaling(self, variant):
+        # det(1 - K) of a float kernel block kept absolute digits only and
+        # returned -1.04e-134 (length) and -3.42e-149 (first part) here
+        query = GapQuery(variant, 3, QParams(q=0.97, xi=0.7))
+        assert gap_probability(query, "fredholm") > 0.0
+
+    def test_fredholm_keeps_relative_digits_at_q_095(self):
+        # det(1 - K) of a float kernel block gave 1.8e-61 for 4.35e-63 here
+        query = GapQuery("first-part", 3, QParams(q=0.95, xi=0.7))
+        want = gap_probability(query, "toeplitz")
+        assert gap_probability(query, "fredholm") == pytest.approx(want, rel=1e-3)
+
+    # below q or xi = 1e-3 the Toeplitz route's engine runs take up to seconds
+    # each, and at q = 1e-60 the engine refuses the point (its digit limit)
+    @given(q=st.just(0.0) | st.floats(1e-3, 0.9), xi=st.just(0.0) | st.floats(1e-3, 0.5),
+           N=st.integers(0, 10), variant=st.sampled_from(GAP_VARIANTS))
+    @example(q=0.9, xi=0.5, N=0, variant="length")
+    @settings(max_examples=100, deadline=None)
+    def test_fredholm_matches_toeplitz(self, q, xi, N, variant):
+        # at the example det(1 - K) of a float kernel block was 2.67e-10 off
+        query = GapQuery(variant, N, QParams(q=q, xi=xi))
+        want = gap_probability(query, "toeplitz")
+        assert gap_probability(query, "fredholm") == pytest.approx(want, rel=1e-12)
 
     def test_fredholm_builds_one_table_per_params(self):
         p = QParams(q=0.9, xi=0.45)  # a point no other test uses
