@@ -272,13 +272,16 @@ def rhp_det(p: QParams, ns: Sequence[int]) -> float:
 
 
 def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
-    """Largest entry of |Y_n(0) - [[x_n, 1/kappa_n^2], [-kappa_{n-1}^2, x_n]]|."""
+    """Largest entry of |Y_n(0) - [[x_n, 1/kappa_n^2], [-kappa_{n-1}^2, x_n]]|. Y_n(0)
+    comes first: where kappa_n^2 underflows to 0.0, at q = 0.9999, xi = 0.5, the
+    sample's weight product does not converge, and the row fails as such."""
     dev = 0.0
     for n in ns:
+        y = op.rhp_sample(n, 0.0 + 0.0j, p).y
         seq = op.op_sequence("plain", p, n + 1)
         want = np.array([[seq.x[n], 1.0 / seq.kappa_sq[n]],
                          [-seq.kappa_sq[n - 1], seq.x[n]]])
-        dev = max(dev, float(np.max(np.abs(op.rhp_sample(n, 0.0 + 0.0j, p).y - want))))
+        dev = max(dev, float(np.max(np.abs(y - want))))
     return dev
 
 

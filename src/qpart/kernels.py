@@ -12,14 +12,11 @@ and `_miller` finds it by Miller's algorithm in decimal at 34+ digits, so
 every entry is relatively accurate, even for q close to 1, where the raw
 hypergeometric series cancels catastrophically and an FFT of the product
 form keeps only absolute digits; the squared mass left outside the span
-fixes each table's order range. One assembler, `_lag_sums`, builds any
-block from a table as K(r, s) = sum_{n > r} c_n c_{n+s-r}, free of the
-Christoffel-Darboux division that amplified rounding near q = 1. Its sums
-are lag rows R_d[n] = sum_{m >= n} c_m c_{m+d}, reversed cumulative sums
-from the table's top: a block computes the rows of its distinct lags in one
-2-D pass per call and reads each entry at its row's first order. A single
-entry, `_lag_sum`, sums only its own terms, in the row's order, so it is
-the block's value bit for bit; it costs about 10 us. Nothing is kept
+fixes each table's order range. One assembler, `_lag_sum`, gives each entry
+K(r, s) = sum_{n > r} c_n c_{n+s-r} of a table, free of the
+Christoffel-Darboux division that amplified rounding near q = 1: it sums
+its own terms from the table's top down, about 9 us at span 128 and 170-260 us
+at span 32,768, and a block is the array of its entries. Nothing is kept
 between calls but the coefficient tables. The Schur series form
 `schur_kernel` takes its J and Jtilde tables by FFT of the Miwa-time
 symbol (`_table`), not from J_gen, an independent check.
@@ -37,7 +34,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .measures import MiwaTimes
 from .qspecial import _MAX_TERMS, _TAIL_TOL, NonconvergenceError, QParams, _context
@@ -249,45 +245,15 @@ def _bessel(eta: float) -> tuple[int, np.ndarray]:
                    (-2.0 * eta, 2.0 * eta), _DIGITS, f"J_n(2 eta) at eta = {eta}")
 
 
-def _lag_sums(table: Callable, arg, rows: Sequence, cols: Sequence) -> np.ndarray:
-    """The block K(r, s) = sum_{n > r} c_n c_{n+s-r}, r in rows, s in cols, over
-    the `_table` of c_n that table(arg) returns: the lag row of d = s - r read
-    at the row's first order r + 1/2, so each entry is bit-identical in every
-    block and K(r, s) = K(s, r)."""
-    tr = np.array([twice(r) for r in rows], dtype=np.int64)
-    ts = np.array([twice(s) for s in cols], dtype=np.int64)
-    span, c = table(arg)
-    size = len(c)
-    start = np.clip((tr + 1) // 2 + span + 1, 0, size - 1)  # index of order r + 1/2
-    lags, which = _distinct_lags(tr, ts, size)
-    padded = np.zeros(3 * size)  # c with a table's length of zeros each side
-    padded[size : 2 * size] = c
-    # row k of the window view is c_{n+d}, n = 0 .. size - 1, d = lags[k]
-    sums = sliding_window_view(padded, size)[size + lags]
-    sums *= c
-    np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
-    return sums[which, start[:, None]]
-
-
-def _distinct_lags(tr: np.ndarray, ts: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct lags d = s - r of a block, clipped to |d| <= size (past the
-    table's length every c_n pairs with a zero), and each entry's index among
-    them: np.unique with return_inverse, without its sort and its temporaries."""
-    shifted = np.clip((ts - tr[:, None]) // 2, -size, size) + size
-    present = np.zeros(2 * size + 1, dtype=bool)
-    present[shifted] = True
-    return np.flatnonzero(present) - size, (np.cumsum(present, dtype=np.int32) - 1)[shifted]
-
-
-def _lag_sum(table: Callable, arg, r, s) -> float:
-    """One entry of `_lag_sums`: its own terms c_n c_{n+d}, n >= r + 1/2, summed
-    from the table's top down as the block's lag row sums them, so it is the
-    block's value bit for bit."""
+def _lag_sum(table: tuple[int, np.ndarray], r, s) -> float:
+    """K(r, s) = sum_{n > r} c_n c_{n+s-r} over a table (span, c) of c_n: the
+    terms c_n c_{n+d}, d = s - r, from the table's top order down to r + 1/2,
+    summed in that order, with orders past the table read as 0."""
     tr, ts = twice(r), twice(s)
-    span, c = table(arg)
+    span, c = table
     size = len(c)
-    start = min(max((tr + 1) // 2 + span + 1, 0), size - 1)
-    d = min(max((ts - tr) // 2, -size), size)
+    start = min(max((tr + 1) // 2 + span + 1, 0), size - 1)  # index of order r + 1/2
+    d = min(max((ts - tr) // 2, -size), size)  # past the table's length every c_n pairs with 0
     padded = np.zeros(3 * size)
     padded[size : 2 * size] = c
     terms = padded[size + d + start : 2 * size + d] * c[start:]
@@ -296,15 +262,18 @@ def _lag_sum(table: Callable, arg, r, s) -> float:
 
 def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray:
     """The block K(r, s) = sum_{k in Z'_{>0}} c_{r+k} c_{s+k}, r in rows, s in cols,
-    of the squared-type correlation kernel: the `_lag_sums` of c_n = q^{n/2} J^(3)_n(2 xi;q).
-    Unlike the paper's Christoffel-Darboux quotient, it has no division by
-    1 - q^{|r-s|}, which amplifies rounding near q = 1."""
-    return _lag_sums(_j_gen, params, rows, cols)
+    of the squared-type correlation kernel, c_n = q^{n/2} J^(3)_n(2 xi;q): the
+    array of its `q_bessel_kernel` entries. Unlike the paper's
+    Christoffel-Darboux quotient, it has no division by 1 - q^{|r-s|}, which
+    amplifies rounding near q = 1."""
+    table = _j_gen(params)
+    return np.array([[_lag_sum(table, r, s) for s in cols] for r in rows],
+                    dtype=float).reshape(len(rows), len(cols))
 
 
 def q_bessel_kernel(params: QParams, r, s) -> float:
-    """One entry K(r, s) of `kernel_matrix`."""
-    return _lag_sum(_j_gen, params, r, s)
+    """One entry K(r, s) of `kernel_matrix`: the `_lag_sum` of the J_gen table."""
+    return _lag_sum(_j_gen(params), r, s)
 
 
 @lru_cache(maxsize=64)
@@ -356,11 +325,11 @@ def schur_kernel(t: MiwaTimes, t_tilde: MiwaTimes, r, s) -> float:
 
 def discrete_bessel_kernel(eta: float, r, s) -> float:
     """q -> 1 limit kernel sum_{k in Z'_{>0}} J_{r+k}(2 eta) J_{s+k}(2 eta), the
-    `_lag_sums` of the Bessel table; off the diagonal it equals
+    `_lag_sum` of the Bessel table; off the diagonal it equals
     eta (J_{r-1/2} J_{s+1/2} - J_{r+1/2} J_{s-1/2}) / (r - s)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    return _lag_sum(_bessel, eta, r, s)
+    return _lag_sum(_bessel(eta), r, s)
 
 
 def correlation(kernel: Callable[[object, object], float], points: Sequence) -> float:

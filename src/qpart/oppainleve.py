@@ -32,6 +32,7 @@ import cmath
 import decimal
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -400,7 +401,9 @@ def dpii_limit_check(
 ) -> list[dict]:
     """Residual of (x_{n-1} + x_{n+1})(1 - x_n^2) + (n/eta) x_n along a q
     schedule with xi = (1 - q) eta, for both branches, on determinant-sourced
-    data. The residuals must shrink as q -> 1."""
+    data, n >= 1. The residuals must shrink as q -> 1."""
+    if min(n_range) < 1:
+        raise ValueError("n must be >= 1 (the residual reads x_{n-1})")
     rows = []
     for q in q_schedule:
         xi = (1.0 - q) * eta
@@ -573,19 +576,29 @@ def rhp_jump_residual(n: int, z_angle: float, params: QParams, variant: str) -> 
 def tau_relation_check(
     params: QParams, n_range: Sequence[int], variant: str = "plain"
 ) -> list[dict]:
-    """Residual of log Z_{n+1} - 2 log Z_n + log Z_{n-1} = log(1 - x_n^2).
+    """Residual of log Z_{n+1} - 2 log Z_n + log Z_{n-1} = log(1 - x_n^2), n >= 1.
 
     The second difference equals log(kappa_{n-1}^2 / kappa_n^2), which is
     scale invariant and usable even where the raw determinants overflow.
+    Where kappa_m^2 = Z_m / Z_{m+1} is not a normal float (0.0 at q = 0.9999,
+    xi = 0.5), log kappa_m^2 is log Z_m - log Z_{m+1} instead, which keeps
+    fewer digits: |log Z_m| grows like m^2 log(1/q).
     Since kappa_n^2 comes from E_{n+1} = E_n (1 - x_{n+1}^2) in the Szego
     recursion, the relation holds by construction and the residual only
     measures float rounding; the independent check of the recursion is the
     mpmath determinant comparison in the tests.
     """
+    if min(n_range) < 1:
+        raise ValueError("n must be >= 1 (the second difference reads log Z_{n-1})")
     op = op_sequence(variant, params, max(n_range) + 1)
+
+    def log_kappa_sq(m: int) -> float:
+        k = op.kappa_sq[m]
+        return math.log(k) if k >= sys.float_info.min else op.log_z[m] - op.log_z[m + 1]
+
     rows = []
     for n in n_range:
-        lhs = math.log(op.kappa_sq[n - 1]) - math.log(op.kappa_sq[n])
+        lhs = log_kappa_sq(n - 1) - log_kappa_sq(n)
         rhs = math.log1p(-op.x[n] ** 2)
         rows.append({"n": n, "residual": abs(lhs - rhs)})
     return rows

@@ -56,6 +56,18 @@ class TestVerify:
         assert code == 0
         assert [r["pass"] for r in json.loads(out)] == [True] * 29
 
+    def test_reports_every_row_where_kappa_underflows(self, capsys):
+        # kappa_n^2 underflows to 0.0 here; verify exited 2 with no rows when
+        # rhp_value_at_zero divided by it and tau_relation took its log
+        code, out, err = run(["verify", "--q", "0.9999", "--xi", "0.5"], capsys)
+        assert code == 1
+        rows = {r["check_id"]: r for r in json.loads(out)}
+        assert len(rows) == 29
+        assert rows["painleve.tau_relation"]["pass"]
+        assert rows["painleve.rhp_value_at_zero"]["measured"] is None
+        assert "painleve.rhp_value_at_zero: did not converge" in err
+        assert "Traceback" not in err
+
     def test_xi_zero_passes_quickly(self, capsys):
         code, out, _ = run(
             ["verify", "--suite", "measures", "--xi", "0.0"], capsys

@@ -1,5 +1,6 @@
 import decimal
 import functools
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from qpart import checks
 from qpart.kernels import (
     _bessel,
     _j_gen,
-    _lag_sums,
     airy,
     airy_kernel,
     correlation,
@@ -119,11 +119,11 @@ class TestQBesselKernel:
             for j, s in enumerate(HALF[1::3]):
                 assert k[i, j] == q_bessel_kernel(p, r, s)
 
-    def test_entries_match_blocks(self):
+    @staticmethod
+    def _blocks():
         # the near-scaling edge block at (0.97, 0.7), with sites past the
         # table's span on both sides, the (0.9, 0.5) block of HALF and the
-        # Bessel table: single entries equal their blocks struct for struct,
-        # signed zeros included, where list == would take -0.0 for 0.0
+        # Bessel block at eta = 3, each with the table it reads
         p = QParams(q=0.97, xi=0.7)
         span = _j_gen(p)[0]
         far = [Fraction(sign * (2 * k + 1), 2) for sign in (-1, 1)
@@ -131,13 +131,33 @@ class TestQBesselKernel:
         sites = [Fraction(k, 2) for k in range(119, 199, 2)] + far
         eta, orders = 3.0, HALF + [Fraction(2 * k + 1, 2) for k in (-90, 70, 200)]
         half = QParams(q=0.9, xi=0.5)
-        cases = [(functools.partial(q_bessel_kernel, p), kernel_matrix(p, sites, sites), sites),
-                 (functools.partial(q_bessel_kernel, half), kernel_matrix(half, HALF, HALF), HALF),
-                 (functools.partial(discrete_bessel_kernel, eta),
-                  _lag_sums(_bessel, eta, orders, orders), orders)]
-        for entry, block, at in cases:
-            entries = np.array([[entry(r, s) for s in at] for r in at])
-            assert entries.tobytes() == block.tobytes()
+        return [(_j_gen(p), kernel_matrix(p, sites, sites), sites),
+                (_j_gen(half), kernel_matrix(half, HALF, HALF), HALF),
+                (_bessel(eta), np.array([[discrete_bessel_kernel(eta, r, s) for s in orders]
+                                         for r in orders]), orders)]
+
+    def test_blocks_are_pinned(self):
+        # sha256 of the blocks' bytes as the 2-D lag-row pass built them,
+        # signed zeros included, where == would take -0.0 for 0.0
+        pins = ["f572a3f80c4588f719f287f0b93a8396cc718880725ff8903c1d66d55b5b0612",
+                "21f1d70a56e3b8fc479233c602bebfdc67f38eab2a301cdf955afb7b5a14485a",
+                "fd6ced47c209b581890c443806930a23127e58514fd0610f7b917279d52f1e66"]
+        assert [hashlib.sha256(block.tobytes()).hexdigest()
+                for _, block, _ in self._blocks()] == pins
+
+    def test_entries_are_the_exact_sums_of_their_terms(self):
+        # math.fsum of c_n c_{n+d}, n > r, over the table; by Parseval the
+        # terms' absolute sum is at most 1, and an entry that cancels below
+        # the floor 0.1 keeps the digits of that scale only (3.5e-16 off at
+        # (-511/2, -513/2), a sum of -3.2e-18)
+        for (span, c), block, at in self._blocks():
+            for i, r in enumerate(at):
+                for j, s in enumerate(at):
+                    a, d = (twice(r) + 1) // 2, (twice(s) - twice(r)) // 2
+                    want = math.fsum(c[n + span + 1] * c[n + d + span + 1]
+                                     for n in range(max(a, -span), span + 1)
+                                     if abs(n + d) <= span)
+                    assert abs(block[i, j] - want) <= 1e-14 * max(abs(want), 0.1)
         assert (np.signbit(block) & (block == 0)).any()  # far orders hold -0.0
 
     def test_trace_equals_mean_size_contribution(self):

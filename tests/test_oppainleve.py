@@ -375,6 +375,11 @@ class TestPainleveTrajectories:
         assert rows[1]["residual_x"] < rows[0]["residual_x"]
         assert rows[1]["residual_y"] < rows[0]["residual_y"]
 
+    def test_dpii_rejects_n_below_one(self):
+        # x[n - 1] at n = 0 read x[-1], and the row reported residual 0.0
+        with pytest.raises(ValueError):
+            dpii_limit_check(1.0, [0.9], [0, 1])
+
     def test_n_max_past_guard_raises(self):
         with pytest.raises(ValueError):
             painleve_trajectory("x", "determinant", P, 30)
@@ -394,6 +399,17 @@ class TestTauRelation:
     def test_check_variant(self):
         for row in tau_relation_check(P, range(2, 10), variant="check"):
             assert row["residual"] < 1e-9
+
+    def test_holds_where_kappa_underflows(self):
+        # kappa_n^2 is 0.0 here, and math.log of it raised; log Z_n stays finite
+        p = QParams(q=0.9999, xi=0.5)
+        assert op_sequence("plain", p, 3).kappa_sq[1] == 0.0
+        for row in tau_relation_check(p, range(2, 13)):
+            assert row["residual"] < 1e-9
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError):
+            tau_relation_check(P, range(0, 3))
 
 
 class TestLax:
