@@ -307,12 +307,16 @@ class Check:
 
     def report(self, p: QParams) -> dict:
         """The verify row at p; it passes when |measured| <= tolerance. A
-        series that does not converge fails the row, with measured None, and
-        says so on stderr."""
+        series that does not converge, a division that p makes singular or a
+        float that overflows there fails the row, with measured None, and
+        stderr names the row and the cause in the CLI's words."""
         try:
             measured = self.fn(*(p if a is POINT else a for a in self.args))
-        except qs.NonconvergenceError as exc:
-            print(f"qpart: {self.check_id}: did not converge: {exc}", file=sys.stderr)
+        except (qs.NonconvergenceError, ZeroDivisionError, OverflowError) as exc:
+            why = ("did not converge" if isinstance(exc, qs.NonconvergenceError) else
+                   "singular at this point" if isinstance(exc, ZeroDivisionError) else
+                   "overflow at this point")
+            print(f"qpart: {self.check_id}: {why}: {exc}", file=sys.stderr)
             measured = None
         return {"check_id": self.check_id, "paper_ref": self.paper_ref,
                 "measured": measured, "tolerance": self.tolerance,

@@ -10,8 +10,9 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
 error, a series, grid or precision that did not converge, a division
 that is singular at the given (q, xi), a float that overflows there, or
 an output file that cannot be written. A `verify` row whose own series
-does not converge is a failed check: it reads measured null, stderr names
-it, and every other row is still reported. Output is deterministic.
+does not converge, or that the point makes singular or overflow, is a
+failed check: it reads measured null, stderr names it, and every other
+row is still reported. Output is deterministic.
 """
 
 from __future__ import annotations

@@ -15,11 +15,13 @@ form keeps only absolute digits; the squared mass left outside the span
 fixes each table's order range. One assembler, `_lag_sum`, gives each entry
 K(r, s) = sum_{n > r} c_n c_{n+s-r} of a table, free of the
 Christoffel-Darboux division that amplified rounding near q = 1: it sums
-its own terms from the table's top down, about 9 us at span 128 and 170-260 us
-at span 32,768, and a block is the array of its entries. Nothing is kept
+its own terms from the table's top down, reading an order past the table as
+the 0 that ends it on each side, about 9 us at span 128 and 220-240 us at
+span 32,768, and a block is the array of its entries. Nothing is kept
 between calls but the coefficient tables. The Schur series form
 `schur_kernel` takes its J and Jtilde tables by FFT of the Miwa-time
-symbol (`_table`), not from J_gen, an independent check.
+symbol (`_table`), not from J_gen, an independent check; every table walks
+the same power-of-two spans, _MIN_SPAN to _MAX_SPAN.
 """
 
 from __future__ import annotations
@@ -53,10 +55,8 @@ __all__ = [
     "scaling_probe",
 ]
 
-_GRID = 512              # first FFT grid of a Schur table
-_MAX_GRID = 1 << 18      # a Schur table gives up past this grid
-_MIN_SPAN = 128          # smallest order span of a recurrence table
-_MAX_SPAN = 1 << 16      # a recurrence table gives up past this span
+_MIN_SPAN = 128          # smallest order span of a coefficient table
+_MAX_SPAN = 1 << 16      # a coefficient table gives up past this span
 _OUTSIDE_MASS = 1e-24    # squared mass a table may drop
 _DIGITS = 34             # decimal digits of a recurrence run, before J_gen's extra
 _RUN_TOL = 1e-30         # start error a run may leave at the span, relative
@@ -82,22 +82,17 @@ def twice(r) -> int:
 
 def _table(fft: Callable[[int], np.ndarray], what: str) -> tuple[int, np.ndarray]:
     """(L, c) for a symbol on the circle whose FFT on a grid is fft(grid): c
-    holds c_n for |n| <= L at index n + L + 1, and 0 at each end. The grid
-    doubles until the squared mass of its orders past grid/4 falls below
-    _OUTSIDE_MASS, and L = grid/4; for a symbol of modulus 1, sum_n c_n^2 = 1
-    (Parseval), so that mass is relative."""
-    grid = _GRID
-    while True:
-        c = fft(grid)
-        if np.sum(c[grid // 4 + 1 : 3 * grid // 4] ** 2) < _OUTSIDE_MASS:
-            break
-        grid *= 2
-        if grid > _MAX_GRID:
-            raise NonconvergenceError(
-                f"{what} coefficients not negligible by order {grid // 4}"
-            )
-    span = grid // 4
-    return span, np.concatenate([[0.0], c[-span:], c[: span + 1], [0.0]])
+    holds c_n for |n| <= L at index n + L + 1, and 0 at each end. L is the
+    smallest power of two from _MIN_SPAN whose squared mass of orders past
+    it, on the grid of 4 L points, is below _OUTSIDE_MASS; for a symbol of
+    modulus 1, sum_n c_n^2 = 1 (Parseval), so that mass is relative."""
+    span = _MIN_SPAN
+    while span <= _MAX_SPAN:
+        c = fft(4 * span)
+        if np.sum(c[span + 1 : 3 * span] ** 2) < _OUTSIDE_MASS:
+            return span, np.concatenate([[0.0], c[-span:], c[: span + 1], [0.0]])
+        span *= 2
+    raise NonconvergenceError(f"{what} coefficients not negligible by order {_MAX_SPAN}")
 
 
 def _unit() -> tuple[int, np.ndarray]:
@@ -248,15 +243,15 @@ def _bessel(eta: float) -> tuple[int, np.ndarray]:
 def _lag_sum(table: tuple[int, np.ndarray], r, s) -> float:
     """K(r, s) = sum_{n > r} c_n c_{n+s-r} over a table (span, c) of c_n: the
     terms c_n c_{n+d}, d = s - r, from the table's top order down to r + 1/2,
-    summed in that order, with orders past the table read as 0."""
+    summed in that order. An order past the table reads the 0 at its end
+    (`take` clips the index there)."""
     tr, ts = twice(r), twice(s)
     span, c = table
     size = len(c)
     start = min(max((tr + 1) // 2 + span + 1, 0), size - 1)  # index of order r + 1/2
     d = min(max((ts - tr) // 2, -size), size)  # past the table's length every c_n pairs with 0
-    padded = np.zeros(3 * size)
-    padded[size : 2 * size] = c
-    terms = padded[size + d + start : 2 * size + d] * c[start:]
+    terms = c.take(np.arange(start + d, size + d), mode="clip")  # c_{n+d}, n >= r + 1/2
+    terms *= c[start:]  # in place, sparing a second array
     return float(np.add.accumulate(terms[::-1])[-1])  # np.cumsum, less its overhead
 
 
@@ -281,11 +276,11 @@ def _schur_coefficients(t: MiwaTimes, t_tilde: MiwaTimes) -> tuple:
     """The `_table`s of J_n and Jtilde_n, the Fourier coefficients of
     exp(sum_n t_n z^n - ttilde_n z^-n) and of the same with t and ttilde
     swapped, independent of the J_gen table. The times are summed until both
-    fall below _TAIL_TOL past any explicit list (the named families decrease)."""
+    fall below _TAIL_TOL (both families decrease)."""
     times = []
     for n in range(1, _MAX_TERMS + 1):
         times.append((t.value(n), t_tilde.value(n)))
-        if n >= max(len(t.t), len(t_tilde.t)) and max(map(abs, times[-1])) < _TAIL_TOL:
+        if max(map(abs, times[-1])) < _TAIL_TOL:
             break
     else:
         raise NonconvergenceError(f"Miwa times of {t}, {t_tilde} above {_TAIL_TOL} "

@@ -62,39 +62,33 @@ MAX_ENUM_SIZE = 40  # checked in `_enum_stats` alone; 215,308 rows at 40
 
 @dataclass(frozen=True)
 class MiwaTimes:
-    """Finite Miwa-time list or a named closed-form family.
+    """A named closed-form family of Miwa times, the only two any measure here
+    specializes to.
 
     family "principal": t_n = xi^n q^{n/2} / (n (1 - q^n)), 0 at q = 0
-    family "delta": t_n = xi * delta_{n,1}
-    family None: explicit finite list `t`, zero beyond its length.
+    family "delta": t_n = xi * delta_{n,1}, q unused (0)
     """
 
-    t: tuple[float, ...] = ()
-    family: str | None = None
-    xi: float = 0.0
-    q: float = 0.0
+    family: str
+    xi: float
+    q: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", tuple(self.t))
-        if self.family not in (None, "principal", "delta"):
+        if self.family not in ("principal", "delta"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family is None and len(self.t) < 1:
-            raise ValueError("explicit Miwa times need at least one entry")
 
     def value(self, n: int) -> float:
         if self.family == "principal":
             return self.xi**n * self.q ** (n / 2) / (n * (1.0 - self.q**n))
-        if self.family == "delta":
-            return self.xi if n == 1 else 0.0
-        return self.t[n - 1] if n <= len(self.t) else 0.0
+        return self.xi if n == 1 else 0.0
 
     @staticmethod
     def principal(xi: float, q: float) -> "MiwaTimes":
-        return MiwaTimes(family="principal", xi=xi, q=q)
+        return MiwaTimes("principal", xi, q)
 
     @staticmethod
     def delta(xi: float) -> "MiwaTimes":
-        return MiwaTimes(family="delta", xi=xi)
+        return MiwaTimes("delta", xi, 0.0)
 
 
 @dataclass(frozen=True)
@@ -148,11 +142,7 @@ def _factors(kind: object) -> tuple[float, float, int, float]:
         xi2 = kind.xi * kind.xi
         return xi2, kind.q, 1, math.exp(-xi2 / (1.0 - kind.q))
     if isinstance(kind, SchurMeasure):
-        pair = (kind.t, kind.t_tilde)
-        if any(t.family is None for t in pair):
-            raise NotImplementedError(
-                "Schur measure evaluation is only available for the named families")
-        qs = [t.q for t in pair if t.family == "principal"]
+        qs = [t.q for t in (kind.t, kind.t_tilde) if t.family == "principal"]
         if len(set(qs)) > 1:
             raise NotImplementedError("two principal specializations at different q")
         # not (xi q^{1/2}) (xi~ q~^{1/2}): raised to |lambda|, those two roundings

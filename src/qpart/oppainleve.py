@@ -65,7 +65,6 @@ __all__ = [
 OP_VARIANTS = ("plain", "check")
 _WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
 _SIGN = {"x": 1, "y": -1}  # the sign e of each Painleve branch
-MAX_N = 25         # index guard of painleve_trajectory, the painleve table
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
 _MAX_DPS = 10_000  # working digits past which the engine gives up
@@ -363,15 +362,14 @@ def painleve_trajectory(
     unstable; expect agreement with the determinant route only for small n.
     The y branch is no better: its forward ys_n^2 is off the determinant
     route by 3.1e-4 relative at n = 12 and 0.40 at n = 15 at (0.5, 0.3),
-    and by 0.28 at n = 15 at (0.97, 0.7). n_max above MAX_N raises
-    ValueError: this is the guard of the `painleve` table.
+    and by 0.28 at n = 15 at (0.97, 0.7). There is no index guard: the
+    engine's digit and stored-digit limits refuse a request before any
+    run, as `op_sequence` says.
     """
     if variant not in _SIGN:
         raise ValueError("variant must be 'x' or 'y'")
     if source not in ("determinant", "recurrence"):
         raise ValueError("source must be 'determinant' or 'recurrence'")
-    if n_max > MAX_N:
-        raise ValueError(f"n_max {n_max} exceeds guard {MAX_N}")
     e = _SIGN[variant]
     op = op_sequence("plain" if variant == "x" else "check", params, n_max)
     root_xi = math.sqrt(params.xi)

@@ -223,10 +223,29 @@ class TestPainleveTable:
         assert cells[0] == cells[-1] == ""
         assert all(float(c) < 1e-7 for c in cells[1:-1])
 
-    def test_n_max_past_guard_exits_2(self, capsys):
-        code, _, err = run(["painleve", "--n-max", "30"], capsys)
+    def test_n_max_past_guard_exits_2(self, capsys, monkeypatch):
+        # the table's one index guard is the engine's digit limit: top 401 at
+        # the desk point needs 36,655 digits and is refused before any run
+        monkeypatch.setattr(oppainleve, "_szego", None)
+        code, out, err = run(["painleve", "--n-max", "400"], capsys)
         assert code == 2
-        assert "exceeds guard" in err
+        assert out == ""
+        assert "digits, past the limit of 10000" in err
+
+    @pytest.mark.parametrize("branch", ["x", "y"])
+    def test_reaches_past_the_edge_index(self, branch, capsys):
+        # the edge index at (0.97, 0.7) is about 79; past it the variable
+        # follows its tail comparator, and the rows up to 25 are those of
+        # the --n-max 25 table, since the engine prefixes are bit-identical
+        point = ["painleve", "--branch", branch, "--q", "0.97", "--xi", "0.7"]
+        code, out, _ = run([*point, "--n-max", "90"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert rows[90]["tail_ratio"] == pytest.approx(1.0, rel=1e-3)
+        _, short, _ = run([*point, "--n-max", "25"], capsys)
+        cols = (["x"] if branch == "x" else ["y_sq", "y_cross"]) + ["tail_ratio"]
+        for a, b in zip(rows, json.loads(short)):
+            assert [a[c] for c in cols] == [b[c] for c in cols]
 
     @pytest.mark.parametrize("argv", [
         ["painleve", "--q", "1e-300", "--n-max", "2"],
@@ -303,8 +322,6 @@ class TestParser:
         assert "qpart: parameter error" in err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--q", "0", "--xi", "0.3"],
-        ["verify", "--q", "0.5", "--xi", "0"],
         ["painleve", "--q", "0.5", "--xi", "0", "--n-max", "2"],
     ])
     def test_singular_point_exits_2(self, argv, capsys):
@@ -315,13 +332,33 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["painleve", "--branch", "y", "--q", "1e-30", "--xi", "0.3", "--n-max", "25"],
-        ["verify", "--q", "1e-300", "--xi", "0.3"],
     ])
     def test_overflow_exits_2(self, argv, capsys):
-        # q^{-n/2} of the y branch leaves the float range; at q = 1e-300 the
-        # engine first refuses the plain rows, past its digit limit
+        # q^{-n/2} of the y branch leaves the float range
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
         assert "qpart: overflow at this point" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("point, failing", [
+        (["--q", "0", "--xi", "0.3"], {"singular at this point": 5}),
+        (["--q", "0.5", "--xi", "0"], {"singular at this point": 5}),
+        # the engine refuses the plain rows past its digit limit, and
+        # q^{-n/2} of the y rows leaves the float range
+        (["--q", "1e-300", "--xi", "0.3"], {"did not converge": 12, "overflow at this point": 1}),
+    ])
+    def test_verify_reports_rows_that_divide_by_zero_or_overflow(self, point, failing, capsys):
+        # a row that divides by zero or overflows at the point fails with
+        # measured null; every other row is still measured, and verify exits 1
+        code, out, err = run(["verify", *point], capsys)
+        assert code == 1
+        rows = json.loads(out)
+        assert len(rows) == 29
+        failed = [r["check_id"] for r in rows if not r["pass"]]
+        assert all(r["measured"] is None for r in rows if not r["pass"])
+        assert all(r["measured"] is not None for r in rows if r["pass"])
+        assert [line.split(": ")[1] for line in err.splitlines()] == failed
+        reasons = [line.split(": ")[2] for line in err.splitlines()]
+        assert {why: reasons.count(why) for why in set(reasons)} == failing
         assert "Traceback" not in err

@@ -27,7 +27,7 @@ from qpart.kernels import (
     twice,
 )
 from qpart.measures import MiwaTimes
-from qpart.qspecial import QParams
+from qpart.qspecial import NonconvergenceError, QParams
 from reference_fft import circle_fft
 
 P = QParams(q=0.5, xi=0.3)
@@ -280,6 +280,12 @@ class TestSchurKernel:
                 assert schur_kernel(td, td, r, s) == pytest.approx(
                     discrete_bessel_kernel(eta, r, s), abs=1e-12
                 )
+
+    def test_refused_past_the_span_limit(self):
+        # the FFT grid is four times the span, so the last grid tried is 2^18
+        t = MiwaTimes.principal(0.5, 0.99999)
+        with pytest.raises(NonconvergenceError, match="not negligible by order 65536$"):
+            schur_kernel(t, t, 0.5, 0.5)
 
 
 class TestDiscreteBessel:

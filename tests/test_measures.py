@@ -128,8 +128,6 @@ class TestQDeformations:
         with pytest.raises(NotImplementedError):
             measure(SchurMeasure(MiwaTimes.principal(0.3, 0.5),
                                  MiwaTimes.principal(0.3, 0.6)), Partition((1,)))
-        with pytest.raises(NotImplementedError):
-            measure(SchurMeasure(MiwaTimes(t=(0.5,)), MiwaTimes.delta(0.5)), Partition((1,)))
 
     def test_mixed_reduces_to_poissonized_at_q_scaling(self):
         eta = 0.8
@@ -274,15 +272,9 @@ class TestEnumStats:
 
 
 class TestMiwaTimes:
-    def test_explicit_list(self):
-        t = MiwaTimes(t=(0.5, 0.25))
-        assert t.value(1) == 0.5
-        assert t.value(2) == 0.25
-        assert t.value(3) == 0.0
-
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
-            MiwaTimes(family="bogus")
+            MiwaTimes(family="bogus", xi=0.3, q=0.5)
 
     def test_principal_values(self):
         t = MiwaTimes.principal(0.3, 0.5)

@@ -380,9 +380,11 @@ class TestPainleveTrajectories:
         with pytest.raises(ValueError):
             dpii_limit_check(1.0, [0.9], [0, 1])
 
-    def test_n_max_past_guard_raises(self):
-        with pytest.raises(ValueError):
-            painleve_trajectory("x", "determinant", P, 30)
+    def test_n_max_past_guard_raises(self, monkeypatch):
+        # the one index guard is the engine's digit limit, before any run
+        monkeypatch.setattr(oppainleve, "_szego", None)
+        with pytest.raises(NonconvergenceError, match="needs 36655 digits, past the limit"):
+            painleve_trajectory("x", "determinant", P, 400)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
