@@ -322,6 +322,8 @@ class TestParser:
         assert "qpart: parameter error" in err
 
     @pytest.mark.parametrize("argv", [
+        ["painleve", "--q", "0", "--xi", "0.3", "--n-max", "2"],
+        ["painleve", "--branch", "y", "--q", "0.5", "--xi", "0", "--n-max", "2"],
         ["painleve", "--q", "0.5", "--xi", "0", "--n-max", "2"],
     ])
     def test_singular_point_exits_2(self, argv, capsys):
