@@ -96,13 +96,14 @@ def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
     _require_n_max(args)
     # the J_gen table fails before the engine runs: at q = 0.99999 it passes its span limit
     comps = [op_mod.tail_comparator(args.branch, params, n) for n in range(args.n_max + 1)]
-    state = op_mod.painleve_trajectory(args.branch, args.source, params, args.n_max)
-    # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual
+    state = op_mod.painleve_trajectory(args.branch, "determinant", params, args.n_max)
+    # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual,
+    # and a row whose comparator underflows to 0 has no tail ratio
     residuals = [None, *op_mod.recurrence_residuals(state), None]
     values = state.values if args.branch == "x" else state.sq
     cols = {"x": values} if args.branch == "x" else {"y_sq": values, "y_cross": state.cross}
     rows = [{"n": n, **{c: v[n] for c, v in cols.items()}, "residual": residuals[n],
-             "tail_ratio": values[n] / comp if comp != 0.0 else 0.0}
+             "tail_ratio": values[n] / comp if comp != 0.0 else None}
             for n, comp in enumerate(comps)]
     _emit(rows, args)
     return 0
@@ -139,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("painleve", help="tabulate the recurrence variables")
     common(sp)
     sp.add_argument("--branch", choices=("x", "y"), default="x")
-    sp.add_argument("--source", choices=("determinant", "recurrence"),
-                    default="determinant")
     sp.add_argument("--n-max", type=int, default=10)
 
     return parser

@@ -22,8 +22,8 @@ All OPUC data come from one Szego recursion with an a-posteriori precision
 check, run in the standard library's `decimal` under a limit of _MAX_DPS
 working digits and one of _MAX_STORED held digits; `op_sequence` is its
 one public entry, and the tests check it against mpmath determinants.
-This determinant route is the ground truth; the forward q-Painleve
-recurrence is validated against it, not trusted standalone.
+The q-P_V variables come from it alone, and the relation above is checked
+on them, not iterated: forward iteration loses the digits (README).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "op_sequence",
     "painleve_trajectory",
     "tail_comparator",
-    "recurrence_rhs",
     "dpii_limit_check",
     "lax_matrices",
     "inversion_k",
@@ -93,7 +92,6 @@ class PainleveState:
     and cross read v_n, e v_n^2 and e v_n v_{n+1} for n <= n_max."""
 
     variant: str  # "x" or "y"
-    source: str   # "determinant" or "recurrence"
     params: QParams
     v: tuple[float, ...]
 
@@ -132,7 +130,6 @@ class LaxMatrices:
 
 @dataclass(frozen=True)
 class RHPSample:
-    variant: str
     n: int
     z: complex
     y: np.ndarray
@@ -337,51 +334,28 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
 # Painleve trajectories
 
 
-def recurrence_rhs(variant: str, v_n: float, n: int, params: QParams) -> float:
-    """(v_n^2 - xi)(v_n^2 - 1/xi) / (1 - v_n^2 / (xi q^{e n})), e the sign of
-    the branch."""
-    q, xi = params.q, params.xi
-    s = v_n * v_n
-    return (s - xi) * (s - 1.0 / xi) / (1.0 - s / (xi * q ** (_SIGN[variant] * n)))
-
-
 def painleve_trajectory(
     variant: str, source: str, params: QParams, n_max: int
 ) -> PainleveState:
-    """The real variables v_n of a branch, n <= n_max + 1, from either route.
-
-    Determinant source: v_n = xi^{1/2} q^{e n/2} x_n, with x_n = pi_n(0) =
+    """The real variables v_n of a branch, n <= n_max + 1, from the
+    certified engine: v_n = xi^{1/2} q^{e n/2} x_n, with x_n = pi_n(0) =
     (-1)^n Z_n^{(1)} / Z_n of the plain weight on the x branch (e = +1,
     v_n = xs_n) and of the check weight on the y branch (e = -1, the data
     y_n and v_n = -i ys_n).
-    Recurrence source iterates the q-P_V relation forward,
-    v_{n+1} = (e + recurrence_rhs(v_n) / (v_{n-1} v_n - e)) / v_n, seeded
-    from the determinant values at n = 0, 1 (the relation at n = 0 would
-    reference an undefined index -1). The x branch decays like a minimal
-    recurrence solution, so its forward iteration is exponentially
-    unstable; expect agreement with the determinant route only for small n.
-    The y branch is no better: its forward ys_n^2 is off the determinant
-    route by 3.1e-4 relative at n = 12 and 0.40 at n = 15 at (0.5, 0.3),
-    and by 0.28 at n = 15 at (0.97, 0.7). There is no index guard: the
-    engine's digit and stored-digit limits refuse a request before any
+
+    source must be "determinant", the one route. There is no index guard:
+    the engine's digit and stored-digit limits refuse a request before any
     run, as `op_sequence` says.
     """
     if variant not in _SIGN:
         raise ValueError("variant must be 'x' or 'y'")
-    if source not in ("determinant", "recurrence"):
-        raise ValueError("source must be 'determinant' or 'recurrence'")
+    if source != "determinant":
+        raise ValueError("source must be 'determinant'")
     e = _SIGN[variant]
     op = op_sequence("plain" if variant == "x" else "check", params, n_max)
     root_xi = math.sqrt(params.xi)
-    v = [root_xi * params.q ** (e * n / 2) * x for n, x in enumerate(op.x[: n_max + 2])]
-    if source == "recurrence":
-        for n in range(1, n_max + 1):
-            rhs = recurrence_rhs(variant, v[n], n, params)
-            prev = v[n - 1] * v[n] - e
-            if abs(prev) < 1e-13 or abs(v[n]) < 1e-280:
-                raise ZeroDivisionError(f"recurrence near-singular at index {n}")
-            v[n + 1] = (e + rhs / prev) / v[n]
-    return PainleveState(variant=variant, source=source, params=params, v=tuple(v))
+    v = tuple(root_xi * params.q ** (e * n / 2) * x for n, x in enumerate(op.x[: n_max + 2]))
+    return PainleveState(variant=variant, params=params, v=v)
 
 
 def tail_comparator(branch: str, params: QParams, n: int) -> float:
@@ -548,10 +522,11 @@ def _rhp_y(n: int, z: complex, params: QParams, variant: str, radius: float) -> 
     ])
 
 
-def rhp_sample(n: int, z: complex, params: QParams, variant: str = "plain") -> RHPSample:
-    """Y_n(z) off the unit circle, by quadrature on the unit circle."""
-    y = _rhp_y(n, z, params, variant, 1.0)
-    return RHPSample(variant=variant, n=n, z=z, y=y, det_y=complex(np.linalg.det(y)))
+def rhp_sample(n: int, z: complex, params: QParams) -> RHPSample:
+    """Y_n(z) of the plain weight off the unit circle, by quadrature on the
+    unit circle."""
+    y = _rhp_y(n, z, params, "plain", 1.0)
+    return RHPSample(n=n, z=z, y=y, det_y=complex(np.linalg.det(y)))
 
 
 def rhp_jump_residual(n: int, z_angle: float, params: QParams, variant: str) -> float:
@@ -603,12 +578,13 @@ def tau_relation_check(
 
 
 def recurrence_residuals(state: PainleveState) -> list[float]:
-    """Relative residuals of the q-P_V relation
-    (v_n v_{n+1} - e)(v_{n-1} v_n - e) = recurrence_rhs(v_n) at
+    """Relative residuals of the q-P_V relation of the module docstring at
     n = 1..n_max-1 (entry n - 1), n_max the last index of values."""
     v, e, out = state.v, _SIGN[state.variant], []
+    q, xi = state.params.q, state.params.xi
     for n in range(1, len(v) - 2):
         lhs = (v[n] * v[n + 1] - e) * (v[n - 1] * v[n] - e)
-        rhs = recurrence_rhs(state.variant, v[n], n, state.params)
+        s = v[n] * v[n]
+        rhs = (s - xi) * (s - 1.0 / xi) / (1.0 - s / (xi * q ** (e * n)))
         out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return out

@@ -249,7 +249,7 @@ class TestPainleveTable:
 
     @pytest.mark.parametrize("argv", [
         ["painleve", "--q", "1e-300", "--n-max", "2"],
-        ["painleve", "--source", "recurrence", "--q", "1e-100", "--n-max", "25"],
+        ["painleve", "--q", "1e-100", "--n-max", "25"],
     ])
     def test_precision_past_the_limit_exits_2(self, argv, capsys, monkeypatch):
         # the engine refuses before its first run, naming the digits it needs
@@ -260,6 +260,25 @@ class TestPainleveTable:
         assert "did not converge" in err
         assert "digits, past the limit of 10000" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_underflowed_comparator_has_no_tail_ratio(self, fmt, capsys):
+        # past n = 6 at q = 1e-12 both x_n and its comparator underflow to
+        # 0, and their ratio is not a number; the rows before it read 1
+        argv = ["painleve", "--q", "1e-12", "--xi", "0.3", "--n-max", "9", "--format", fmt]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        empty = None if fmt == "json" else ""
+        assert [r["tail_ratio"] for r in rows[7:]] == [empty] * 3
+        assert all(float(r["tail_ratio"]) == pytest.approx(1.0, rel=1e-12) for r in rows[:7])
+
+    def test_forward_source_is_not_an_option(self, capsys):
+        # the table has one route, the certified engine, so there is no source to pick
+        with pytest.raises(SystemExit) as exc:
+            main(["painleve", "--source", "recurrence"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --source" in capsys.readouterr().err
 
     def test_y_branch_tail_ratio_converges(self, capsys):
         _, out, _ = run(

@@ -9,9 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "qpart").glob("*.py"))
-SETTABLE = {"defaulted parameters": 8, "defaulted dataclass fields": 0,
-            "add_argument calls": 12, "environment reads": 0}
-LINES = 2299  # of LIBRARY, as wc -l counts them
+SETTABLE = {"defaulted parameters": 7, "defaulted dataclass fields": 0,
+            "add_argument calls": 11, "environment reads": 0}
+LINES = 2274  # of LIBRARY, as wc -l counts them
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
