@@ -5,6 +5,9 @@ for the named suites and reports residuals, `limit-shape` tabulates the
 macroscopic profile, `gap-table` tabulates gap probabilities by one or all
 methods, `painleve` tabulates the recurrence variables with residual and
 tail-comparator columns. Only `verify` imports `qpart.checks` and mpmath.
+A `painleve` row has no residual (null) where v_{n-1}, v_n and v_{n+1} are
+all below _FLOOR = 2^-27 in magnitude: every product of two of them is then
+below 2^-54, so the relation's left side is exactly 1 whatever they are.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
 error, a series, grid or precision that did not converge, a division
@@ -29,6 +32,7 @@ from . import oppainleve as op_mod
 from .qspecial import NonconvergenceError, QParams
 
 SUITES = ("special", "measures", "kernels", "gap", "painleve", "all")
+_FLOOR = 2.0**-27  # |v_n| below which a painleve row's residual checks nothing
 
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
@@ -98,8 +102,11 @@ def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
     comps = [op_mod.tail_comparator(args.branch, params, n) for n in range(args.n_max + 1)]
     state = op_mod.painleve_trajectory(args.branch, "determinant", params, args.n_max)
     # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual,
-    # and a row whose comparator underflows to 0 has no tail ratio
-    residuals = [None, *op_mod.recurrence_residuals(state), None]
+    # nor has a row below the floor, and a row whose comparator underflows to
+    # 0 has no tail ratio
+    v = state.v
+    residuals = [None, *(r if max(map(abs, v[n - 1 : n + 2])) >= _FLOOR else None
+                         for n, r in enumerate(op_mod.recurrence_residuals(state), 1)), None]
     values = state.values if args.branch == "x" else state.sq
     cols = {"x": values} if args.branch == "x" else {"y_sq": values, "y_cross": state.cross}
     rows = [{"n": n, **{c: v[n] for c, v in cols.items()}, "residual": residuals[n],

@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Sequence
 
 import numpy as np
@@ -71,11 +72,15 @@ _MAX_STORED = 5e8  # top^2 x digits, held by two runs at about 0.58 bytes each: 
 _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
 _RADIUS_OFFSET = 1e-2  # contour distance from the circle for boundary values
 
+# (variant, params) -> (top, dps) of the longest certified run at the point:
+# its top, and the digits of the first run of the pair that settled it
+_settled: dict[tuple[str, QParams], tuple[int, int]] = {}
+
 
 @dataclass(frozen=True)
 class OPSequence:
     """The certified Szego run op_sequence returns: x, kappa_sq and monic
-    for n <= top, log_z for n <= top + 1, top = max(n_max + 1, _SHARED_TOP)."""
+    for n <= top, log_z for n <= top + 1, top at least max(n_max + 1, _SHARED_TOP)."""
 
     variant: str
     params: QParams
@@ -170,48 +175,76 @@ def _moments(variant: str, top: int, q: Decimal, xi: Decimal) -> list:
     #   c_{top+1} = scale sum_k r_k a q^{(k+top) [check]} / (1 - q^{k+top+1}),
     #   r_k = u^{2k} q^{k(k+top) [check]} / ((q;q)_k (q;q)_{k+top}), held in row
     row = 1 / math.prod((1 - q**j for j in range(1, top + 1)), start=Decimal(1))
-    q_k = Decimal(1)                                            # q^k
-    sums = [Decimal(0), Decimal(0)]
+    uu, q_k, s0, s1 = u * u, Decimal(1), Decimal(0), Decimal(0)  # q_k = q^k
     while True:
         q_kt = q_k * q_top                                      # q^{k+top}
-        terms = (row, row * a * (q_kt if check else 1) / (1 - q_kt * q))
-        sums = [s + t for s, t in zip(sums, terms)]
-        if all(t < floor * s for s, t in zip(sums, terms)):
+        t1 = row * a * (q_kt if check else 1) / (1 - q_kt * q)
+        s0 += row
+        s1 += t1
+        if row < floor * s0 and t1 < floor * s1:
             break
         q_k *= q
-        row *= u * u / ((1 - q_k) * (1 - q_k * q_top))
+        row *= uu / ((1 - q_k) * (1 - q_k * q_top))
         if check:
             row *= q_k * q_k * q_top / q
     scale = u**top * (root ** (top * top) if check else 1)
-    c = [Decimal(0)] * top + [scale * s for s in sums]
+    c = [Decimal(0)] * top + [scale * s0, scale * s1]
+    q_m = list(accumulate(repeat(q, top), operator.mul, initial=Decimal(1)))  # q^m
+    a_q = a / q
     for m in range(top, 0, -1):
         if check:
-            c[m - 1] = ((a / q) * c[m + 1] + (1 - q**m) * c[m]) / (a * q ** (m - 1))
+            c[m - 1] = (a_q * c[m + 1] + (1 - q_m[m]) * c[m]) / (a * q_m[m - 1])
         else:
-            c[m - 1] = ((1 - q**m) * c[m] + a * q**m * c[m + 1]) / a
+            c[m - 1] = ((1 - q_m[m]) * c[m] + a * q_m[m] * c[m + 1]) / a
     return c[: top + 1]
 
 
-def _dps_for(variant: str, params: QParams, n_max: int) -> int:
-    """Starting precision for the recursion, before its a-posteriori check.
+@lru_cache(maxsize=64)
+def _symbol_digits(variant: str, params: QParams) -> tuple[float, float]:
+    """log10 c_0 and log10(c_0 / E_1) = -log10(1 - x_1^2) of the symbol, from
+    its moments at 20 digits."""
+    with decimal.localcontext(_context(20)):
+        c0, c1 = _moments(variant, 1, Decimal(params.q), Decimal(params.xi))
+        return float(c0.log10()), float(-(1 - (c1 / c0) ** 2).log10())
 
-    Two sources of lost digits: the shifted determinant of size n shrinks
-    roughly like q^{n^2/2} xi^n (plain) or (xi sqrt(q))^n (check) while the
-    matrix entries stay comparable, and near q = 1 the moment series has a
-    large interior term peak before its q^{k^2/2} decay takes over.
+
+def _estimate(variant: str, params: QParams, top: int) -> int:
+    """Starting digits at which the first pair of runs settles: 25 plus the
+    larger of two losses.
+
+    The shifted determinant of size n shrinks roughly like q^{n^2/2} xi^n
+    (plain) or (xi sqrt(q))^n (check) while the matrix entries stay
+    comparable. And a run keeps about 1.6 fewer digits per digit of c_0 /
+    E_top: E_n falls from E_0 = c_0 to E_inf = 1 (the symbol's geometric
+    mean), by -log10(1 - x_n^2) digits at step n, steps that shrink with n
+    at every point measured, so L = log10(c_0 / E_top) is at most
+    min(log10 c_0, top log10(c_0 / E_1)). Near q = 1 the second dominates:
+    at (0.97, 0.7) c_0 = 7.5e23.
     """
     q, xi = params.q, params.xi
     if xi == 0.0 or q == 0.0:
         return 25
-    lost_plain = -(n_max * n_max / 2.0) * math.log10(q) - n_max * math.log10(xi)
-    lost_check = -n_max * math.log10(xi * math.sqrt(q))
-    lost = lost_plain if variant == "plain" else lost_check
+    lost_plain = -(top * top / 2.0) * math.log10(q) - top * math.log10(xi)
+    lost_check = -top * math.log10(xi * math.sqrt(q))
+    log_c0, first = _symbol_digits(variant, params)
+    lost = max(lost_plain if variant == "plain" else lost_check, 1.6 * min(log_c0, top * first))
     return 25 + max(0, int(lost))
 
 
-def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
-    """One run of the recursion at dps digits: lists x, E, monic, or None if
-    some E_n rounded to zero or below.
+def _dps_for(variant: str, params: QParams, top: int) -> int:
+    """Starting precision of a certification: the `_estimate`, or, at a point
+    with a settled run, the digits that run settled at times the growth of
+    the estimate from its top to this one."""
+    start = _estimate(variant, params, top)
+    if settled := _settled.get((variant, params)):
+        s_top, s_dps = settled
+        start = math.ceil(s_dps * start / _estimate(variant, params, s_top))
+    return start
+
+
+def _szego(c: list, dps: int) -> tuple | None:
+    """One run of the recursion over the moments c_0 .. c_top at dps digits:
+    lists x, E, monic, or None if some E_n rounded to zero or below.
 
     pi_{n+1}(z) = z pi_n(z) + x_{n+1} pi_n^*(z), pi_n^* the reversed
     polynomial, with x_{n+1} = -<z pi_n, 1> / E_n fixed by orthogonality to 1
@@ -219,9 +252,9 @@ def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
     run where one is not has too few digits and counts as a disagreement.
     """
     with decimal.localcontext(_context(dps)):
-        c = _moments(variant, top, Decimal(params.q), Decimal(params.xi))
+        c = [+v for v in c]  # to the run's digits: a product costs by its operands'
         x, e, monic = [Decimal(1)], [c[0]], [[Decimal(1)]]
-        for n in range(top):
+        for n in range(len(c) - 1):
             a = monic[-1]
             xn = -sum(map(operator.mul, a, c[1 : n + 2])) / e[n]
             monic.append([s + xn * t for s, t in zip([0, *a], [*a[::-1], 0])])
@@ -234,34 +267,42 @@ def _szego(variant: str, params: QParams, top: int, dps: int) -> tuple | None:
 
 def _log_z(e: list, dps: int) -> list:
     """log Z_0 .. log Z_{top+1} of a run at dps digits from its E_0 .. E_top,
-    log Z_{n+1} = log Z_n + log E_n.
+    log Z_{n+1} = log Z_n + log E_n, at the precision the floats need.
 
-    Each log E_n is rounded to an absolute error below _AGREE^2 / (top + 1),
-    far below the agreement test, instead of to the working precision, and
-    E_n is rounded to the log's precision first: libmpdec's ln reads every
-    digit of its operand, so at 1,300 working digits a log of a full E_n
-    costs up to 0.3 s whatever its own precision.
+    No log E_n is below 0, since E_n falls to E_inf = 1, so log Z_n >= log
+    c_0 for n >= 1. Each log E_n is rounded to an absolute error below
+    tol / (top + 1), tol = max(_AGREE^2, 1e-21 log c_0), so every log Z_n
+    is within 1e-21 relative or _AGREE^2 absolute, far below a float's
+    rounding. E_n is rounded to the log's precision first: libmpdec's ln
+    reads every digit of its operand, so at 1,300 working digits a log of a
+    full E_n costs up to 0.3 s whatever its own precision.
     """
     # |ln v| < 2.31 (|exponent of v| + 1) <= 10^whole, so whole + frac
-    # digits round it to an absolute error below _AGREE^2 / (top + 1);
-    # a guard digit keeps the roundings of v and of ln v each under a tenth
-    frac = math.ceil(math.log10(len(e) / _AGREE**2))
-    log_z = [Decimal(0)]
+    # digits round it to an absolute error below tol / (top + 1); a guard
+    # digit keeps the roundings of v and of ln v each under a tenth
+    log_z, tol = [Decimal(0)], _AGREE**2
     with decimal.localcontext(_context(dps)):
         for v in e:
             whole = math.ceil(math.log10(2.31 * (abs(v.adjusted()) + 1)))
-            ctx = _context(min(dps, whole + frac) + 1)
+            ctx = _context(min(dps, whole + math.ceil(math.log10(len(e) / tol))) + 1)
             log_z.append(log_z[-1] + ctx.plus(v).ln(ctx))
+            tol = max(tol, 1e-21 * float(log_z[1]))
     return log_z
 
 
 def _agree(lo: tuple, hi: tuple) -> bool:
-    """Whether x, E and pi_n of two runs agree to _AGREE relative in the
-    current context."""
+    """Whether x, E and pi_n of two runs agree to _AGREE relative, and log Z
+    to _AGREE absolute, in the current context. The log Z_{n+1} of the two
+    runs differ by the log of the product of E_k(lo) / E_k(hi) over k <= n,
+    so that running product stays within exp(+-_AGREE), and no log is taken."""
     agree = Decimal(_AGREE)
     pairs = [*zip(lo[0], hi[0]), *zip(lo[1], hi[1]),
              *(p for r0, r1 in zip(lo[2], hi[2]) for p in zip(r0, r1))]
-    return all(abs(a - b) <= agree * abs(b) for a, b in pairs)
+    if not all(abs(a - b) <= agree * abs(b) for a, b in pairs):
+        return False
+    low, high = (-agree).exp(), agree.exp()
+    ratios = accumulate((a / b for a, b in zip(lo[1], hi[1])), operator.mul)
+    return all(low <= r <= high for r in ratios)
 
 
 def _float(v: Decimal) -> float:
@@ -283,28 +324,47 @@ def _refused(top: int, dps: int) -> str:
 def _certified(variant: str, params: QParams, top: int) -> OPSequence:
     """Runs at dps and 1.5 dps until x, E and pi_n of two runs agree
     relatively and then their log Z absolutely, which is relative in Z; the
-    logs of a run are taken only for such a pair."""
+    second run of that pair alone takes logs. Its top and the digits of the
+    pair's first run are kept in _settled when no longer run is. The very
+    first run reads the second's moments, rounded to its own digits,
+    instead of summing its own: an error of the moments, common to both
+    runs, escapes the comparison, but it is one at the second run's digits,
+    a third more than the pair shows the runs need."""
     dps, what = _dps_for(variant, params, top), f"Szego recursion ({variant}, {params}, top {top})"
     if why := _refused(top, dps * 3 // 2):
         raise NonconvergenceError(f"{what} needs {why}")
-    lo = _szego(variant, params, top, dps)
+    q, xi, start = Decimal(params.q), Decimal(params.xi), dps
     while not (why := _refused(top, dps * 3 // 2)):
         lo_dps, dps = dps, dps * 3 // 2
-        hi = _szego(variant, params, top, dps)
+        with decimal.localcontext(_context(dps)):
+            c = _moments(variant, top, q, xi)
+        if lo_dps == start:
+            lo = _szego(c, lo_dps)
+        hi = _szego(c, dps)
         with decimal.localcontext(_context(dps)):
             if lo and hi and _agree(lo, hi):
-                log_z = _log_z(hi[1], dps)
-                if all(abs(a - b) <= Decimal(_AGREE) for a, b in zip(_log_z(lo[1], lo_dps), log_z)):
-                    x, e, monic = hi
-                    return OPSequence(
-                        variant=variant, params=params, dps=dps,
-                        x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
-                        log_z=tuple(map(_float, log_z)),
-                        monic=tuple(tuple(map(_float, r)) for r in monic),
-                    )
+                _settle(variant, params, top, lo_dps)
+                x, e, monic = hi
+                return OPSequence(
+                    variant=variant, params=params, dps=dps,
+                    x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
+                    log_z=tuple(map(_float, _log_z(e, dps))),
+                    monic=tuple(tuple(map(_float, r)) for r in monic),
+                )
         lo = hi
     raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by {dps} digits; "
                               f"the next pair needs {why}")
+
+
+def _settle(variant: str, params: QParams, top: int, dps: int) -> None:
+    """Keep (top, dps) as the point's settled run unless a longer one is kept,
+    for as many points as _certified keeps runs, the oldest dropped first."""
+    key = (variant, params)
+    if top >= _settled.get(key, (0, 0))[0]:
+        _settled.pop(key, None)
+        _settled[key] = (top, dps)
+        if len(_settled) > _certified.cache_info().maxsize:
+            del _settled[next(iter(_settled))]
 
 
 @lru_cache(maxsize=32)
@@ -314,20 +374,22 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
 
     One O(top^2) Szego (Levinson) recursion over the symbol moments (B.
     Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005, ch. 1.5),
-    top = max(n_max + 1, _SHARED_TOP), so requests up to _SHARED_TOP share
-    one run per symbol. It runs in decimal arithmetic at the _dps_for
-    precision and at 1.5 times that, raised by 1.5 until two runs agree to
-    1e-17 relative in every value (log Z_n absolute), so the floats are
-    correct to the last bit; a run in which some E_n rounds to zero or below
-    disagrees. NonconvergenceError, before any run, if the first pair would
-    pass _MAX_DPS digits or hold more than _MAX_STORED, and if no two runs
-    under both limits agree.
+    top at least max(n_max + 1, _SHARED_TOP): requests up to _SHARED_TOP
+    share one run per symbol, and any request that the longest run certified
+    at the point covers gets that run, unsliced. It runs in decimal
+    arithmetic at the _dps_for precision and at 1.5 times that, raised by
+    1.5 until two runs agree to 1e-17 relative in every value (log Z_n
+    absolute), so the floats are correct to the last bit; a run in which
+    some E_n rounds to zero or below disagrees. NonconvergenceError, before
+    any run, if the first pair would pass _MAX_DPS digits or hold more than
+    _MAX_STORED, and if no two runs under both limits agree.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return _certified(variant, params, max(n_max + 1, _SHARED_TOP))
+    longest = _settled.get((variant, params), (0, 0))[0]
+    return _certified(variant, params, max(n_max + 1, _SHARED_TOP, longest))
 
 
 # ---------------------------------------------------------------------------

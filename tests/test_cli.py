@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -155,6 +156,20 @@ class TestGapTable:
         assert out == ""
         assert "needs 3.9e+10 stored digits (top^2 x 4326), past the limit of 5e+08" in err
 
+    def test_sweep_certifies_one_run(self, capsys):
+        # the largest N comes first and certifies top 61, and every smaller N
+        # reads that run: one certification, where there were 46 (6.0 s, now
+        # 0.66 s on a 2-core VM), printing the bytes the 46 printed
+        oppainleve._settled.clear()
+        oppainleve._certified.cache_clear()
+        oppainleve.op_sequence.cache_clear()
+        code, out, _ = run(["gap-table", "--method", "toeplitz", "--q", "0.999", "--xi", "0.5",
+                            "--n-max", "60"], capsys)
+        assert code == 0
+        assert oppainleve._certified.cache_info().misses == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "73e4a59ccfa7c45bcc8ca47837f80582eb48cc63493c7a02e447872e78c7614a")
+
     def test_near_q_one_exits_0(self, capsys):
         # log M = 9148 here; M itself overflows a double
         code, out, _ = run(
@@ -272,6 +287,19 @@ class TestPainleveTable:
         empty = None if fmt == "json" else ""
         assert [r["tail_ratio"] for r in rows[7:]] == [empty] * 3
         assert all(float(r["tail_ratio"]) == pytest.approx(1.0, rel=1e-12) for r in rows[:7])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_values_below_the_floor_have_no_residual(self, fmt, capsys):
+        # past n = 1 at q = 1e-12, v_{n-1}, v_n and v_{n+1} are all below
+        # 2^-27, where the relation's left side is exactly 1 whatever they
+        # are; those rows read null where they read 0.0
+        argv = ["painleve", "--q", "1e-12", "--xi", "0.3", "--n-max", "9", "--format", fmt]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        empty = None if fmt == "json" else ""
+        assert [r["residual"] for r in rows[2:]] == [empty] * 8
+        assert 0.0 < float(rows[1]["residual"]) < 1e-15
 
     def test_forward_source_is_not_an_option(self, capsys):
         # the table has one route, the certified engine, so there is no source to pick

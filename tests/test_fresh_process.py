@@ -1,7 +1,8 @@
 """Fresh-process runs: the CLI runs end to end with small arguments, as
 `python -m qpart.cli`, only its `verify` command loads mpmath, and
 importing the package loads no scipy (and, without `qpart.checks`, no
-mpmath) and builds no enumeration table or coefficient table."""
+mpmath) and builds no enumeration table or coefficient table and keeps no
+per-point state."""
 
 import os
 import subprocess
@@ -69,6 +70,18 @@ def test_import_builds_no_enumeration_table():
                       "kernels._bessel.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 0 0 0"
+
+
+def test_import_keeps_no_per_point_state():
+    # the engine's settled runs, certifications and symbol estimates and the
+    # kernel's kept partial sums all start empty, so import does no work
+    proc = run_python("-c", "import qpart, qpart.cli, qpart.checks; "
+                      "from qpart import kernels, oppainleve as op; "
+                      "print(len(op._settled), op._certified.cache_info().currsize, "
+                      "op._symbol_digits.cache_info().currsize, len(kernels._KEPT), "
+                      "kernels._KEPT.nbytes)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 0 0 0 0"
 
 
 def run_python(*args):

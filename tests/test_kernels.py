@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qpart import checks
+from qpart import checks, kernels
 from qpart.kernels import (
     _bessel,
     _j_gen,
@@ -144,6 +144,31 @@ class TestQBesselKernel:
                 "fd6ced47c209b581890c443806930a23127e58514fd0610f7b917279d52f1e66"]
         assert [hashlib.sha256(block.tobytes()).hexdigest()
                 for _, block, _ in self._blocks()] == pins
+
+    def test_kept_sums_give_the_bits_of_fresh_sums(self):
+        # rows asked last to first end each lag below its kept partial sums,
+        # which are summed again; every entry equals the one summed with
+        # nothing kept, bit for bit, as does the block asked first to last
+        (table, block, sites), *_ = self._blocks()
+        p = QParams(q=0.97, xi=0.7)
+        kernels._KEPT.clear()
+        backward = kernel_matrix(p, sites[::-1], sites)[::-1]
+        fresh = []
+        for r in sites:
+            for s in sites:
+                kernels._KEPT.clear()
+                fresh.append(kernels._lag_sum(table, r, s))
+        assert backward.tobytes() == np.array(fresh).reshape(block.shape).tobytes() == block.tobytes()
+
+    def test_kept_sums_stay_within_their_bytes(self, monkeypatch):
+        # with room for two lags, the oldest are dropped as the block is
+        # built, and its bits stay those of the pinned block
+        (_, block, sites), *_ = self._blocks()
+        monkeypatch.setattr(kernels, "_KEPT_BYTES", 1 << 13)
+        kernels._KEPT.clear()
+        again = kernel_matrix(QParams(q=0.97, xi=0.7), sites, sites)
+        assert kernels._KEPT.nbytes <= 1 << 13
+        assert again.tobytes() == block.tobytes()
 
     def test_entries_are_the_exact_sums_of_their_terms(self):
         # math.fsum of c_n c_{n+d}, n > r, over the table; by Parseval the

@@ -45,6 +45,29 @@ PINNED = [  # variant, q, xi, top, sha256 of repr((x, kappa_sq, log_z, monic))
     ("plain", 0.1, 0.05, 40, "afd93711de7ebab4e9fc726df7ea3291934e2ec90b5bc499170c3d0de2f1d903"),
 ]
 PROBES = [0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j]
+NEAR_SCALING = [(variant, q, top) for variant in ("plain", "check")
+                for q in (0.9, 0.95, 0.97) for top in (16, 26)]
+
+
+@pytest.fixture
+def fresh_engine():
+    """No settled run, certification or op_sequence result at any point,
+    before and after the test: a certification's start depends on the runs
+    settled before it at the same point."""
+    def clear():
+        oppainleve._settled.clear()
+        oppainleve._certified.cache_clear()
+        oppainleve.op_sequence.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def _count_runs(monkeypatch) -> list:
+    """The digits of every engine run from here on."""
+    runs, szego = [], oppainleve._szego
+    monkeypatch.setattr(oppainleve, "_szego", lambda c, dps: runs.append(dps) or szego(c, dps))
+    return runs
 
 
 class TestOPSequence:
@@ -86,6 +109,18 @@ class TestOPSequence:
             op_sequence("plain", P, -1)
         with pytest.raises(ValueError):
             op_sequence("bogus", P, 5)
+
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.9, 0.5), (0.97, 0.7), (0.999, 0.5)])
+    @pytest.mark.parametrize("variant", ["plain", "check"])
+    def test_shorter_request_reads_the_longest_run(self, fresh_engine, variant, q, xi):
+        # the run at top 61 serves n_max 15, unsliced, and its prefix is the
+        # top-16 certification bit for bit: both round the same settled values
+        params = QParams(q=q, xi=xi)
+        longest = op_sequence(variant, params, 60)
+        assert op_sequence(variant, params, 15) is longest
+        short = oppainleve._certified(variant, params, 16)
+        assert repr((longest.x[:17], longest.kappa_sq[:17], longest.log_z[:18],
+                     longest.monic[:17])) == repr((short.x, short.kappa_sq, short.log_z, short.monic))
 
 
 def _series_moment(variant, q, xi, m):
@@ -171,12 +206,14 @@ class TestSzegoRecursion:
                 assert all(abs(mp.mpf(str(g)) - w) <= mp.mpf("1e-55") * w
                            for g, w in zip(got, want))
 
-    def test_nonpositive_norm_counts_as_disagreement(self, monkeypatch):
+    def test_nonpositive_norm_counts_as_disagreement(self, fresh_engine, monkeypatch):
         # at 33 digits some E_n of this point rounds to zero or below, which
         # has no logarithm; such a run disagrees with every other, so the
         # precision is raised until two runs agree
         params = QParams(q=0.97, xi=0.7)
-        assert oppainleve._szego("plain", params, 26, 33) is None
+        with decimal.localcontext(oppainleve._context(33)):
+            c = oppainleve._moments("plain", 26, Decimal(params.q), Decimal(params.xi))
+        assert oppainleve._szego(c, 33) is None
         want = oppainleve._certified("plain", params, 26)
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
         got = oppainleve._certified.__wrapped__("plain", params, 26)
@@ -200,7 +237,7 @@ class TestSzegoRecursion:
             for row in tau_relation_check(params, range(1, 25), variant=variant):
                 assert row["residual"] < 1e-9
 
-    def test_raises_when_precision_never_settles(self, monkeypatch):
+    def test_raises_when_precision_never_settles(self, fresh_engine, monkeypatch):
         # this point loses about 60 digits, so runs at 20, 30 and 45 digits
         # disagree, and the next run would pass the limit
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
@@ -209,23 +246,54 @@ class TestSzegoRecursion:
                                                       "67 digits, past the limit of 45"):
             op_sequence("plain", QParams(q=0.41, xi=0.23), 4)
 
-    def test_stored_digits_are_refused_before_any_run(self, monkeypatch):
+    def test_stored_digits_are_refused_before_any_run(self, fresh_engine, monkeypatch):
         # two runs at top 3001 would hold 3.9e10 digits, about 22 GB; the
         # slowest accepted pairs hold 1.0e8 (top 100 at 9,999 digits) and
-        # 7.7e7 ((0.99, 0.7), top 330, certified at 703 digits)
+        # 7.7e7 ((0.99, 0.7), top 330, certified at 703 digits). At top 700
+        # the start of 830 digits, 1.6 log10 c_0 past 25, is refused too
         monkeypatch.setattr(oppainleve, "_szego", None)
         with pytest.raises(NonconvergenceError, match=r"top 3001\) needs 3\.9e\+10 stored digits "
                                                       r"\(top\^2 x 4326\), past the limit of 5e\+08"):
             op_sequence("plain", QParams(q=0.999, xi=0.5), 3000)
+        with pytest.raises(NonconvergenceError, match=r"top 700\) needs 6\.1e\+08 stored digits "
+                                                      r"\(top\^2 x 1245\)"):
+            op_sequence("plain", QParams(q=0.999, xi=0.5), 699)
         assert oppainleve._refused(100, 9999) == oppainleve._refused(330, 703) == ""
 
-    def test_stored_digits_bound_the_raised_precision(self, monkeypatch):
-        # (0.97, 0.7), plain, top 26 settles only at 109 digits, after runs at
-        # 33, 49 and 73; a limit of 26^2 x 73 digits stops it before that pair
-        monkeypatch.setattr(oppainleve, "_MAX_STORED", 26 * 26 * 73)
-        with pytest.raises(NonconvergenceError, match=r"by 73 digits; the next pair needs 7\.4e\+04 "
-                                                      r"stored digits \(top\^2 x 109\)"):
-            oppainleve._certified.__wrapped__("plain", QParams(q=0.97, xi=0.7), 26)
+    def test_stored_digits_bound_the_raised_precision(self, fresh_engine, monkeypatch):
+        # (0.97, 0.7), plain, top 61 starts at 63 digits and settles only at
+        # 141, after runs at 63 and 94; a limit of 61^2 x 94 digits stops it
+        # before that pair
+        monkeypatch.setattr(oppainleve, "_MAX_STORED", 61 * 61 * 94)
+        with pytest.raises(NonconvergenceError, match=r"by 94 digits; the next pair needs 5\.2e\+05 "
+                                                      r"stored digits \(top\^2 x 141\)"):
+            oppainleve._certified("plain", QParams(q=0.97, xi=0.7), 61)
+
+    @pytest.mark.parametrize("variant, q, top", NEAR_SCALING)
+    def test_first_pair_settles_near_scaling(self, fresh_engine, monkeypatch, variant, q, top):
+        # each of the benchmark's twelve certifications at xi = 0.7 settles
+        # on its first pair of runs
+        runs = _count_runs(monkeypatch)
+        oppainleve._certified(variant, QParams(q=q, xi=0.7), top)
+        assert runs == [runs[0], runs[0] * 3 // 2]
+
+    @pytest.mark.parametrize("variant, q", sorted({(v, q) for v, q, _ in NEAR_SCALING}))
+    def test_second_top_starts_from_the_settled_run(self, fresh_engine, monkeypatch, variant, q):
+        # top 16, then top 26 at the same point: each settles on its first pair
+        runs = _count_runs(monkeypatch)
+        for n_max in (10, 25):
+            op_sequence(variant, QParams(q=q, xi=0.7), n_max)
+        assert len(runs) == 4
+
+    def test_start_scales_the_settled_digits(self, fresh_engine):
+        # (0.97, 0.7), plain, top 61 settles on its second pair, at 94 digits,
+        # 1.5 times its estimate; a longer request starts at 1.5 times its own
+        params = QParams(q=0.97, xi=0.7)
+        op_sequence("plain", params, 60)
+        assert oppainleve._settled[("plain", params)] == (61, 94)
+        assert oppainleve._estimate("plain", params, 61) == 63
+        assert oppainleve._dps_for("plain", params, 91) == math.ceil(
+            94 * oppainleve._estimate("plain", params, 91) / 63)
 
     def test_long_run_past_the_painleve_guard(self):
         # the engine has no index guard: x_40 at (0.97, 0.7) against mp.det
@@ -345,7 +413,7 @@ class TestPainleveTrajectories:
         with pytest.raises(ValueError):
             dpii_limit_check(1.0, [0.9], [0, 1])
 
-    def test_n_max_past_guard_raises(self, monkeypatch):
+    def test_n_max_past_guard_raises(self, fresh_engine, monkeypatch):
         # the one index guard is the engine's digit limit, before any run
         monkeypatch.setattr(oppainleve, "_szego", None)
         with pytest.raises(NonconvergenceError, match="needs 36655 digits, past the limit"):
