@@ -98,9 +98,10 @@ def cmd_gap_table(args: argparse.Namespace, params: QParams) -> int:
 
 def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
     _require_n_max(args)
-    # the J_gen table fails before the engine runs: at q = 0.99999 it passes its span limit
-    comps = [op_mod.tail_comparator(args.branch, params, n) for n in range(args.n_max + 1)]
+    # a refusal of the J_gen table (q = 0.99999) comes first, the engine's next, the column last
+    op_mod.tail_comparator(args.branch, params, 0)
     state = op_mod.painleve_trajectory(args.branch, "determinant", params, args.n_max)
+    comps = [op_mod.tail_comparator(args.branch, params, n) for n in range(args.n_max + 1)]
     # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual,
     # nor has a row below the floor, and a row whose comparator underflows to
     # 0 has no tail ratio

@@ -494,20 +494,22 @@ def scaling_probe(
     kind="edge_airy": cube-root rescaled kernel at the spectral edge against
     the Airy kernel at (x, y). Reports trends; the limits come with no rate.
     """
+    if kind not in ("bulk_sine", "edge_airy"):
+        raise ValueError(f"unknown probe kind {kind!r}")
     shape = limit_shape(xi)
+    if kind == "bulk_sine" and not (shape.a < x < shape.b):
+        raise ValueError(f"bulk probe needs x in ({shape.a}, {shape.b})")
     rows = []
     for q in q_schedule:
         eps = -math.log(q)
         params = QParams(q=q, xi=xi)
         if kind == "bulk_sine":
-            if not (shape.a < x < shape.b):
-                raise ValueError(f"bulk probe needs x in ({shape.a}, {shape.b})")
             base = x / eps
             r = _nearest_half_integer(base + u)
             s = _nearest_half_integer(base + v)
             got = q_bessel_kernel(params, r, s)
             target = sine_kernel(shape.rho(x), u - v)
-        elif kind == "edge_airy":
+        else:
             scale = (shape.beta0 / eps) ** (1.0 / 3.0)
             base = shape.alpha0 / eps
             r = _nearest_half_integer(base + scale * x)
@@ -519,8 +521,6 @@ def scaling_probe(
             x_eff = (float(r) - base) / scale
             y_eff = (float(s) - base) / scale
             target = airy_kernel(x_eff, y_eff)
-        else:
-            raise ValueError(f"unknown probe kind {kind!r}")
         rows.append(
             {"q": q, "value": got, "target": target, "deviation": abs(got - target)}
         )

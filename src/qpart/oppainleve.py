@@ -21,7 +21,8 @@ are real.
 All OPUC data come from one Szego recursion with an a-posteriori precision
 check, run in the standard library's `decimal` under a limit of _MAX_DPS
 working digits and one of _MAX_STORED held digits; `op_sequence` is its
-one public entry, and the tests check it against mpmath determinants.
+one public entry, and the tests check it against mpmath determinants. Its
+one record of runs, _longest, keeps each point's longest for shorter requests.
 The q-P_V variables come from it alone, and the relation above is checked
 on them, not iterated: forward iteration loses the digits (README).
 """
@@ -71,16 +72,17 @@ _MAX_DPS = 10_000  # working digits past which the engine gives up
 _MAX_STORED = 5e8  # top^2 x digits, held by two runs at about 0.58 bytes each: 290 MB
 _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
 _RADIUS_OFFSET = 1e-2  # contour distance from the circle for boundary values
+_LONGEST_POINTS = 64   # points _longest keeps, the oldest dropped first
 
-# (variant, params) -> (top, dps) of the longest certified run at the point:
-# its top, and the digits of the first run of the pair that settled it
-_settled: dict[tuple[str, QParams], tuple[int, int]] = {}
+# (variant, params) -> (run, dps): the longest certified run at the point, and
+# the digits of the first run of the pair that settled it; op_sequence writes it
+_longest: dict[tuple[str, QParams], tuple[OPSequence, int]] = {}
 
 
 @dataclass(frozen=True)
 class OPSequence:
-    """The certified Szego run op_sequence returns: x, kappa_sq and monic
-    for n <= top, log_z for n <= top + 1, top at least max(n_max + 1, _SHARED_TOP)."""
+    """A certified Szego run, as _longest keeps it: x, kappa_sq and monic for
+    n <= top, log_z for n <= top + 1, top at least max(n_max + 1, _SHARED_TOP)."""
 
     variant: str
     params: QParams
@@ -233,12 +235,11 @@ def _estimate(variant: str, params: QParams, top: int) -> int:
 
 def _dps_for(variant: str, params: QParams, top: int) -> int:
     """Starting precision of a certification: the `_estimate`, or, at a point
-    with a settled run, the digits that run settled at times the growth of
-    the estimate from its top to this one."""
+    with a run in _longest, the digits that run settled at times the growth
+    of the estimate from its top to this one."""
     start = _estimate(variant, params, top)
-    if settled := _settled.get((variant, params)):
-        s_top, s_dps = settled
-        start = math.ceil(s_dps * start / _estimate(variant, params, s_top))
+    if kept := _longest.get((variant, params)):
+        start = math.ceil(kept[1] * start / _estimate(variant, params, len(kept[0].x) - 1))
     return start
 
 
@@ -320,12 +321,11 @@ def _refused(top: int, dps: int) -> str:
     return ""
 
 
-@lru_cache(maxsize=64)
-def _certified(variant: str, params: QParams, top: int) -> OPSequence:
+def _certified(variant: str, params: QParams, top: int) -> tuple[OPSequence, int]:
     """Runs at dps and 1.5 dps until x, E and pi_n of two runs agree
     relatively and then their log Z absolutely, which is relative in Z; the
-    second run of that pair alone takes logs. Its top and the digits of the
-    pair's first run are kept in _settled when no longer run is. The very
+    second run of that pair alone takes logs. Returns that run and the
+    digits of the pair's first run, the digits it settled at. The very
     first run reads the second's moments, rounded to its own digits,
     instead of summing its own: an error of the moments, common to both
     runs, escapes the comparison, but it is one at the second run's digits,
@@ -343,31 +343,19 @@ def _certified(variant: str, params: QParams, top: int) -> OPSequence:
         hi = _szego(c, dps)
         with decimal.localcontext(_context(dps)):
             if lo and hi and _agree(lo, hi):
-                _settle(variant, params, top, lo_dps)
                 x, e, monic = hi
                 return OPSequence(
                     variant=variant, params=params, dps=dps,
                     x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
                     log_z=tuple(map(_float, _log_z(e, dps))),
                     monic=tuple(tuple(map(_float, r)) for r in monic),
-                )
+                ), lo_dps
         lo = hi
     raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by {dps} digits; "
                               f"the next pair needs {why}")
 
 
-def _settle(variant: str, params: QParams, top: int, dps: int) -> None:
-    """Keep (top, dps) as the point's settled run unless a longer one is kept,
-    for as many points as _certified keeps runs, the oldest dropped first."""
-    key = (variant, params)
-    if top >= _settled.get(key, (0, 0))[0]:
-        _settled.pop(key, None)
-        _settled[key] = (top, dps)
-        if len(_settled) > _certified.cache_info().maxsize:
-            del _settled[next(iter(_settled))]
-
-
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32)  # kept only for perfbench's tracer, which reads its cache_info()
 def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     """x_n, kappa_n^2 = 1/E_n and pi_n for n <= n_max + 1, log Z_n for
     n <= n_max + 2, in one shared certified run that may be longer.
@@ -375,21 +363,29 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     One O(top^2) Szego (Levinson) recursion over the symbol moments (B.
     Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005, ch. 1.5),
     top at least max(n_max + 1, _SHARED_TOP): requests up to _SHARED_TOP
-    share one run per symbol, and any request that the longest run certified
-    at the point covers gets that run, unsliced. It runs in decimal
-    arithmetic at the _dps_for precision and at 1.5 times that, raised by
-    1.5 until two runs agree to 1e-17 relative in every value (log Z_n
-    absolute), so the floats are correct to the last bit; a run in which
-    some E_n rounds to zero or below disagrees. NonconvergenceError, before
-    any run, if the first pair would pass _MAX_DPS digits or hold more than
-    _MAX_STORED, and if no two runs under both limits agree.
+    share one run per symbol, any request that the point's run in _longest
+    covers gets that run, unsliced, and a longer one certifies the run that
+    replaces it there. It runs in decimal arithmetic at the _dps_for
+    precision and at 1.5 times that, raised by 1.5 until two runs agree to
+    1e-17 relative in every value (log Z_n absolute), so the floats are
+    correct to the last bit; a run in which some E_n rounds to zero or
+    below disagrees. NonconvergenceError, before any run, if the first
+    pair would pass _MAX_DPS digits or hold more than _MAX_STORED, and if no
+    two runs under both limits agree.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    longest = _settled.get((variant, params), (0, 0))[0]
-    return _certified(variant, params, max(n_max + 1, _SHARED_TOP, longest))
+    key, top = (variant, params), max(n_max + 1, _SHARED_TOP)
+    if (kept := _longest.get(key)) and len(kept[0].x) > top:
+        return kept[0]
+    kept = _certified(variant, params, top)  # its start reads the point's run
+    _longest.pop(key, None)
+    _longest[key] = kept
+    if len(_longest) > _LONGEST_POINTS:
+        del _longest[next(iter(_longest))]
+    return kept[0]
 
 
 # ---------------------------------------------------------------------------

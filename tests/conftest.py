@@ -4,6 +4,8 @@ says and an absolute floor has to be written out."""
 
 import pytest
 
+from qpart import oppainleve
+
 _approx = pytest.approx
 
 
@@ -14,3 +16,16 @@ def _strict_approx(expected, rel=None, abs=None, nan_ok=False):
 
 
 pytest.approx = _strict_approx
+
+
+@pytest.fixture
+def fresh_engine():
+    """No certified run in the engine's store or op_sequence result at any
+    point, before and after the test: a certification's start depends on
+    the run kept before it at the same point."""
+    def clear():
+        oppainleve._longest.clear()
+        oppainleve.op_sequence.cache_clear()
+    clear()
+    yield
+    clear()

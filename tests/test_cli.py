@@ -156,17 +156,17 @@ class TestGapTable:
         assert out == ""
         assert "needs 3.9e+10 stored digits (top^2 x 4326), past the limit of 5e+08" in err
 
-    def test_sweep_certifies_one_run(self, capsys):
+    def test_sweep_certifies_one_run(self, fresh_engine, capsys, monkeypatch):
         # the largest N comes first and certifies top 61, and every smaller N
         # reads that run: one certification, where there were 46 (6.0 s, now
         # 0.66 s on a 2-core VM), printing the bytes the 46 printed
-        oppainleve._settled.clear()
-        oppainleve._certified.cache_clear()
-        oppainleve.op_sequence.cache_clear()
+        tops, certified = [], oppainleve._certified
+        monkeypatch.setattr(oppainleve, "_certified",
+                            lambda v, p, top: tops.append(top) or certified(v, p, top))
         code, out, _ = run(["gap-table", "--method", "toeplitz", "--q", "0.999", "--xi", "0.5",
                             "--n-max", "60"], capsys)
         assert code == 0
-        assert oppainleve._certified.cache_info().misses == 1
+        assert tops == [61]
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "73e4a59ccfa7c45bcc8ca47837f80582eb48cc63493c7a02e447872e78c7614a")
 
@@ -246,6 +246,18 @@ class TestPainleveTable:
         assert code == 2
         assert out == ""
         assert "digits, past the limit of 10000" in err
+
+    def test_refusal_comes_before_the_comparator_column(self, capsys, monkeypatch):
+        # the engine refuses top 10^7 + 1 before any run, and the table's
+        # O(n_max) comparator column is not built before that
+        calls, comparator = [], oppainleve.tail_comparator
+        monkeypatch.setattr(oppainleve, "tail_comparator",
+                            lambda *args: calls.append(args) or comparator(*args))
+        code, out, err = run(["painleve", "--n-max", "10000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "top 10000001) needs 22577262033468 digits, past the limit of 10000" in err
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize("branch", ["x", "y"])
     def test_reaches_past_the_edge_index(self, branch, capsys):

@@ -73,11 +73,11 @@ def test_import_builds_no_enumeration_table():
 
 
 def test_import_keeps_no_per_point_state():
-    # the engine's settled runs, certifications and symbol estimates and the
-    # kernel's kept partial sums all start empty, so import does no work
+    # the engine's store of runs, op_sequence results and symbol estimates
+    # and the kernel's kept partial sums all start empty, so import does no work
     proc = run_python("-c", "import qpart, qpart.cli, qpart.checks; "
                       "from qpart import kernels, oppainleve as op; "
-                      "print(len(op._settled), op._certified.cache_info().currsize, "
+                      "print(len(op._longest), op.op_sequence.cache_info().currsize, "
                       "op._symbol_digits.cache_info().currsize, len(kernels._KEPT), "
                       "kernels._KEPT.nbytes)")
     assert proc.returncode == 0, proc.stderr

@@ -280,10 +280,12 @@ class TestCoefficientTables:
 
     def test_caller_decimal_context_does_not_reach_the_run(self):
         p = QParams(q=0.97, xi=0.7)
-        want = _j_gen.__wrapped__(p)[1]
+        _j_gen.cache_clear()
+        want = _j_gen(p)[1]
         for ctx in (decimal.Context(prec=5), decimal.Context(prec=60, rounding=decimal.ROUND_FLOOR)):
+            _j_gen.cache_clear()
             with decimal.localcontext(ctx):
-                assert _j_gen.__wrapped__(p)[1].tobytes() == want.tobytes()
+                assert _j_gen(p)[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("eta", [0.3, 3.0, 40.0])
     def test_bessel_entries_are_the_rounded_series(self, eta):
@@ -512,6 +514,11 @@ class TestScalingProbes:
     def test_bulk_requires_x_in_support(self):
         with pytest.raises(ValueError):
             scaling_probe("bulk_sine", 0.5, [0.9], x=5.0)
+        # the input is checked once, before the schedule, so an empty one too
+        with pytest.raises(ValueError, match="bulk probe needs x in"):
+            scaling_probe("bulk_sine", 0.7, [], x=99.0)
+        with pytest.raises(ValueError, match="unknown probe kind 'bogus'"):
+            scaling_probe("bogus", 0.7, [])
 
 
 class TestSineKernel:

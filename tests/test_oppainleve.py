@@ -49,20 +49,6 @@ NEAR_SCALING = [(variant, q, top) for variant in ("plain", "check")
                 for q in (0.9, 0.95, 0.97) for top in (16, 26)]
 
 
-@pytest.fixture
-def fresh_engine():
-    """No settled run, certification or op_sequence result at any point,
-    before and after the test: a certification's start depends on the runs
-    settled before it at the same point."""
-    def clear():
-        oppainleve._settled.clear()
-        oppainleve._certified.cache_clear()
-        oppainleve.op_sequence.cache_clear()
-    clear()
-    yield
-    clear()
-
-
 def _count_runs(monkeypatch) -> list:
     """The digits of every engine run from here on."""
     runs, szego = [], oppainleve._szego
@@ -114,11 +100,13 @@ class TestOPSequence:
     @pytest.mark.parametrize("variant", ["plain", "check"])
     def test_shorter_request_reads_the_longest_run(self, fresh_engine, variant, q, xi):
         # the run at top 61 serves n_max 15, unsliced, and its prefix is the
-        # top-16 certification bit for bit: both round the same settled values
+        # top-16 certification bit for bit: both round the same settled
+        # values; only op_sequence writes the store, so the run stays there
         params = QParams(q=q, xi=xi)
         longest = op_sequence(variant, params, 60)
         assert op_sequence(variant, params, 15) is longest
-        short = oppainleve._certified(variant, params, 16)
+        short, _ = oppainleve._certified(variant, params, 16)
+        assert oppainleve._longest[(variant, params)][0] is longest
         assert repr((longest.x[:17], longest.kappa_sq[:17], longest.log_z[:18],
                      longest.monic[:17])) == repr((short.x, short.kappa_sq, short.log_z, short.monic))
 
@@ -214,9 +202,9 @@ class TestSzegoRecursion:
         with decimal.localcontext(oppainleve._context(33)):
             c = oppainleve._moments("plain", 26, Decimal(params.q), Decimal(params.xi))
         assert oppainleve._szego(c, 33) is None
-        want = oppainleve._certified("plain", params, 26)
+        want, _ = oppainleve._certified("plain", params, 26)
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
-        got = oppainleve._certified.__wrapped__("plain", params, 26)
+        got, _ = oppainleve._certified("plain", params, 26)
         assert (got.x, got.kappa_sq, got.log_z, got.monic) == (
             want.x, want.kappa_sq, want.log_z, want.monic)
 
@@ -226,7 +214,7 @@ class TestSzegoRecursion:
         # mpmath engine that preceded the decimal one: a change of arithmetic
         # or precision schedule keeps the near-scaling certifications and the
         # desk point bit-identical
-        seq = oppainleve._certified(variant, QParams(q=q, xi=xi), top)
+        seq, _ = oppainleve._certified(variant, QParams(q=q, xi=xi), top)
         got = repr((seq.x, seq.kappa_sq, seq.log_z, seq.monic)).encode()
         assert hashlib.sha256(got).hexdigest() == digest
 
@@ -290,10 +278,27 @@ class TestSzegoRecursion:
         # 1.5 times its estimate; a longer request starts at 1.5 times its own
         params = QParams(q=0.97, xi=0.7)
         op_sequence("plain", params, 60)
-        assert oppainleve._settled[("plain", params)] == (61, 94)
+        run, dps = oppainleve._longest[("plain", params)]
+        assert (len(run.x) - 1, dps) == (61, 94)
         assert oppainleve._estimate("plain", params, 61) == 63
         assert oppainleve._dps_for("plain", params, 91) == math.ceil(
             94 * oppainleve._estimate("plain", params, 91) / 63)
+
+    def test_store_keeps_the_newest_points(self, fresh_engine):
+        # 65 points: the first one's run is dropped, and asking for it again
+        # certifies afresh, from the estimate, the floats of its first run
+        assert oppainleve._LONGEST_POINTS == 64
+        points = [QParams(q=0.1 + 0.01 * k, xi=0.3) for k in range(65)]
+        first = op_sequence("plain", points[0], 3)
+        for params in points[1:]:
+            op_sequence("plain", params, 3)
+        assert len(oppainleve._longest) == 64
+        assert ("plain", points[0]) not in oppainleve._longest
+        oppainleve.op_sequence.cache_clear()
+        again = op_sequence("plain", points[0], 3)
+        assert again is not first
+        assert repr((again.x, again.kappa_sq, again.log_z, again.monic)) == repr(
+            (first.x, first.kappa_sq, first.log_z, first.monic))
 
     def test_long_run_past_the_painleve_guard(self):
         # the engine has no index guard: x_40 at (0.97, 0.7) against mp.det
