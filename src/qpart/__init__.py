@@ -32,7 +32,6 @@ from .oppainleve import (
     LaxMatrices,
     OPSequence,
     PainleveState,
-    lax_checks,
     lax_matrices,
     op_sequence,
     painleve_trajectory,
@@ -63,7 +62,6 @@ __all__ = [
     "discrete_bessel_kernel",
     "gap_probability",
     "kernel_matrix",
-    "lax_checks",
     "lax_matrices",
     "limit_shape",
     "macmahon",

@@ -2,16 +2,18 @@
 
 Each function takes the parameter point and the index or site range it
 sweeps and returns the measured residual (the yes/no monotonicity checks
-return 0.0 or 1.0). `CHECKS` is the verify table in output order. The
-acceptance tests call the same functions on their own grids. The norm rows
-and `toeplitz_vs_enumeration` sum to the enumeration gap route's one cutoff,
-`measures.ENUM_SIZE`, so verify, `gap-table` and the route read one
+return 0.0 or 1.0). It builds the paper's objects from the library and makes
+the whole comparison itself. `CHECKS` is the verify table in output order.
+The acceptance tests call the same functions on their own grids. The norm
+rows and `toeplitz_vs_enumeration` sum to the enumeration gap route's one
+cutoff, `measures.ENUM_SIZE`, so verify, `gap-table` and the route read one
 hook-count table. mpmath is the reference of the `special` rows and
 `kernels.airy_diagonal` alone, and only `qpart verify` imports this module.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ from .qspecial import QParams
 PLANE_PARTITIONS = (1, 1, 3, 6)  # of k = 0..3
 LAX_PROBES = (0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j)
 _MP_DPS = 30  # digits of the mp q-series
+_RADIUS_OFFSET = 1e-2  # contour distance from the circle for the jump's boundary values
 
 
 def macmahon_coeffs(ks: Sequence[int]) -> float:
@@ -143,10 +146,12 @@ def plancherel_exact(ns: Sequence[int]) -> float:
 
 def q_to_1_chain(lam: Partition, eta: float, q_schedule: Sequence[float]) -> float:
     """0.0 if both q-deformed masses of lam approach the Poissonized
-    Plancherel mass monotonically along the schedule, else 1.0."""
-    chain = measures.q_limit_check(lam, eta, q_schedule)
-    for col in (1, 2):
-        devs = [abs(row[col] - row[3]) for row in chain]
+    Plancherel mass monotonically along the schedule, else 1.0: the squared
+    type at xi = (1 - q) eta and the mixed type at xi = (1 - q)^{1/2} eta."""
+    pp = measures.measure(measures.PoissonizedPlancherel(eta), lam)
+    for deformed in (lambda q: measures.QPPSquared(xi=(1.0 - q) * eta, q=q),
+                     lambda q: measures.QPPMixed(xi=math.sqrt(1.0 - q) * eta, q=q)):
+        devs = [abs(measures.measure(deformed(q), lam) - pp) for q in q_schedule]
         if not all(b < a for a, b in zip(devs, devs[1:])):
             return 1.0
     return 0.0
@@ -240,11 +245,13 @@ def gap_monotone(p: QParams, variant: str, n_max: int) -> float:
     return 0.0 if all(b >= a - 1e-13 for a, b in zip(vals, vals[1:])) else 1.0
 
 
-def recurrence_residual(p: QParams, branch: str, n_max: int) -> float:
+def recurrence_residual(p: QParams, branch: str, n_max: int) -> float | None:
     """Largest relative residual of the branch's q-difference recurrence on
-    the determinant trajectory up to n_max."""
+    the determinant trajectory up to n_max, over the n where some of v_{n-1},
+    v_n, v_{n+1} is above the floor of `oppainleve.recurrence_residuals`;
+    None, which fails the row, where no n is."""
     state = op.painleve_trajectory(branch, "determinant", p, n_max)
-    return max(op.recurrence_residuals(state))
+    return max((r for r in op.recurrence_residuals(state) if r is not None), default=None)
 
 
 def tau_relation(p: QParams, ns: Sequence[int]) -> float:
@@ -252,16 +259,53 @@ def tau_relation(p: QParams, ns: Sequence[int]) -> float:
     return max(row["residual"] for row in op.tau_relation_check(p, ns))
 
 
+def dpii_limit_check(
+    eta: float, q_schedule: Sequence[float], n_range: Sequence[int]
+) -> list[dict]:
+    """Residual of (x_{n-1} + x_{n+1})(1 - x_n^2) + (n/eta) x_n along a q
+    schedule with xi = (1 - q) eta, for both branches, on determinant-sourced
+    data, n >= 1. The residuals must shrink as q -> 1."""
+    if min(n_range) < 1:
+        raise ValueError("n must be >= 1 (the residual reads x_{n-1})")
+    rows = []
+    for q in q_schedule:
+        xi = (1.0 - q) * eta
+        params = QParams(q=q, xi=xi)
+        n_top = max(n_range) + 1
+        op_x = op.op_sequence("plain", params, n_top)
+        op_y = op.op_sequence("check", params, n_top)
+        for n in n_range:
+            row = {"q": q, "n": n}
+            for key, x in (("residual_x", op_x.x), ("residual_y", op_y.x)):
+                res = (x[n - 1] + x[n + 1]) * (1.0 - x[n] ** 2) + (n / eta) * x[n]
+                row[key] = abs(res) / max(abs(x[n]), 1e-300)
+            rows.append(row)
+    return rows
+
+
 def lax_residual(p: QParams, kind: str, ns: Sequence[int]) -> float:
-    """Largest Lax-pair residual over both variants at LAX_PROBES. kind
-    "compatibility": U_n(qz) T_n(z) - T_{n+1}(z) U_n(z); "inversion":
-    T_n(z)^{-1} - q^{-n} K T_n(1/(qz)) K; "det_k": det K_n + 1."""
-    dev = 0.0
+    """Largest Lax-pair residual over both variants, of U_n, T_n and T_{n+1}
+    from `oppainleve.lax_matrices` (which raises at x_n = 0, failing every
+    kind) and K_n = [[x_n, -1], [-(1 - x_n^2), -x_n]]. kind "compatibility":
+    U_n(qz) T_n(z) - T_{n+1}(z) U_n(z) and "inversion": T_n(z)^{-1} -
+    q^{-n} K_n T_n(1/(qz)) K_n at LAX_PROBES, off the real axis where the
+    origin and the pole of T_n lie; "det_k": det K_n + 1."""
+    q, dev = p.q, 0.0
     for variant in op.OP_VARIANTS:
         seq = op.op_sequence(variant, p, max(ns) + 1)
         for n in ns:
-            res = op.lax_checks(n, p, seq, LAX_PROBES)
-            worst = abs(res["det_k"] + 1.0) if kind == "det_k" else max(res[kind])
+            m_n, m_next = op.lax_matrices(n, p, seq), op.lax_matrices(n + 1, p, seq)
+            x = seq.x[n]
+            k = np.array([[x, -1.0], [-(1.0 - x * x), -x]])
+            if kind == "det_k":
+                worst = abs(float(np.linalg.det(k)) + 1.0)
+            elif kind == "compatibility":
+                worst = max(float(np.max(np.abs(m_n.u(q * z) @ m_n.t(z) - m_next.t(z) @ m_n.u(z))))
+                            for z in LAX_PROBES)
+            else:
+                worst = max(float(np.max(np.abs(np.linalg.inv(m_n.t(z))
+                                                - q ** (-n) * k @ m_n.t(1.0 / (q * z)) @ k)))
+                            for z in LAX_PROBES)
             dev = max(dev, worst)
     return dev
 
@@ -286,8 +330,21 @@ def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
 
 
 def rhp_jump(p: QParams, probes: Sequence[tuple[int, float, str]]) -> float:
-    """Largest |Y_+ - Y_- J| over (n, angle on the unit circle, variant) probes."""
-    return max(op.rhp_jump_residual(n, angle, p, variant) for n, angle, variant in probes)
+    """Largest |Y_+ - Y_- J| over (n, angle, variant) probes, at z = e^{i angle}
+    with J = [[1, z^{-n} w(z)], [0, 1]] and w the variant's weight. Both
+    boundary values are taken exactly at z: the quadrature contour is
+    deformed to radius 1 -/+ _RADIUS_OFFSET, which the analyticity of the
+    integrand in the annulus between the weight poles permits. The + value
+    uses the outer contour (z inside), the - value the inner one."""
+    residuals = []
+    for n, angle, variant in probes:
+        z = cmath.exp(1j * angle)
+        y_plus = op._rhp_y(n, z, p, variant, 1.0 + _RADIUS_OFFSET)
+        y_minus = op._rhp_y(n, z, p, variant, 1.0 - _RADIUS_OFFSET)
+        wz = complex(qs.circle_weight(op._WEIGHT[variant], p, np.array([z]))[0])
+        jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
+        residuals.append(float(np.max(np.abs(y_plus - y_minus @ jump))))
+    return max(residuals)
 
 
 POINT = object()  # in Check.args: the parameter point verify runs at
@@ -309,9 +366,12 @@ class Check:
         """The verify row at p; it passes when |measured| <= tolerance. A
         series that does not converge, a division that p makes singular or a
         float that overflows there fails the row, with measured None, and
-        stderr names the row and the cause in the CLI's words."""
+        stderr names the row and the cause in the CLI's words; so does a
+        function that returns None, having nothing to measure at p."""
         try:
             measured = self.fn(*(p if a is POINT else a for a in self.args))
+            if measured is None:
+                print(f"qpart: {self.check_id}: nothing to measure at this point", file=sys.stderr)
         except (qs.NonconvergenceError, ZeroDivisionError, OverflowError) as exc:
             why = ("did not converge" if isinstance(exc, qs.NonconvergenceError) else
                    "singular at this point" if isinstance(exc, ZeroDivisionError) else

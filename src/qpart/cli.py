@@ -4,10 +4,9 @@ Four subcommands: `verify` evaluates the rows of the `qpart.checks` table
 for the named suites and reports residuals, `limit-shape` tabulates the
 macroscopic profile, `gap-table` tabulates gap probabilities by one or all
 methods, `painleve` tabulates the recurrence variables with residual and
-tail-comparator columns. Only `verify` imports `qpart.checks` and mpmath.
-A `painleve` row has no residual (null) where v_{n-1}, v_n and v_{n+1} are
-all below _FLOOR = 2^-27 in magnitude: every product of two of them is then
-below 2^-54, so the relation's left side is exactly 1 whatever they are.
+tail-comparator columns. Only `verify` imports `qpart.checks`, where every
+comparison it reports is computed, and mpmath. A `painleve` row has no
+residual (null) below the floor of `oppainleve.recurrence_residuals`.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
 error, a series, grid or precision that did not converge, a division
@@ -15,7 +14,8 @@ that is singular at the given (q, xi), a float that overflows there, or
 an output file that cannot be written. A `verify` row whose own series
 does not converge, or that the point makes singular or overflow, is a
 failed check: it reads measured null, stderr names it, and every other
-row is still reported. Output is deterministic.
+row is still reported. So does a recurrence row with every v_n below the
+floor, which has nothing to measure. Output is deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from . import oppainleve as op_mod
 from .qspecial import NonconvergenceError, QParams
 
 SUITES = ("special", "measures", "kernels", "gap", "painleve", "all")
-_FLOOR = 2.0**-27  # |v_n| below which a painleve row's residual checks nothing
 
 
 def _emit(rows: list[dict], args: argparse.Namespace) -> None:
@@ -105,9 +104,7 @@ def cmd_painleve(args: argparse.Namespace, params: QParams) -> int:
     # the first and last rows lack x_{n-1} or x_{n+1}, so they have no residual,
     # nor has a row below the floor, and a row whose comparator underflows to
     # 0 has no tail ratio
-    v = state.v
-    residuals = [None, *(r if max(map(abs, v[n - 1 : n + 2])) >= _FLOOR else None
-                         for n, r in enumerate(op_mod.recurrence_residuals(state), 1)), None]
+    residuals = [None, *op_mod.recurrence_residuals(state), None]
     values = state.values if args.branch == "x" else state.sq
     cols = {"x": values} if args.branch == "x" else {"y_sq": values, "y_cross": state.cross}
     rows = [{"n": n, **{c: v[n] for c, v in cols.items()}, "residual": residuals[n],

@@ -1,4 +1,4 @@
-"""Probability measures on partitions and their normalization checks.
+"""Probability measures on partitions and their partial sums.
 
 Every measure here is a Schur measure s_lambda(rho) s_lambda(rho~) / Z
 (A. Okounkov, *Infinite wedge and random partitions*, arXiv:math/9907127)
@@ -29,7 +29,7 @@ concatenating k = n..1 keeps the size-then-lex-descending order.
 log Z = sum_n n t_n ttilde_n (Cauchy identity) is log M(xi;q) for two
 principal specializations, and the single term t_1 ttilde_1 when either is
 exponential. For the mixed type that is xi^2/(1-q), which reduces to
-eta^2 under xi = (1-q)^{1/2} eta.
+eta^2 under xi = (1-q)^{1/2} eta. Their comparisons are in `qpart.checks`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "SchurMeasure",
     "measure",
     "normalization_partial_sum",
-    "q_limit_check",
 ]
 
 ENUM_SIZE = 25  # the one enumeration cutoff: the gap route and the verify norm rows
@@ -243,24 +241,3 @@ def normalization_partial_sum(kind: object, max_size: int) -> float:
     """Sum of the measure over all partitions of size <= max_size."""
     return math.fsum(_masses(kind, _enum_stats(max_size)))
 
-
-def q_limit_check(
-    lam: Partition, eta: float, q_schedule: Sequence[float]
-) -> list[tuple[float, float, float, float]]:
-    """Measure values along a q schedule approaching 1.
-
-    Returns rows (q, squared_value, mixed_value, pp_value) with the
-    substitutions xi = (1-q) eta for the squared type and
-    xi = (1-q)^{1/2} eta for the mixed type. Both columns approach the
-    q-independent Poissonized Plancherel column as q -> 1.
-    """
-    qs = list(q_schedule)
-    if any(q2 <= q1 for q1, q2 in zip(qs, qs[1:])):
-        raise ValueError("q_schedule must be strictly increasing")
-    pp = measure(PoissonizedPlancherel(eta), lam)
-    rows = []
-    for q in qs:
-        sq = measure(QPPSquared(xi=(1.0 - q) * eta, q=q), lam)
-        mx = measure(QPPMixed(xi=math.sqrt(1.0 - q) * eta, q=q), lam)
-        rows.append((q, sq, mx, pp))
-    return rows

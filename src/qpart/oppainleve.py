@@ -1,5 +1,5 @@
 """Orthogonal polynomials on the unit circle, Riemann-Hilbert data, the Lax
-pair, and the q-Painleve V / d-P_II recurrences.
+pair, and the q-Painleve V recurrence.
 
 Two weight variants run through everything here:
 
@@ -25,11 +25,13 @@ one public entry, and the tests check it against mpmath determinants. Its
 one record of runs, _longest, keeps each point's longest for shorter requests.
 The q-P_V variables come from it alone, and the relation above is checked
 on them, not iterated: forward iteration loses the digits (README).
+The comparisons made on these objects are in `qpart.checks`, but for
+`tau_relation_check` (a benchmark operation) and `recurrence_residuals`
+(the `painleve` table's residual column).
 """
 
 from __future__ import annotations
 
-import cmath
 import decimal
 import math
 import operator
@@ -53,12 +55,8 @@ __all__ = [
     "op_sequence",
     "painleve_trajectory",
     "tail_comparator",
-    "dpii_limit_check",
     "lax_matrices",
-    "inversion_k",
-    "lax_checks",
     "rhp_sample",
-    "rhp_jump_residual",
     "tau_relation_check",
     "recurrence_residuals",
 ]
@@ -71,8 +69,8 @@ _AGREE = 1e-17     # relative agreement that certifies a working precision
 _MAX_DPS = 10_000  # working digits past which the engine gives up
 _MAX_STORED = 5e8  # top^2 x digits, held by two runs at about 0.58 bytes each: 290 MB
 _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
-_RADIUS_OFFSET = 1e-2  # contour distance from the circle for boundary values
 _LONGEST_POINTS = 64   # points _longest keeps, the oldest dropped first
+_FLOOR = 2.0**-27      # |v_n| below which a recurrence residual checks nothing
 
 # (variant, params) -> (run, dps): the longest certified run at the point, and
 # the digits of the first run of the pair that settled it; op_sequence writes it
@@ -420,34 +418,12 @@ def tail_comparator(branch: str, params: QParams, n: int) -> float:
     """What the branch's variable tends to past the edge index: xs_n ~ sqrt(xi)
     J^(3)_{-n}(2 xi; q), ys_n^2 ~ -xi J^(3)_n(2 xi; q)^2, with J^(3)_m = q^{-m/2} c_m
     from the J_gen table; relatively accurate where |c_m| > 1e-300, 0 where it underflows."""
+    if branch not in _SIGN:
+        raise ValueError("branch must be 'x' or 'y'")
     m = -_SIGN[branch] * n
     span, c = _j_gen(params)
     j = float(c.take(m + span + 1, mode="clip")) * params.q ** (-m / 2)  # 0 past the table
     return math.sqrt(params.xi) * j if branch == "x" else -params.xi * j * j
-
-
-def dpii_limit_check(
-    eta: float, q_schedule: Sequence[float], n_range: Sequence[int]
-) -> list[dict]:
-    """Residual of (x_{n-1} + x_{n+1})(1 - x_n^2) + (n/eta) x_n along a q
-    schedule with xi = (1 - q) eta, for both branches, on determinant-sourced
-    data, n >= 1. The residuals must shrink as q -> 1."""
-    if min(n_range) < 1:
-        raise ValueError("n must be >= 1 (the residual reads x_{n-1})")
-    rows = []
-    for q in q_schedule:
-        xi = (1.0 - q) * eta
-        params = QParams(q=q, xi=xi)
-        n_top = max(n_range) + 1
-        op_x = op_sequence("plain", params, n_top)
-        op_y = op_sequence("check", params, n_top)
-        for n in n_range:
-            row = {"q": q, "n": n}
-            for key, x in (("residual_x", op_x.x), ("residual_y", op_y.x)):
-                res = (x[n - 1] + x[n + 1]) * (1.0 - x[n] ** 2) + (n / eta) * x[n]
-                row[key] = abs(res) / max(abs(x[n]), 1e-300)
-            rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -505,42 +481,6 @@ def lax_matrices(n: int, params: QParams, op: OPSequence) -> LaxMatrices:
                        t2=t2, t1=t1, t0=t0, z_pole=pole)
 
 
-def inversion_k(x_n: float) -> np.ndarray:
-    """Involutive matrix of the T inversion relation; determinant -1."""
-    return np.array([[x_n, -1.0], [-(1.0 - x_n * x_n), -x_n]])
-
-
-def lax_checks(
-    n: int,
-    params: QParams,
-    op: OPSequence,
-    probes: Sequence[complex],
-) -> dict:
-    """Residuals of the compatibility and inversion relations at probe points.
-
-    compatibility: U_n(qz) T_n(z) - T_{n+1}(z) U_n(z)
-    inversion:     T_n(z)^{-1} - q^{-n} K_n T_n((qz)^{-1}) K_n
-    """
-    q = params.q
-    m_n = lax_matrices(n, params, op)
-    m_np1 = lax_matrices(n + 1, params, op)
-    k = inversion_k(op.x[n])
-    comp, inv = [], []
-    for z in probes:
-        if abs(z) < 1e-8 or abs(z - m_n.z_pole) < 1e-8:
-            raise ValueError(f"probe {z} too close to pole or origin")
-        c = m_n.u(q * z) @ m_n.t(z) - m_np1.t(z) @ m_n.u(z)
-        comp.append(float(np.max(np.abs(c))))
-        i = np.linalg.inv(m_n.t(z)) - q ** (-n) * k @ m_n.t(1.0 / (q * z)) @ k
-        inv.append(float(np.max(np.abs(i))))
-    return {
-        "n": n,
-        "compatibility": comp,
-        "inversion": inv,
-        "det_k": float(np.linalg.det(k)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Riemann-Hilbert samples
 
@@ -587,23 +527,6 @@ def rhp_sample(n: int, z: complex, params: QParams) -> RHPSample:
     return RHPSample(n=n, z=z, y=y, det_y=complex(np.linalg.det(y)))
 
 
-def rhp_jump_residual(n: int, z_angle: float, params: QParams, variant: str) -> float:
-    """|Y_+ - Y_- J| at a point of the unit circle, J the upper-triangular
-    jump with the weight in the corner.
-
-    Both boundary values are taken exactly at z on the circle; the
-    quadrature contour is deformed to radius 1 -/+ _RADIUS_OFFSET, which the
-    analyticity of the integrand in the annulus between the weight poles
-    permits. The + value uses the outer contour (z inside), the - value the
-    inner one."""
-    z = cmath.exp(1j * z_angle)
-    y_plus = _rhp_y(n, z, params, variant, 1.0 + _RADIUS_OFFSET)
-    y_minus = _rhp_y(n, z, params, variant, 1.0 - _RADIUS_OFFSET)
-    wz = complex(circle_weight(_WEIGHT[variant], params, np.array([z]))[0])
-    jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
-    return float(np.max(np.abs(y_plus - y_minus @ jump)))
-
-
 def tau_relation_check(
     params: QParams, n_range: Sequence[int], variant: str = "plain"
 ) -> list[dict]:
@@ -635,14 +558,19 @@ def tau_relation_check(
     return rows
 
 
-def recurrence_residuals(state: PainleveState) -> list[float]:
+def recurrence_residuals(state: PainleveState) -> list[float | None]:
     """Relative residuals of the q-P_V relation of the module docstring at
-    n = 1..n_max-1 (entry n - 1), n_max the last index of values."""
+    n = 1..n_max-1 (entry n - 1), n_max the last index of values. An entry
+    is None where v_{n-1}, v_n and v_{n+1} are all below _FLOOR in magnitude:
+    every product of two of them is then below 2^-54, so the relation's left
+    side is exactly 1 whatever they are. The floor is tested after the
+    residual, so a point that makes the relation singular still raises."""
     v, e, out = state.v, _SIGN[state.variant], []
     q, xi = state.params.q, state.params.xi
     for n in range(1, len(v) - 2):
         lhs = (v[n] * v[n + 1] - e) * (v[n - 1] * v[n] - e)
         s = v[n] * v[n]
         rhs = (s - xi) * (s - 1.0 / xi) / (1.0 - s / (xi * q ** (e * n)))
-        out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+        res = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        out.append(res if max(map(abs, v[n - 1 : n + 2])) >= _FLOOR else None)
     return out

@@ -19,8 +19,7 @@ from qpart.kernels import (
     q_bessel_kernel,
     scaling_probe,
 )
-from qpart.measures import QPPMixed, QPPSquared, measure, q_limit_check
-from qpart.oppainleve import dpii_limit_check
+from qpart.measures import QPPMixed, QPPSquared, measure
 from qpart.partitions import Partition
 from qpart.qspecial import QParams
 from reference_partitions import cell_stats, enumerate_partitions
@@ -129,16 +128,16 @@ def test_criterion_10_q_to_one_chains():
         abs(q_bessel_kernel(QParams(q=q, xi=1.0 - q), r, s) - target)
         for q in schedule
     ]
-    rows = dpii_limit_check(1.0, schedule, [3])
+    rows = checks.dpii_limit_check(1.0, schedule, [3])
     rd = [row["residual_x"] for row in rows]
-    chain = q_limit_check(Partition((2, 1)), 0.9, schedule)
-    md = [abs(row[1] - row[3]) for row in chain]
-    ok = all(
-        all(b < a for a, b in zip(seq, seq[1:])) for seq in (kd, rd, md)
+    # 0.0 when the squared and the mixed masses both approach Poissonized Plancherel
+    chain = checks.q_to_1_chain(Partition((2, 1)), 0.9, schedule)
+    ok = chain == 0.0 and all(
+        all(b < a for a, b in zip(seq, seq[1:])) for seq in (kd, rd)
     )
     _report(10, "q to 1 chains", ok,
             f"kernel={kd[-1]:.2e}, recurrence={rd[-1]:.2e}, "
-            f"measure={md[-1]:.2e}, all decreasing={ok}")
+            f"measure chain={chain}, all decreasing={ok}")
 
 
 def test_criterion_11_scaling_probes():

@@ -69,6 +69,28 @@ class TestVerify:
         assert "painleve.rhp_value_at_zero: did not converge" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("q, xi, sha", [
+        ("0.5", "0.3", "1cd76f5bd1eb5b95e4d83f4674d54d9efc08d1f3cd0cbe6034487ae142e56474"),
+        ("0.9", "0.5", "3ab5a8ab35a7e6a22788d1b00396e86f93f3fbb32078a971566dcec4e8b272b0"),
+    ])
+    def test_painleve_suite_is_pinned(self, q, xi, sha, capsys):
+        # the JSON as it read while the Lax, jump and q -> 1 comparisons
+        # were split between the library and qpart.checks
+        code, out, err = run(["verify", "--suite", "painleve", "--q", q, "--xi", xi], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    def test_recurrence_rows_below_the_floor_fail(self, capsys):
+        # every v_n is below 2^-27 at xi = 1e-30, where the relation's left
+        # side is exactly 1 whatever they are: both rows read 0.0 and passed
+        code, out, err = run(["verify", "--suite", "painleve", "--q", "0.5", "--xi", "1e-30"],
+                             capsys)
+        assert code == 1
+        failed = {r["check_id"]: r["measured"] for r in json.loads(out) if not r["pass"]}
+        assert failed == {"painleve.x_recurrence_residual": None,
+                          "painleve.y_recurrence_residual": None}
+        assert err.splitlines() == [f"qpart: {c}: nothing to measure at this point" for c in failed]
+
     def test_xi_zero_passes_quickly(self, capsys):
         code, out, _ = run(
             ["verify", "--suite", "measures", "--xi", "0.0"], capsys

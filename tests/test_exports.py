@@ -18,3 +18,22 @@ def test_all_lists_exactly_the_public_functions(module):
                 if inspect.isfunction(obj) and obj.__module__ == module.__name__
                 and not name.startswith("_") and name not in module.__all__]
     assert (missing, unlisted) == ([], [])
+
+
+# residuals the library keeps outside qpart.checks, each for a caller of its own
+CHECK_EXEMPT = {
+    "qpart.oppainleve.tau_relation_check": "an operation of the benchmark",
+    "qpart.oppainleve.recurrence_residuals": "the residual column of `qpart painleve`",
+}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.__name__ != "qpart.checks"],
+                         ids=lambda m: m.__name__)
+def test_comparisons_live_in_checks(module):
+    public = set(getattr(module, "__all__", ())) | {
+        name for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+        and not name.startswith("_")}
+    found = {f"{module.__name__}.{name}" for name in public
+             if name.endswith(("_check", "_checks", "_residual", "_residuals"))}
+    assert found <= set(CHECK_EXEMPT)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from qpart import checks
 from qpart.measures import (
     MAX_ENUM_SIZE,
     MiwaTimes,
@@ -18,7 +19,6 @@ from qpart.measures import (
     _partition_stats,
     measure,
     normalization_partial_sum,
-    q_limit_check,
 )
 from qpart.partitions import Partition
 from qpart.qspecial import QParams, log_macmahon
@@ -142,16 +142,14 @@ class TestQDeformations:
                 prev = dev
 
     def test_q_limit_chain_rows(self):
-        rows = q_limit_check(Partition((2, 1)), 0.8, [0.9, 0.97, 0.99])
-        assert len(rows) == 3
-        dev_sq = [abs(r[1] - r[3]) for r in rows]
-        dev_mx = [abs(r[2] - r[3]) for r in rows]
-        assert dev_sq[2] < dev_sq[0]
-        assert dev_mx[2] < dev_mx[0]
-
-    def test_q_limit_check_requires_increasing_schedule(self):
-        with pytest.raises(ValueError):
-            q_limit_check(Partition((1,)), 0.5, [0.9, 0.8])
+        # both the squared and the mixed mass approach the Poissonized one
+        # monotonically, from each of q = 0.5, 0.7 and 0.9; a schedule run
+        # away from q = 1 fails the chain
+        lam = Partition((2, 1))
+        assert checks.q_to_1_chain(lam, 0.8, [0.9, 0.97, 0.99]) == 0.0
+        for q in (0.5, 0.7, 0.9):
+            assert checks.q_to_1_chain(lam, 0.8, [q, 0.97, 0.99]) == 0.0
+            assert checks.q_to_1_chain(lam, 0.8, [0.99, 0.97, q]) == 1.0
 
     def test_richardson_step_ratio(self):
         # differences from the Poissonized value shrink by about the

@@ -7,16 +7,12 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from qpart import oppainleve
+from qpart import checks, oppainleve
 from qpart.oppainleve import (
-    dpii_limit_check,
-    inversion_k,
-    lax_checks,
     lax_matrices,
     op_sequence,
     painleve_trajectory,
     recurrence_residuals,
-    rhp_jump_residual,
     rhp_sample,
     tail_comparator,
     tau_relation_check,
@@ -44,7 +40,7 @@ PINNED = [  # variant, q, xi, top, sha256 of repr((x, kappa_sq, log_z, monic))
     ("check", 0.5, 0.3, 26, "92e99361c66820b883d5d0f4c35307f5fb076d075f8da3da9c9096dc3b34d589"),
     ("plain", 0.1, 0.05, 40, "afd93711de7ebab4e9fc726df7ea3291934e2ec90b5bc499170c3d0de2f1d903"),
 ]
-PROBES = [0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j]
+POINTS = [P, QParams(q=0.7, xi=0.5), QParams(q=0.9, xi=0.5)]
 NEAR_SCALING = [(variant, q, top) for variant in ("plain", "check")
                 for q in (0.9, 0.95, 0.97) for top in (16, 26)]
 
@@ -361,10 +357,14 @@ class TestPainleveTrajectories:
 
     @staticmethod
     def _assert_recurrence_residual(variant, params, n_max):
-        # the q-P_V relation at n = 1 .. n_max - 1
-        residuals = recurrence_residuals(painleve_trajectory(variant, "determinant", params, n_max))
+        # the q-P_V relation at n = 1 .. n_max - 1; an entry is None exactly
+        # where v_{n-1}, v_n and v_{n+1} are all below 2^-27
+        state = painleve_trajectory(variant, "determinant", params, n_max)
+        residuals = recurrence_residuals(state)
         assert len(residuals) == n_max - 1
-        assert max(residuals) <= 1e-7
+        below = [max(map(abs, state.v[n - 1 : n + 2])) < 2.0**-27 for n in range(1, n_max)]
+        assert [r is None for r in residuals] == below
+        assert max(r for r in residuals if r is not None) <= 1e-7
 
     @pytest.mark.parametrize("params, n_max", RESIDUAL_CASES, ids=RESIDUAL_IDS)
     def test_x_recurrence_residual(self, params, n_max):
@@ -408,15 +408,26 @@ class TestPainleveTrajectories:
             comp = tail_comparator("y", P, n)
             assert state.sq[n] / comp == pytest.approx(1.0, rel=1e-6)
 
+    def test_tail_comparator_rejects_unknown_branch(self):
+        # an unknown branch raised KeyError: 'z'
+        with pytest.raises(ValueError, match="branch must be 'x' or 'y'"):
+            tail_comparator("z", P, 3)
+
     def test_dpii_residual_decreasing(self):
-        rows = dpii_limit_check(1.0, [0.9, 0.99], [3])
+        rows = checks.dpii_limit_check(1.0, [0.9, 0.99], [3])
         assert rows[1]["residual_x"] < rows[0]["residual_x"]
         assert rows[1]["residual_y"] < rows[0]["residual_y"]
+        # towards q = 1 from each point, xi = (1 - q) eta starting at its xi
+        for params in POINTS:
+            eta = params.xi / (1.0 - params.q)
+            rows = checks.dpii_limit_check(eta, [params.q, 0.97, 0.99], [3])
+            for key in ("residual_x", "residual_y"):
+                assert rows[2][key] < rows[1][key] < rows[0][key]
 
     def test_dpii_rejects_n_below_one(self):
         # x[n - 1] at n = 0 read x[-1], and the row reported residual 0.0
         with pytest.raises(ValueError):
-            dpii_limit_check(1.0, [0.9], [0, 1])
+            checks.dpii_limit_check(1.0, [0.9], [0, 1])
 
     def test_n_max_past_guard_raises(self, fresh_engine, monkeypatch):
         # the one index guard is the engine's digit limit, before any run
@@ -456,17 +467,24 @@ class TestTauRelation:
 
 class TestLax:
     @pytest.mark.parametrize("variant", ["plain", "check"])
-    def test_compatibility_and_inversion(self, variant):
-        seq = op_sequence(variant, P, 11)
-        for n in range(1, 11):
-            res = lax_checks(n, P, seq, PROBES)
-            assert max(res["compatibility"]) < 1e-8
-            assert max(res["inversion"]) < 1e-8
-            assert res["det_k"] == pytest.approx(-1.0, abs=1e-12)
+    def test_compatibility_and_inversion(self, variant, monkeypatch):
+        # the variant's residuals alone, n = 1..10, at the verify probes
+        monkeypatch.setattr(oppainleve, "OP_VARIANTS", (variant,))
+        for params in POINTS:
+            ns = range(1, 11)
+            assert checks.lax_residual(params, "compatibility", ns) < 1e-8
+            assert checks.lax_residual(params, "inversion", ns) < 1e-8
+            assert checks.lax_residual(params, "det_k", ns) <= 1e-12
 
-    def test_inversion_matrix_is_involution(self):
-        k = inversion_k(0.4)
-        assert np.allclose(k @ k, np.eye(2), atol=1e-14)
+    @pytest.mark.parametrize("kind, inverses", [("compatibility", 0), ("inversion", 100),
+                                                ("det_k", 0)])
+    def test_each_row_computes_its_own_kind(self, kind, inverses, monkeypatch):
+        # every Lax row once ran all three residuals; only inversion inverts
+        # T_n, at 5 probes, 10 indices and 2 variants
+        calls, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+        checks.lax_residual(P, kind, range(1, 11))
+        assert len(calls) == inverses
 
     def test_t_pole_locations(self):
         seq_p = op_sequence("plain", P, 4)
@@ -498,11 +516,6 @@ class TestLax:
         rhs = m.u(z) @ psi(n)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
-    def test_probe_near_pole_rejected(self):
-        seq = op_sequence("plain", P, 4)
-        with pytest.raises(ValueError):
-            lax_checks(2, P, seq, [seq and P.xi / math.sqrt(P.q) + 0j])
-
 
 class TestRHP:
     def test_det_one(self):
@@ -522,8 +535,8 @@ class TestRHP:
 
     @pytest.mark.parametrize("variant", ["plain", "check"])
     def test_jump_condition(self, variant):
-        for angle in (0.7, 2.1):
-            assert rhp_jump_residual(4, angle, P, variant) < 1e-6
+        for params in POINTS:
+            assert checks.rhp_jump(params, [(4, angle, variant) for angle in (0.7, 2.1)]) < 1e-6
 
     def test_first_column_is_polynomial(self):
         n = 3
