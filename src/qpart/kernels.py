@@ -499,6 +499,8 @@ def scaling_probe(
     shape = limit_shape(xi)
     if kind == "bulk_sine" and not (shape.a < x < shape.b):
         raise ValueError(f"bulk probe needs x in ({shape.a}, {shape.b})")
+    if kind == "edge_airy" and shape.beta0 <= 0.0:
+        raise ValueError(f"edge probe needs xi > 0: the Airy scale is 0 at xi = {xi}")
     rows = []
     for q in q_schedule:
         eps = -math.log(q)

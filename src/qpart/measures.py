@@ -171,11 +171,14 @@ def _partition_stats(lam: Partition, width: int) -> tuple[np.ndarray, ...]:
 def _enum_stats(max_size: int) -> tuple[np.ndarray, ...]:
     """Arrays over all partitions of size <= max_size in size-then-lex-descending
     order: size, first part, length, b(lambda) (int16), and the uint8 matrix of
-    hook-length counts m_h, h = 1..max_size, one row each.
+    hook-length counts m_h, h = 1..max_size, one row each, column-major as
+    `_masses` reads it.
 
     Built by size as the module docstring says: the top row of k cells put on
     mu adds the hooks k - j + mu'_j + 1, j = 1..k, and gives b = b(mu) + |mu|,
-    length + 1 and columns mu'_j + 1.
+    length + 1 and columns mu'_j + 1. Each size s is a source once: one batch
+    puts every top row k = 1..max_size - s on it, and the slice for k joins
+    size s + k after those of the smaller sources.
     """
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
@@ -183,37 +186,48 @@ def _enum_stats(max_size: int) -> tuple[np.ndarray, ...]:
         raise ValueError(f"max_size {max_size} exceeds guard {MAX_ENUM_SIZE}")
     # per size: first part, length, b, hook counts, column lengths mu'_j
     zero, empty = np.zeros(1, np.int16), np.zeros((1, max_size), np.uint8)
-    blocks = [(zero, zero, zero, empty, empty)]
-    for n in range(1, max_size + 1):
-        parts = []
-        for k in range(n, 0, -1):
-            first, length, b, counts, cols = blocks[n - k]
-            rows = slice(np.searchsorted(-first, -k), None)  # first part <= k
-            counts, cols = counts[rows].copy(), cols[rows].copy()
-            hooks = k - 1 - np.arange(k) + cols[:, :k]  # column index h - 1
-            counts[np.arange(len(counts))[:, None], hooks] += 1
-            cols[:, :k] += 1
-            parts.append((np.full(len(counts), k, np.int16), length[rows] + 1,
-                          b[rows] + (n - k), counts, cols))
-        blocks.append(tuple(np.concatenate(arrays) for arrays in zip(*parts)))
+    blocks, pieces = [], [[(zero, zero, zero, empty, empty)]] + [[] for _ in range(max_size)]
+    j = np.arange(max_size, dtype=np.int16)  # column j of the top row, int16 as the table
+    for s in range(max_size + 1):
+        blocks.append(tuple(np.concatenate(arrays) for arrays in zip(*pieces[s])))
+        first, length, b, counts, cols = blocks[s]
+        ks = np.arange(max_size - s, 0, -1, dtype=np.int16)  # k = n..1 for sizes n = s + k
+        starts = np.searchsorted(-first, -ks)  # the rows with first part <= k
+        lens = len(first) - starts
+        ends = np.cumsum(lens)
+        k = np.repeat(ks, lens)
+        # rows starts[i] .. end of the source for each k, one run after another
+        rows = np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)
+        counts, cols, on = counts[rows], cols[rows], j < k[:, None]
+        hooks = k[:, None] - 1 - j + cols  # column index h - 1 where on
+        # a row's new hooks are distinct, so one += per flat index adds them all
+        counts.reshape(-1)[(np.arange(len(counts))[:, None] * max_size + hooks)[on]] += 1
+        cols += on
+        batch = (k, length[rows] + 1, b[rows] + s, counts, cols)
+        for top, lo, hi in zip(ks.tolist(), ends - lens, ends):
+            pieces[s + top].append(tuple(a[lo:hi] for a in batch))
     first, length, b, counts = (np.concatenate(arrays) for arrays in list(zip(*blocks))[:4])
     size = np.repeat(np.arange(max_size + 1, dtype=np.int16), [len(f) for f, *_ in blocks])
-    return size, first, length, b, counts
+    return size, first, length, b, np.asfortranarray(counts)
 
 
 def _masses(kind: object, stats: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The kind's mass of each row of stats, by `_factors`, each base raised
-    once to the row's combined exponent; a hook length no row has divides by
-    x**0 = 1.0 and is skipped."""
+    """The kind's mass of each row of stats, by `_factors`. Each power comes
+    from a table over the exponents the rows hold, base^s, q^{principal b},
+    (1 - q^h)^{principal m} and h^{(2 - principal) m}, read at the row's
+    exponent, and the hook factors divide in the order of h; a hook length
+    no row has divides by x**0 = 1.0 and is skipped."""
     base, q, principal, inv_z = _factors(kind)
     size, _, _, b, counts = stats
-    w = base**size * q ** (principal * b)
+    w = (base ** np.arange(size.max() + 1)).take(size)
+    w *= (q ** (principal * np.arange(b.max() + 1))).take(b)
+    powers = np.arange(counts.max(initial=0) + 1)
     for col in np.flatnonzero(counts.any(axis=0)).tolist():
         h, m = col + 1, counts[:, col]
         if principal:
-            w /= (1.0 - q**h) ** (principal * m)
+            w /= ((1.0 - q**h) ** (principal * powers)).take(m)
         if principal < 2:
-            w /= float(h) ** ((2 - principal) * m)
+            w /= (float(h) ** ((2 - principal) * powers)).take(m)
     w *= inv_z
     if isinstance(kind, Plancherel):
         w[size != kind.n] = 0.0

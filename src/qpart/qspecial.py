@@ -19,6 +19,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,6 +70,7 @@ def macmahon(params: QParams) -> float:
     return math.exp(log_macmahon(params))
 
 
+@lru_cache(maxsize=64)
 def log_macmahon(params: QParams) -> float:
     """log M(xi;q) = -sum_{n>=1} n log(1 - xi^2 q^n)
     = sum_{n>=1} xi^{2n} / (n (2 sinh(n log q / 2))^2).
@@ -76,7 +78,8 @@ def log_macmahon(params: QParams) -> float:
     Near q = 1 the product needs O(1/(1-q)) factors, the series a handful of
     terms. These are positive, each at most xi^2 q times the one before, so
     math.fsum adds them once the tail bound t xi^2 q / (1 - xi^2 q) past a
-    term t is below _TAIL_TOL times the first. At q = 0 all terms are 0."""
+    term t is below _TAIL_TOL times the first. At q = 0 all terms are 0.
+    Cached per point, as the Toeplitz gap route asks it once per N."""
     half_log_q = 0.5 * math.log(params.q) if params.q else -math.inf
     ratio = params.xi**2 * params.q
     terms = []

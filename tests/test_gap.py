@@ -1,17 +1,21 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qpart.gap import GAP_VARIANTS, GapQuery, gap_probability
+from qpart import gap
+from qpart.gap import GAP_VARIANTS, METHODS, GapQuery, gap_probability
 from qpart.kernels import _j_gen
 from qpart.measures import ENUM_SIZE, QPPSquared, _squared_table, measure
 from qpart.oppainleve import op_sequence
-from qpart.qspecial import QParams, macmahon
+from qpart.qspecial import NonconvergenceError, QParams, macmahon
 from reference_fft import circle_fft
 from reference_partitions import cell_stats, enumerate_partitions
+from test_oppainleve import _series_moment
 
 P = QParams(q=0.5, xi=0.3)
 
@@ -139,6 +143,94 @@ class TestGapProbability:
             GapQuery(variant="width", N=1, params=P)
         with pytest.raises(ValueError):
             GapQuery(variant="length", N=-1, params=P)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_integral_n_is_refused(self, method):
+        # N = 3.0 was accepted; toeplitz and fredholm then raised TypeError
+        # and enumeration IndexError
+        with pytest.raises(ValueError, match="N must be an integer, got 3.0"):
+            gap_probability(GapQuery("length", 3.0, P), method)
+        assert gap_probability(GapQuery("length", np.int64(3), P), method) == (
+            gap_probability(GapQuery("length", 3, P), method))
+
+
+@pytest.fixture
+def fresh_factors():
+    gap._factor.cache_clear()
+    yield
+    gap._factor.cache_clear()
+
+
+def _mp_gap_reference(variant, q, xi, n_top):
+    """P_N = det T_N / M(xi;q), N <= n_top, from moments summed term by term
+    and mp.det at 60 digits, as tests/test_oppainleve.py builds its reference."""
+    symbol = "plain" if variant == "length" else "check"
+    with mp.workdps(60):
+        mq, mxi = mp.mpf(q), mp.mpf(xi)
+        c = [_series_moment(symbol, mq, mxi, m) for m in range(n_top)]
+        # terms past n = 2000 are below 1e-80 for q <= 0.9
+        log_m = -mp.fsum(n * mp.log(1 - mxi * mxi * mq**n) for n in range(1, 2000))
+        z = [mp.mpf(1)] + [mp.det(mp.matrix([[c[abs(j - i)] for j in range(n)] for i in range(n)]))
+                           for n in range(1, n_top + 1)]
+        return [float(v / mp.exp(log_m)) for v in z]
+
+
+class TestFredholmWindow:
+    def test_one_factorization_per_window(self, fresh_factors, monkeypatch):
+        # N = 0..10 of both variants read two factors, one per variant; a QR
+        # per call made 22
+        qr, made = np.linalg.qr, []
+
+        def counting(a, mode="reduced"):
+            made.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        p = QParams(q=0.75, xi=0.4)  # a point no other test uses
+        for variant in GAP_VARIANTS:
+            for n in range(11):
+                gap_probability(GapQuery(variant, n, p), "fredholm")
+        assert made.count("r") == 2
+        assert gap._factor.cache_info().maxsize == 2
+
+    def test_values_do_not_depend_on_request_order(self, fresh_factors):
+        p = QParams(q=0.8, xi=0.45)  # a point no other test uses
+        requests = [(v, n) for v in GAP_VARIANTS for n in range(21)]  # two windows
+        shuffled = random.Random(37).sample(requests, len(requests))
+        runs = []
+        for order in (requests, requests[::-1], shuffled):
+            gap._factor.cache_clear()
+            runs.append({(v, n): gap_probability(GapQuery(v, n, p), "fredholm") for v, n in order})
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("q, xi", [(0.7, 0.5), (0.9, 0.5)])
+    @pytest.mark.parametrize("variant", GAP_VARIANTS)
+    def test_matches_mp_reference(self, variant, q, xi):
+        # one QR at N = 0 with the far rows first, read for every N, was
+        # 1.4e-13 off at (0.9, 0.5), first part
+        want = _mp_gap_reference(variant, q, xi, 10)
+        got = [gap_probability(GapQuery(variant, n, QParams(q=q, xi=xi)), "fredholm")
+               for n in range(11)]
+        assert got == pytest.approx(want, rel=5e-14, abs=0)
+
+    def test_window_past_the_entry_limit(self, fresh_factors, monkeypatch):
+        # at (0.9, 0.5), first part, the section of N has 42 - N sites by 172
+        # orders; with room for 26 sites the window from 0 is refused whole,
+        # and N = 16 reads the factor it reads unpatched
+        p = QParams(q=0.9, xi=0.5)
+        value = {n: gap_probability(GapQuery("first-part", n, p), "fredholm") for n in (5, 16)}
+        for sites, first in ((26, 16), (37, 5)):
+            gap._factor.cache_clear()
+            monkeypatch.setattr(gap, "_MAX_ENTRIES", sites * 172)
+            for n in range(first):
+                with pytest.raises(NonconvergenceError,
+                                   match=f"N = {n} needs {42 - n} sites by 172 orders"):
+                    gap_probability(GapQuery("first-part", n, p), "fredholm")
+            got = gap_probability(GapQuery("first-part", first, p), "fredholm")
+            if first == 16:
+                assert got == value[16]
+            else:  # a factor of its own where the window from 0 read R_0
+                assert got == pytest.approx(value[5], rel=5e-15)
 
 
 class TestEnumerationRoute:

@@ -520,6 +520,13 @@ class TestScalingProbes:
         with pytest.raises(ValueError, match="unknown probe kind 'bogus'"):
             scaling_probe("bogus", 0.7, [])
 
+    def test_edge_requires_positive_xi(self):
+        # beta0 = 0 at xi = 0 made the Airy scale 0 and the probe divide by it
+        with pytest.raises(ValueError, match="edge probe needs xi > 0"):
+            scaling_probe("edge_airy", 0.0, [0.9])
+        with pytest.raises(ValueError, match="edge probe needs xi > 0"):
+            scaling_probe("edge_airy", 0.0, [])
+
 
 class TestSineKernel:
     def test_diagonal(self):

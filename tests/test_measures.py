@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from qpart.measures import (
     QPPSquared,
     SchurMeasure,
     _enum_stats,
+    _masses,
     _partition_stats,
     measure,
     normalization_partial_sum,
@@ -249,6 +251,37 @@ class TestEnumStats:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("max_size", [0, 1, 5, 25, 30])
+    def test_hook_counts_are_column_major(self, max_size):
+        assert _enum_stats(max_size)[4].flags.f_contiguous
+
+    def test_table_is_pinned(self):
+        # sha256 of each array's bytes as the per-(n, k) build made them
+        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in _enum_stats(25)] == [
+            "fa32b64aa0d6e87b10dd28e76d0b8fe3e1e7c10830b9d01099d1c3ee79065b5b",  # size
+            "552ddd7d3067d77471b05e2f69be73dfe7956ab0c17e357d4fa03cbf877dce4a",  # first part
+            "b7a5454507f0fecc87110365a7c2f8c66a7555dc888ed0727f9522be06a680db",  # length
+            "db3fee03f0eef826ec062fcc5e0570db22f8567e252a85b003b6761af69fd54a",  # b
+            "d62a4ce1d97a75d232a4dd8bb85d3f13e320e311354577626693774697776f3b",  # hook counts
+        ]
+
+    @pytest.mark.parametrize("kind, digest", [
+        (QPPSquared(xi=0.3, q=0.5), "39a5b8afea0cacb4206a6f6372ce11dfa16044ba1af9ebdd570427f197aa87ba"),
+        (QPPSquared(xi=0.5, q=0.9), "9e0d2bfcdfa930c98edcc783ffe49a40d461fb3707e17e980770de5ede756b1e"),
+        (QPPSquared(xi=0.3, q=0.0), "9bb781b5f0473a2f444ea5d0701e29802b8d9e9faee9b04afe7d17074e22898a"),
+        (QPPMixed(xi=0.3, q=0.5), "8868154e8d1760f28c55c312c40c07e00875952e1bde39072894020a94f6dd19"),
+        (QPPMixed(xi=0.7, q=0.97), "e825a835243dc11c4d0ea330d0ad8eaed2dd85e8e324cbb94d14ed32a1fab9db"),
+        (PoissonizedPlancherel(eta=1.2), "979aabc58d61a9f49ce7cede0800d0167c2ff62dbf4085f363124d2fc68531ea"),
+        (Plancherel(n=10), "4420598f3ed6049d16c20752f66ef8662d9dc6a7cadc2965fc3c28d474e65246"),
+        (SchurMeasure(MiwaTimes.principal(0.4, 0.6), MiwaTimes.delta(0.5)),
+         "8fd0928c245f22fe5839ba673b941d20ed12a9043ab79ade849bf9e3ca18010a"),
+    ])
+    def test_masses_are_pinned(self, kind, digest):
+        # sha256 of the masses over _enum_stats(25) as elementwise powers of
+        # the whole rows gave them: the power tables change no bit
+        got = hashlib.sha256(_masses(kind, _enum_stats(25)).tobytes()).hexdigest()
+        assert got == digest
 
     def test_table_builds_no_partition(self, monkeypatch):
         def refuse(self):
