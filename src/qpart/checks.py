@@ -294,7 +294,7 @@ def lax_residual(p: QParams, kind: str, ns: Sequence[int]) -> float:
     for variant in op.OP_VARIANTS:
         seq = op.op_sequence(variant, p, max(ns) + 1)
         for n in ns:
-            m_n, m_next = op.lax_matrices(n, p, seq), op.lax_matrices(n + 1, p, seq)
+            m_n, m_next = op.lax_matrices(n, seq), op.lax_matrices(n + 1, seq)
             x = seq.x[n]
             k = np.array([[x, -1.0], [-(1.0 - x * x), -x]])
             if kind == "det_k":
@@ -312,7 +312,8 @@ def lax_residual(p: QParams, kind: str, ns: Sequence[int]) -> float:
 
 def rhp_det(p: QParams, ns: Sequence[int]) -> float:
     """Largest |det Y_n(2) - 1|."""
-    return max(abs(op.rhp_sample(n, 2.0 + 0.0j, p).det_y - 1.0) for n in ns)
+    return max(abs(np.linalg.det(op.rhp_sample(n, 2.0 + 0.0j, p, "plain", 1.0)) - 1.0)
+               for n in ns)
 
 
 def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
@@ -321,7 +322,7 @@ def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
     sample's weight product does not converge, and the row fails as such."""
     dev = 0.0
     for n in ns:
-        y = op.rhp_sample(n, 0.0 + 0.0j, p).y
+        y = op.rhp_sample(n, 0.0 + 0.0j, p, "plain", 1.0)
         seq = op.op_sequence("plain", p, n + 1)
         want = np.array([[seq.x[n], 1.0 / seq.kappa_sq[n]],
                          [-seq.kappa_sq[n - 1], seq.x[n]]])
@@ -339,8 +340,8 @@ def rhp_jump(p: QParams, probes: Sequence[tuple[int, float, str]]) -> float:
     residuals = []
     for n, angle, variant in probes:
         z = cmath.exp(1j * angle)
-        y_plus = op._rhp_y(n, z, p, variant, 1.0 + _RADIUS_OFFSET)
-        y_minus = op._rhp_y(n, z, p, variant, 1.0 - _RADIUS_OFFSET)
+        y_plus = op.rhp_sample(n, z, p, variant, 1.0 + _RADIUS_OFFSET)
+        y_minus = op.rhp_sample(n, z, p, variant, 1.0 - _RADIUS_OFFSET)
         wz = complex(qs.circle_weight(op._WEIGHT[variant], p, np.array([z]))[0])
         jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
         residuals.append(float(np.max(np.abs(y_plus - y_minus @ jump))))

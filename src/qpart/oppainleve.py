@@ -20,9 +20,11 @@ are real.
 
 All OPUC data come from one Szego recursion with an a-posteriori precision
 check, run in the standard library's `decimal` under a limit of _MAX_DPS
-working digits and one of _MAX_STORED held digits; `op_sequence` is its
+working digits and one of _MAX_WORK digit-operations; `op_sequence` is its
 one public entry, and the tests check it against mpmath determinants. Its
 one record of runs, _longest, keeps each point's longest for shorter requests.
+A run keeps the Verblunsky data x_n, not the polynomials: `rhp_sample`
+evaluates pi_n by the same recursion in floats.
 The q-P_V variables come from it alone, and the relation above is checked
 on them, not iterated: forward iteration loses the digits (README).
 The comparisons made on these objects are in `qpart.checks`, but for
@@ -51,7 +53,6 @@ __all__ = [
     "OPSequence",
     "PainleveState",
     "LaxMatrices",
-    "RHPSample",
     "op_sequence",
     "painleve_trajectory",
     "tail_comparator",
@@ -67,7 +68,7 @@ _SIGN = {"x": 1, "y": -1}  # the sign e of each Painleve branch
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
 _MAX_DPS = 10_000  # working digits past which the engine gives up
-_MAX_STORED = 5e8  # top^2 x digits, held by two runs at about 0.58 bytes each: 290 MB
+_MAX_WORK = 5e8   # top^2 x digits: the decimal digit-operations of a pair of runs
 _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
 _LONGEST_POINTS = 64   # points _longest keeps, the oldest dropped first
 _FLOOR = 2.0**-27      # |v_n| below which a recurrence residual checks nothing
@@ -79,8 +80,8 @@ _longest: dict[tuple[str, QParams], tuple[OPSequence, int]] = {}
 
 @dataclass(frozen=True)
 class OPSequence:
-    """A certified Szego run, as _longest keeps it: x, kappa_sq and monic for
-    n <= top, log_z for n <= top + 1, top at least max(n_max + 1, _SHARED_TOP)."""
+    """A certified Szego run, as _longest keeps it: x and kappa_sq for n <= top,
+    log_z for n <= top + 1, top at least max(n_max + 1, _SHARED_TOP)."""
 
     variant: str
     params: QParams
@@ -88,7 +89,6 @@ class OPSequence:
     x: tuple[float, ...]         # x_n = pi_n(0) = (-1)^n Z_n^{(1)} / Z_n
     kappa_sq: tuple[float, ...]  # kappa_n^2 = 1 / E_n = Z_n / Z_{n+1}
     log_z: tuple[float, ...]     # log Z_n, Z_n the n x n Toeplitz determinant
-    monic: tuple[tuple[float, ...], ...]  # coefficients of pi_n, low to high
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,6 @@ class LaxMatrices:
 
     def t(self, z: complex) -> np.ndarray:
         return (self.t2 * z * z + self.t1 * z + self.t0) / (1.0 - z / self.z_pole)
-
-
-@dataclass(frozen=True)
-class RHPSample:
-    n: int
-    z: complex
-    y: np.ndarray
-    det_y: complex
 
 
 def _moments(variant: str, top: int, q: Decimal, xi: Decimal) -> list:
@@ -243,25 +235,25 @@ def _dps_for(variant: str, params: QParams, top: int) -> int:
 
 def _szego(c: list, dps: int) -> tuple | None:
     """One run of the recursion over the moments c_0 .. c_top at dps digits:
-    lists x, E, monic, or None if some E_n rounded to zero or below.
+    lists x and E, or None if some E_n rounded to zero or below.
 
     pi_{n+1}(z) = z pi_n(z) + x_{n+1} pi_n^*(z), pi_n^* the reversed
     polynomial, with x_{n+1} = -<z pi_n, 1> / E_n fixed by orthogonality to 1
-    and E_{n+1} = E_n (1 - x_{n+1}^2), E_0 = c_0. The E_n are positive, so a
-    run where one is not has too few digits and counts as a disagreement.
+    and E_{n+1} = E_n (1 - x_{n+1}^2), E_0 = c_0. Only the coefficients of
+    the current pi_n are held. The E_n are positive, so a run where one is
+    not has too few digits and counts as a disagreement.
     """
     with decimal.localcontext(_context(dps)):
         c = [+v for v in c]  # to the run's digits: a product costs by its operands'
-        x, e, monic = [Decimal(1)], [c[0]], [[Decimal(1)]]
+        x, e, a = [Decimal(1)], [c[0]], [Decimal(1)]  # a: pi_n, low to high
         for n in range(len(c) - 1):
-            a = monic[-1]
             xn = -sum(map(operator.mul, a, c[1 : n + 2])) / e[n]
-            monic.append([s + xn * t for s, t in zip([0, *a], [*a[::-1], 0])])
+            a = [s + xn * t for s, t in zip([0, *a], [*a[::-1], 0])]
             x.append(xn)
             e.append(e[n] * (1 - xn * xn))
             if e[-1] <= 0:
                 return None
-    return x, e, monic
+    return x, e
 
 
 def _log_z(e: list, dps: int) -> list:
@@ -290,14 +282,12 @@ def _log_z(e: list, dps: int) -> list:
 
 
 def _agree(lo: tuple, hi: tuple) -> bool:
-    """Whether x, E and pi_n of two runs agree to _AGREE relative, and log Z
-    to _AGREE absolute, in the current context. The log Z_{n+1} of the two
+    """Whether x and E of two runs agree to _AGREE relative, and log Z to
+    _AGREE absolute, in the current context. The log Z_{n+1} of the two
     runs differ by the log of the product of E_k(lo) / E_k(hi) over k <= n,
     so that running product stays within exp(+-_AGREE), and no log is taken."""
     agree = Decimal(_AGREE)
-    pairs = [*zip(lo[0], hi[0]), *zip(lo[1], hi[1]),
-             *(p for r0, r1 in zip(lo[2], hi[2]) for p in zip(r0, r1))]
-    if not all(abs(a - b) <= agree * abs(b) for a, b in pairs):
+    if not all(abs(a - b) <= agree * abs(b) for a, b in [*zip(lo[0], hi[0]), *zip(lo[1], hi[1])]):
         return False
     low, high = (-agree).exp(), agree.exp()
     ratios = accumulate((a / b for a, b in zip(lo[1], hi[1])), operator.mul)
@@ -311,16 +301,17 @@ def _float(v: Decimal) -> float:
 
 
 def _refused(top: int, dps: int) -> str:
-    """Why no pair of runs ending at dps digits is made: dps or top^2 dps past its limit."""
+    """Why no pair of runs ending at dps digits is made: dps, or the pair's
+    work of top^2 x dps decimal digit-operations, past its limit."""
     if dps > _MAX_DPS:
         return f"{dps} digits, past the limit of {_MAX_DPS}"
-    if top * top * dps > _MAX_STORED:
-        return f"{top * top * dps:.2g} stored digits (top^2 x {dps}), past the limit of {_MAX_STORED:.0e}"
+    if (work := top * top * dps) > _MAX_WORK:
+        return f"{work:.2g} digit-operations (top^2 x {dps}), past the limit of {_MAX_WORK:.0e}"
     return ""
 
 
 def _certified(variant: str, params: QParams, top: int) -> tuple[OPSequence, int]:
-    """Runs at dps and 1.5 dps until x, E and pi_n of two runs agree
+    """Runs at dps and 1.5 dps until x and E of two runs agree
     relatively and then their log Z absolutely, which is relative in Z; the
     second run of that pair alone takes logs. Returns that run and the
     digits of the pair's first run, the digits it settled at. The very
@@ -341,12 +332,11 @@ def _certified(variant: str, params: QParams, top: int) -> tuple[OPSequence, int
         hi = _szego(c, dps)
         with decimal.localcontext(_context(dps)):
             if lo and hi and _agree(lo, hi):
-                x, e, monic = hi
+                x, e = hi
                 return OPSequence(
                     variant=variant, params=params, dps=dps,
                     x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
                     log_z=tuple(map(_float, _log_z(e, dps))),
-                    monic=tuple(tuple(map(_float, r)) for r in monic),
                 ), lo_dps
         lo = hi
     raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by {dps} digits; "
@@ -355,7 +345,7 @@ def _certified(variant: str, params: QParams, top: int) -> tuple[OPSequence, int
 
 @lru_cache(maxsize=32)  # kept only for perfbench's tracer, which reads its cache_info()
 def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
-    """x_n, kappa_n^2 = 1/E_n and pi_n for n <= n_max + 1, log Z_n for
+    """x_n and kappa_n^2 = 1/E_n for n <= n_max + 1, log Z_n for
     n <= n_max + 2, in one shared certified run that may be longer.
 
     One O(top^2) Szego (Levinson) recursion over the symbol moments (B.
@@ -368,8 +358,8 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     1e-17 relative in every value (log Z_n absolute), so the floats are
     correct to the last bit; a run in which some E_n rounds to zero or
     below disagrees. NonconvergenceError, before any run, if the first
-    pair would pass _MAX_DPS digits or hold more than _MAX_STORED, and if no
-    two runs under both limits agree.
+    pair would pass _MAX_DPS digits or cost more than _MAX_WORK
+    digit-operations, and if no two runs under both limits agree.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")
@@ -400,8 +390,8 @@ def painleve_trajectory(
     y_n and v_n = -i ys_n).
 
     source must be "determinant", the one route. There is no index guard:
-    the engine's digit and stored-digit limits refuse a request before any
-    run, as `op_sequence` says.
+    the engine's digit and work limits refuse a request before any run, as
+    `op_sequence` says.
     """
     if variant not in _SIGN:
         raise ValueError("variant must be 'x' or 'y'")
@@ -430,8 +420,9 @@ def tail_comparator(branch: str, params: QParams, n: int) -> float:
 # Lax pair
 
 
-def lax_matrices(n: int, params: QParams, op: OPSequence) -> LaxMatrices:
-    """Assemble U_n(z) = U1 z + U0 and the rational T_n(z) from closed forms.
+def lax_matrices(n: int, op: OPSequence) -> LaxMatrices:
+    """Assemble U_n(z) = U1 z + U0 and the rational T_n(z) of op's point from
+    closed forms.
 
     plain variant (data x_n, pole z = xi q^{-1/2}):
         T2 = diag(q^{n+1}, 0),
@@ -454,7 +445,7 @@ def lax_matrices(n: int, params: QParams, op: OPSequence) -> LaxMatrices:
         raise ValueError("n must be >= 1 (entries reference index n-1)")
     if n + 1 >= len(op.x):
         raise ValueError("op sequence too short for this n")
-    q, xi = params.q, params.xi
+    q, xi = op.params.q, op.params.xi
     xm, x, xp = op.x[n - 1], op.x[n], op.x[n + 1]
     if x == 0.0:
         raise ZeroDivisionError("x_n = 0 singular configuration")
@@ -485,46 +476,36 @@ def lax_matrices(n: int, params: QParams, op: OPSequence) -> LaxMatrices:
 # Riemann-Hilbert samples
 
 
-def _rhp_y(n: int, z: complex, params: QParams, variant: str, radius: float) -> np.ndarray:
-    """The 2x2 Riemann-Hilbert matrix at a probe point by circle quadrature.
+def rhp_sample(n: int, z: complex, params: QParams, variant: str, radius: float) -> np.ndarray:
+    """The 2x2 Riemann-Hilbert matrix of the variant's weight at a probe point
+    off the circle of the given radius, by quadrature on that circle.
 
     Y_n(z) = [[pi_n(z),              C[w^{-n} pi_n w](z)],
               [-k_{n-1}^2 pi*_{n-1}(z), -k_{n-1}^2 C[w^{-n} pi*_{n-1} w](z)]]
-    with C the Cauchy transform over the circle of the given radius.
-    The integrand is analytic in the annulus between the weight poles, so
-    the contour may be deformed off |w| = 1 to evaluate boundary values.
+    with C the Cauchy transform over the circle. pi_n and pi*_{n-1} are
+    evaluated by the Szego recursion in floats from the certified x_1 ..
+    x_n. The integrand is analytic in the annulus between the weight poles,
+    so the contour may be deformed off |w| = 1 to evaluate boundary values.
+    ValueError for z within 1e-12 relative of the circle: at a node the sum divides by zero.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if abs(abs(z) - radius) <= 1e-12 * radius:
+        raise ValueError(f"z = {z} lies on the contour of radius {radius}")
     op = op_sequence(variant, params, n + 1)
-    pn = np.array(op.monic[n])
-    pstar = np.array(op.monic[n - 1][::-1])  # real coefficients: dual is plain reversal
     k2 = op.kappa_sq[n - 1]
 
-    g = _QUADRATURE
-    theta = 2.0 * math.pi * np.arange(g) / g
-    w = radius * np.exp(1j * theta)
-    wv = circle_weight(_WEIGHT[variant], params, w)
-
-    # (1/2pi i) oint f(w)/(w - z) dw with dw = i w dtheta, dtheta = 2 pi / g
-    def cauchy(coeffs: np.ndarray) -> complex:
-        pw = np.polyval(coeffs[::-1], w)
-        integrand = w ** (-float(n)) * pw * wv / (w - z)
-        return complex(np.sum(integrand * w) / g)
-
-    return np.array([
-        [np.polyval(pn[::-1], z), cauchy(pn)],
-        [-k2 * np.polyval(pstar[::-1], z), -k2 * cauchy(pstar)],
-    ])
-
-
-def rhp_sample(n: int, z: complex, params: QParams) -> RHPSample:
-    """Y_n(z) of the plain weight off the unit circle, by quadrature on the
-    unit circle."""
-    y = _rhp_y(n, z, params, "plain", 1.0)
-    return RHPSample(n=n, z=z, y=y, det_y=complex(np.linalg.det(y)))
+    w = radius * np.exp(2j * math.pi * np.arange(_QUADRATURE) / _QUADRATURE)
+    u = np.append(w, z)      # the nodes, and z last
+    p = s = np.ones_like(u)  # pi_k and pi*_k at u, from k = 0
+    for x in op.x[1:n]:
+        p, s = u * p + x * s, s + x * u * p
+    p = u * p + op.x[n] * s  # pi_n, and s holds pi*_{n-1}
+    # (1/2pi i) oint f(w)/(w - z) dw with dw = i w dtheta, dtheta = 2 pi / _QUADRATURE
+    cauchy = w ** (1.0 - n) * circle_weight(_WEIGHT[variant], params, w) / (w - z) / _QUADRATURE
+    return np.array([[p[-1], cauchy @ p[:-1]], [-k2 * s[-1], -k2 * (cauchy @ s[:-1])]])
 
 
 def tau_relation_check(

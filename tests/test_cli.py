@@ -70,12 +70,12 @@ class TestVerify:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("q, xi, sha", [
-        ("0.5", "0.3", "1cd76f5bd1eb5b95e4d83f4674d54d9efc08d1f3cd0cbe6034487ae142e56474"),
-        ("0.9", "0.5", "3ab5a8ab35a7e6a22788d1b00396e86f93f3fbb32078a971566dcec4e8b272b0"),
-    ])
+        ("0.5", "0.3", "f9ce9eb29b4e3b969b954d7b4608d09246863d733c583b75b2b2f704a22e86cb"),
+        ("0.9", "0.5", "1f4691d7ffa579e18b1b750a2f6bc5a997f0c520ba06066d38fe6e676c8c186b"),
+    ], ids=["0.5-0.3", "0.9-0.5"])
     def test_painleve_suite_is_pinned(self, q, xi, sha, capsys):
-        # the JSON as it read while the Lax, jump and q -> 1 comparisons
-        # were split between the library and qpart.checks
+        # the JSON as it read once the Riemann-Hilbert sample evaluated pi_n
+        # by the Szego recursion, not from stored coefficients
         code, out, err = run(["verify", "--suite", "painleve", "--q", q, "--xi", xi], capsys)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha
@@ -169,14 +169,14 @@ class TestGapTable:
             assert row["max_discrepancy"] < 1e-6
 
     def test_run_past_the_stored_digit_limit_exits_2(self, capsys, monkeypatch):
-        # the row N = 3000 needs two runs holding 3.9e10 digits, about 22 GB;
-        # the table starts from its largest N, so it is refused before any run
+        # the row N = 3000 needs two runs of 3.9e10 digit-operations; the
+        # table starts from its largest N, so it is refused before any run
         monkeypatch.setattr(oppainleve, "_szego", None)
         code, out, err = run(["gap-table", "--method", "toeplitz", "--q", "0.999", "--xi", "0.5",
                               "--n-max", "3000"], capsys)
         assert code == 2
         assert out == ""
-        assert "needs 3.9e+10 stored digits (top^2 x 4326), past the limit of 5e+08" in err
+        assert "needs 3.9e+10 digit-operations (top^2 x 4326), past the limit of 5e+08" in err
 
     def test_sweep_certifies_one_run(self, fresh_engine, capsys, monkeypatch):
         # the largest N comes first and certifies top 61, and every smaller N

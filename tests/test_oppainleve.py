@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -21,24 +22,24 @@ from qpart.qspecial import NonconvergenceError, QParams
 from reference_fft import circle_fft
 
 P = QParams(q=0.5, xi=0.3)
-PINNED = [  # variant, q, xi, top, sha256 of repr((x, kappa_sq, log_z, monic))
-    ("plain", 0.9, 0.7, 16, "c3a4114b78cc7e23433758bfeaa86923b127c78e10c18e350e5400d5da850147"),
-    ("plain", 0.9, 0.7, 26, "c42ee518c582fd6e5138c4de0883108a1d0146675847b9715cc5004c2d5efae8"),
-    ("check", 0.9, 0.7, 16, "633340068692ed976d75a6bf05d9b68c4b5b19132a371640159cf485fe3e907a"),
-    ("check", 0.9, 0.7, 26, "1c13a8626c0586c4bbfcf96b5bfe9bf8048f6a3994352376c9ae8ec85b1c1dea"),
-    ("plain", 0.95, 0.7, 16, "4633c2689b3a9eb3d124e4ecc007f7977394ad26f95fee2b2a73fca7123dd310"),
-    ("plain", 0.95, 0.7, 26, "89f1b10dcbfd2f03689cb0d8a11f2c9a0fcf0a2f26028674a5f4c7e356147bdf"),
-    ("check", 0.95, 0.7, 16, "fe8303244c4375df272ad8e4d34a2ba2e34802eeec533b7a7e2a0ebe39c3fcd4"),
-    ("check", 0.95, 0.7, 26, "00eb524b5781ad88f423ef177ef0db5ba90ea9f7df694cad3d0a269bceb925c3"),
-    ("plain", 0.97, 0.7, 16, "abb1ac4bab85c11f7fcebfc6f6534382473fb7563ea9d8460ace31d9c210405d"),
-    ("plain", 0.97, 0.7, 26, "7022d5ff62536be1f7bdc6f951c4b459b45091335f79c1cba7a7a1a98926e26d"),
-    ("check", 0.97, 0.7, 16, "d19241a4abc38aacf1d0cb080c9bdad9d579d3295ee1c24b5bc210ca71655931"),
-    ("check", 0.97, 0.7, 26, "e597fab4fe557afcbea032ba4d5de4e79914f1ca6017588ddb9ff9f2565b482a"),
-    ("plain", 0.5, 0.3, 16, "96ca954be31cc61928bf74ba7bd2b6b811b3d880c6850f693104605f2b23e1d5"),
-    ("plain", 0.5, 0.3, 26, "fd9ee6d9f120c4e90d79d15bc040c3c115e6475156c859c543a83daddb971624"),
-    ("check", 0.5, 0.3, 16, "c417150238b6d7b35114ad82b5f33b994544bb06c9ef51fdf10e5e22f522fb25"),
-    ("check", 0.5, 0.3, 26, "92e99361c66820b883d5d0f4c35307f5fb076d075f8da3da9c9096dc3b34d589"),
-    ("plain", 0.1, 0.05, 40, "afd93711de7ebab4e9fc726df7ea3291934e2ec90b5bc499170c3d0de2f1d903"),
+PINNED = [  # variant, q, xi, top, sha256 of repr((x, kappa_sq, log_z))
+    ("plain", 0.9, 0.7, 16, "9bc0cd4882f5f1573c8d8f0b5b2d5caea8d32d7831b92c931521e0e24d426da4"),
+    ("plain", 0.9, 0.7, 26, "c99a8aa2577f64067b3c39887ee081c88c6fcd2a0126b16c9e025a63a669b952"),
+    ("check", 0.9, 0.7, 16, "9efdcbb17458c9e7f118f13d0f0ebd6bb299a265231ddb9a9e1e52472575b8e1"),
+    ("check", 0.9, 0.7, 26, "0259204a713939a4012ecf415086cb1d647b45ce69803d446558adb259f83416"),
+    ("plain", 0.95, 0.7, 16, "1ead1bea64d9f2c0858898f3967ae997bc79b8f0657e17f2bc55e83e5a0b549b"),
+    ("plain", 0.95, 0.7, 26, "25d674082d869bb2378d77ae775b1059bc350d9346fdd675ce4604ba6614fbea"),
+    ("check", 0.95, 0.7, 16, "71f704436948f444b970b4ebd8902a76ad47a8b43d39c891b78ac109a409311e"),
+    ("check", 0.95, 0.7, 26, "9fa7b6afd01c741b259060a7d277edb00dd47768fae7d3c73b685476a6da1988"),
+    ("plain", 0.97, 0.7, 16, "93b96f8f1f191afa7e0b7a491e143315ca2f49c902d02e9f7c1a86d4440ead20"),
+    ("plain", 0.97, 0.7, 26, "f47e2243ce700c45f1970a8f4b7a6daaf82c3dd06acbfcd8df589cfd9ffa2e5c"),
+    ("check", 0.97, 0.7, 16, "83dde4fed9327113bf5f56761c7c8aff907f8650bdfc544dfa6ed0c2dc7b6645"),
+    ("check", 0.97, 0.7, 26, "75482ce697c1f23f743659034778a4974985fd14bad44b17a0e4b02b22d75d2c"),
+    ("plain", 0.5, 0.3, 16, "579e392670b96dfec29cb71566e8b7e090c031d58c529d28d06566b9e74a2719"),
+    ("plain", 0.5, 0.3, 26, "3f596c63ef9599c78df3c34fd99497cfbcdf253f1fcd9ea08917690d27159dac"),
+    ("check", 0.5, 0.3, 16, "b1c6cbfba2353dc1da31cbbefa18e36395e05d0f75799f266d56540243ca5e4e"),
+    ("check", 0.5, 0.3, 26, "7e639a3f6d27cd4658b5ec96e21f2ab0617fc507c45e55fb44531798b06fffd7"),
+    ("plain", 0.1, 0.05, 40, "6513c6e30b6c0fa86a3bb19c1c2f4efcc560a95b17010d1185af1215ef50f7c2"),
 ]
 POINTS = [P, QParams(q=0.7, xi=0.5), QParams(q=0.9, xi=0.5)]
 NEAR_SCALING = [(variant, q, top) for variant in ("plain", "check")
@@ -103,8 +104,8 @@ class TestOPSequence:
         assert op_sequence(variant, params, 15) is longest
         short, _ = oppainleve._certified(variant, params, 16)
         assert oppainleve._longest[(variant, params)][0] is longest
-        assert repr((longest.x[:17], longest.kappa_sq[:17], longest.log_z[:18],
-                     longest.monic[:17])) == repr((short.x, short.kappa_sq, short.log_z, short.monic))
+        assert repr((longest.x[:17], longest.kappa_sq[:17], longest.log_z[:18])) == repr(
+            (short.x, short.kappa_sq, short.log_z))
 
 
 def _series_moment(variant, q, xi, m):
@@ -128,7 +129,9 @@ def _series_moment(variant, q, xi, m):
 
 def _mp_det_reference(variant, q, xi, n_top, dps=300):
     """Moments summed term by term and Toeplitz determinants by mp.det, at
-    dps digits: x_n, kappa_n^2, Z_n, Z_n^(1) and the monic pi_n for n <= n_top.
+    dps digits: x_n, kappa_n^2, Z_n, Z_n^(1) for n <= n_top, and the
+    coefficients of the monic pi_n, low to high, as mp numbers, solved from
+    its orthogonality to 1 .. z^{n-1}.
     """
     with mp.workdps(dps):
         q, xi = mp.mpf(q), mp.mpf(xi)
@@ -150,7 +153,7 @@ def _mp_det_reference(variant, q, xi, n_top, dps=300):
             "z": [float(v) for v in z],
             "z1": [float(v) for v in z1],
             "log_z": [float(mp.log(v)) for v in z],
-            "monic": [[float(v) for v in row] for row in monic],
+            "monic": monic,
         }
 
 
@@ -158,7 +161,8 @@ class TestSzegoRecursion:
     @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.97, 0.7), (0.99, 0.9), (0.5, 0.99)])
     @pytest.mark.parametrize("variant", ["plain", "check"])
     def test_matches_mp_det_reference(self, variant, q, xi):
-        # floats certified to the last bit: x_n, kappa_n^2, pi_n, log Z_n.
+        # floats certified to the last bit: x_n, kappa_n^2, log Z_n, and
+        # pi_n(z), from the float recursion over them, to a few roundings.
         # Z_n = exp(log Z_n) holds the rounding of the stored log Z_n,
         # |log Z_n| 2^-52 relative, so it is compared where that stays below
         # 1e-13; past |log Z_n| = 450, log Z_n itself is compared
@@ -172,9 +176,13 @@ class TestSzegoRecursion:
         assert z1 == pytest.approx([ref["z1"][n] for n in fit], rel=1e-13, abs=0)
         assert list(seq.x[:9]) == pytest.approx(ref["x"], rel=1e-15, abs=0)
         assert list(seq.kappa_sq[:9]) == pytest.approx(ref["kappa_sq"], rel=1e-15, abs=0)
-        for n in range(9):
-            np.testing.assert_allclose(seq.monic[n], ref["monic"][n], rtol=1e-15)
         assert list(seq.log_z[:10]) == pytest.approx(ref["log_z"], abs=1e-13)
+        with mp.workdps(50):
+            for n in range(1, 9):
+                for z in (2.0, 0.4 + 0.3j, 1.7 - 0.2j, -1.7 + 0.5j, 0.0):
+                    want = complex(mp.polyval(ref["monic"][n][::-1], mp.mpc(z)))
+                    got = rhp_sample(n, z, params, variant, 1.0)[0, 0]
+                    assert got == pytest.approx(want, rel=5e-15)
 
     @pytest.mark.parametrize("q, xi", [(0.0, 0.3), (0.5, 0.0), (0.1, 0.05),
                                        (0.97, 0.7), (0.99, 0.9), (0.5, 0.99)])
@@ -201,18 +209,30 @@ class TestSzegoRecursion:
         want, _ = oppainleve._certified("plain", params, 26)
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
         got, _ = oppainleve._certified("plain", params, 26)
-        assert (got.x, got.kappa_sq, got.log_z, got.monic) == (
-            want.x, want.kappa_sq, want.log_z, want.monic)
+        assert (got.x, got.kappa_sq, got.log_z) == (want.x, want.kappa_sq, want.log_z)
 
-    @pytest.mark.parametrize("variant, q, xi, top, digest", PINNED)
+    @pytest.mark.parametrize("variant, q, xi, top, digest", PINNED,
+                             ids=[f"{v}-{q}-{xi}-{top}" for v, q, xi, top, _ in PINNED])
     def test_certified_floats_are_pinned(self, variant, q, xi, top, digest):
-        # sha256 of the floats each certification returns, recorded from the
-        # mpmath engine that preceded the decimal one: a change of arithmetic
-        # or precision schedule keeps the near-scaling certifications and the
-        # desk point bit-identical
+        # sha256 of the floats each certification returns, recorded while
+        # runs also kept their polynomials, whose digests over the monic
+        # coefficients too came from the mpmath engine that preceded the
+        # decimal one: a change of arithmetic, precision schedule or store
+        # keeps the near-scaling certifications and the desk point bit-identical
         seq, _ = oppainleve._certified(variant, QParams(q=q, xi=xi), top)
-        got = repr((seq.x, seq.kappa_sq, seq.log_z, seq.monic)).encode()
+        got = repr((seq.x, seq.kappa_sq, seq.log_z)).encode()
         assert hashlib.sha256(got).hexdigest() == digest
+
+    def test_run_holds_order_top_numbers(self, fresh_engine):
+        # runs kept the top^2 / 2 coefficients of pi_0 .. pi_top, as decimals
+        # and as floats: a peak of 1.96 MB here, where x and E take 0.14 MB
+        tracemalloc.start()
+        try:
+            oppainleve._certified("plain", QParams(q=0.97, xi=0.7), 90)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
     def test_near_scaling_norms_positive_and_tau_relation(self):
         params = QParams(q=0.97, xi=0.7)
@@ -231,26 +251,28 @@ class TestSzegoRecursion:
             op_sequence("plain", QParams(q=0.41, xi=0.23), 4)
 
     def test_stored_digits_are_refused_before_any_run(self, fresh_engine, monkeypatch):
-        # two runs at top 3001 would hold 3.9e10 digits, about 22 GB; the
-        # slowest accepted pairs hold 1.0e8 (top 100 at 9,999 digits) and
+        # two runs at top 3001 would take 3.9e10 digit-operations; the
+        # slowest accepted pairs take 1.0e8 (top 100 at 9,999 digits) and
         # 7.7e7 ((0.99, 0.7), top 330, certified at 703 digits). At top 700
         # the start of 830 digits, 1.6 log10 c_0 past 25, is refused too
         monkeypatch.setattr(oppainleve, "_szego", None)
-        with pytest.raises(NonconvergenceError, match=r"top 3001\) needs 3\.9e\+10 stored digits "
-                                                      r"\(top\^2 x 4326\), past the limit of 5e\+08"):
+        with pytest.raises(NonconvergenceError, match=r"top 3001\) needs 3\.9e\+10 "
+                                                      r"digit-operations \(top\^2 x 4326\), "
+                                                      r"past the limit of 5e\+08"):
             op_sequence("plain", QParams(q=0.999, xi=0.5), 3000)
-        with pytest.raises(NonconvergenceError, match=r"top 700\) needs 6\.1e\+08 stored digits "
-                                                      r"\(top\^2 x 1245\)"):
+        with pytest.raises(NonconvergenceError, match=r"top 700\) needs 6\.1e\+08 "
+                                                      r"digit-operations \(top\^2 x 1245\)"):
             op_sequence("plain", QParams(q=0.999, xi=0.5), 699)
         assert oppainleve._refused(100, 9999) == oppainleve._refused(330, 703) == ""
 
     def test_stored_digits_bound_the_raised_precision(self, fresh_engine, monkeypatch):
         # (0.97, 0.7), plain, top 61 starts at 63 digits and settles only at
-        # 141, after runs at 63 and 94; a limit of 61^2 x 94 digits stops it
-        # before that pair
-        monkeypatch.setattr(oppainleve, "_MAX_STORED", 61 * 61 * 94)
-        with pytest.raises(NonconvergenceError, match=r"by 94 digits; the next pair needs 5\.2e\+05 "
-                                                      r"stored digits \(top\^2 x 141\)"):
+        # 141, after runs at 63 and 94; a limit of 61^2 x 94 digit-operations
+        # stops it before that pair
+        monkeypatch.setattr(oppainleve, "_MAX_WORK", 61 * 61 * 94)
+        with pytest.raises(NonconvergenceError, match=r"by 94 digits; the next pair needs "
+                                                      r"5\.2e\+05 digit-operations "
+                                                      r"\(top\^2 x 141\)"):
             oppainleve._certified("plain", QParams(q=0.97, xi=0.7), 61)
 
     @pytest.mark.parametrize("variant, q, top", NEAR_SCALING)
@@ -293,8 +315,8 @@ class TestSzegoRecursion:
         oppainleve.op_sequence.cache_clear()
         again = op_sequence("plain", points[0], 3)
         assert again is not first
-        assert repr((again.x, again.kappa_sq, again.log_z, again.monic)) == repr(
-            (first.x, first.kappa_sq, first.log_z, first.monic))
+        assert repr((again.x, again.kappa_sq, again.log_z)) == repr(
+            (first.x, first.kappa_sq, first.log_z))
 
     def test_long_run_past_the_painleve_guard(self):
         # the engine has no index guard: x_40 at (0.97, 0.7) against mp.det
@@ -308,24 +330,33 @@ class TestSzegoRecursion:
         assert op_sequence("plain", params, 39).x[40] == pytest.approx(want, rel=1e-15, abs=0)
 
 
+def _pi_coefficients(n: int) -> np.ndarray:
+    """Coefficients a_0 .. a_15 of the plain pi_n at P, low to high, from the
+    values rhp_sample evaluates: the discrete Fourier transform of pi_n at
+    16 points of |z| = 2, off the contour, reads 16 a_k 2^k at order k."""
+    z = 2.0 * np.exp(2j * np.pi * np.arange(16) / 16)
+    values = [rhp_sample(n, v, P, "plain", 1.0)[0, 0] for v in z]
+    return (np.fft.fft(values) / (16 * 2.0 ** np.arange(16))).real
+
+
 class TestMonicPolynomials:
     def test_degree_and_monic(self):
-        for n in range(0, 6):
-            coeffs = op_sequence("plain", P, n).monic[n]
-            assert len(coeffs) == n + 1
-            assert coeffs[-1] == 1.0
+        for n in range(1, 6):
+            coeffs = _pi_coefficients(n)
+            assert np.max(np.abs(coeffs[n + 1 :])) < 1e-14
+            assert coeffs[n] == pytest.approx(1.0, rel=1e-14)
 
     def test_value_at_zero_matches_sequence(self):
         seq = op_sequence("plain", P, 8)
-        for n in range(0, 8):
-            coeffs = op_sequence("plain", P, n).monic[n]
+        for n in range(1, 8):
+            coeffs = _pi_coefficients(n)
             assert coeffs[0] == pytest.approx(seq.x[n], rel=1e-9, abs=1e-12)
 
     def test_orthogonality_via_moments(self):
         # <pi_n, z^k> = sum_j a_j c_{j-k} must vanish for k < n
         table = circle_fft("I", P, 512)  # entry n holds order n, also for n < 0
         for n in range(1, 6):
-            coeffs = op_sequence("plain", P, n).monic[n]
+            coeffs = _pi_coefficients(n)
             for k in range(n):
                 val = sum(coeffs[j] * table[j - k] for j in range(n + 1))
                 assert abs(val) < 1e-12
@@ -334,8 +365,8 @@ class TestMonicPolynomials:
         # <pi_n, z^n> = Z_{n+1} / Z_n = kappa_n^{-2}
         seq = op_sequence("plain", P, 6)
         table = circle_fft("I", P, 512)
-        for n in range(0, 6):
-            coeffs = op_sequence("plain", P, n).monic[n]
+        for n in range(1, 6):
+            coeffs = _pi_coefficients(n)
             val = sum(coeffs[j] * table[j - n] for j in range(n + 1))
             assert val == pytest.approx(1.0 / seq.kappa_sq[n], rel=1e-10)
 
@@ -489,10 +520,18 @@ class TestLax:
     def test_t_pole_locations(self):
         seq_p = op_sequence("plain", P, 4)
         seq_c = op_sequence("check", P, 4)
-        m_p = lax_matrices(2, P, seq_p)
-        m_c = lax_matrices(2, P, seq_c)
+        m_p = lax_matrices(2, seq_p)
+        m_c = lax_matrices(2, seq_c)
         assert m_p.z_pole == pytest.approx(P.xi / math.sqrt(P.q), rel=1e-14)
         assert m_c.z_pole == pytest.approx(-P.xi / math.sqrt(P.q), rel=1e-14)
+
+    def test_point_is_the_sequences(self):
+        # lax_matrices took the point apart from the sequence, and mixed the
+        # pole of one point with the x_n of another
+        other = QParams(q=0.7, xi=0.5)
+        m = lax_matrices(2, op_sequence("plain", other, 4))
+        assert m.z_pole == pytest.approx(other.xi / math.sqrt(other.q), rel=1e-14)
+        assert m.t2[0, 0] == pytest.approx(other.q**3, rel=1e-14)
 
     def test_u_shifts_rhp_solution(self):
         # Psi_{n+1}(z) = U_n(z) Psi_n(z) with
@@ -501,13 +540,13 @@ class TestLax:
         n = 3
         z = 0.6 + 0.4j
         seq = op_sequence("plain", P, n + 2)
-        m = lax_matrices(n, P, seq)
+        m = lax_matrices(n, seq)
         from qpart.qspecial import circle_weight
 
         w = complex(circle_weight("I", P, np.array([z]))[0])
 
         def psi(k):
-            y = rhp_sample(k, z, P).y
+            y = rhp_sample(k, z, P, "plain", 1.0)
             return np.diag([1.0, 1.0 / seq.kappa_sq[k]]) @ y @ np.diag(
                 [w, z**k]
             )
@@ -520,18 +559,18 @@ class TestLax:
 class TestRHP:
     def test_det_one(self):
         for n in (1, 3, 5, 8):
-            s = rhp_sample(n, 2.0 + 0.0j, P)
-            assert abs(s.det_y - 1.0) < 1e-8
+            y = rhp_sample(n, 2.0 + 0.0j, P, "plain", 1.0)
+            assert abs(np.linalg.det(y) - 1.0) < 1e-8
 
     def test_value_at_zero(self):
         for n in (1, 4, 7):
             seq = op_sequence("plain", P, n + 1)
-            s = rhp_sample(n, 0.0 + 0.0j, P)
+            y = rhp_sample(n, 0.0 + 0.0j, P, "plain", 1.0)
             want = np.array([
                 [seq.x[n], 1.0 / seq.kappa_sq[n]],
                 [-seq.kappa_sq[n - 1], seq.x[n]],
             ])
-            assert np.max(np.abs(s.y - want)) < 1e-8
+            assert np.max(np.abs(y - want)) < 1e-8
 
     @pytest.mark.parametrize("variant", ["plain", "check"])
     def test_jump_condition(self, variant):
@@ -539,10 +578,21 @@ class TestRHP:
             assert checks.rhp_jump(params, [(4, angle, variant) for angle in (0.7, 2.1)]) < 1e-6
 
     def test_first_column_is_polynomial(self):
-        n = 3
-        z = 1.7 - 0.2j
-        coeffs = op_sequence("plain", P, n).monic[n]
-        s = rhp_sample(n, z, P)
-        assert s.y[0, 0] == pytest.approx(
-            complex(np.polyval(coeffs[::-1], z)), rel=1e-12
-        )
+        # Y_11 = pi_n and Y_21 = -kappa_{n-1}^2 pi*_{n-1}, pi*_{n-1}(z) =
+        # z^{n-1} pi_{n-1}(1/z) for real coefficients, at both variants
+        n, z = 3, 1.7 - 0.2j
+        for variant in ("plain", "check"):
+            k2 = op_sequence(variant, P, n + 1).kappa_sq[n - 1]
+            y = rhp_sample(n, z, P, variant, 1.0)
+            pi_prev = rhp_sample(n - 1, 1.0 / z, P, variant, 1.0)[0, 0]
+            assert y[1, 0] == pytest.approx(-k2 * z ** (n - 1) * pi_prev, rel=1e-14)
+
+    @pytest.mark.parametrize("z", [1.0 + 0.0j, complex(np.exp(2j * np.pi * 5 / 2048))],
+                             ids=["one", "node-5"])
+    def test_probe_on_the_contour_raises(self, z):
+        # at a node w = z the Cauchy sum divided by zero, and the sample was
+        # a NaN matrix with only a RuntimeWarning
+        with pytest.raises(ValueError, match="lies on the contour"):
+            rhp_sample(3, z, P, "plain", 1.0)
+        with pytest.raises(ValueError, match="lies on the contour"):
+            rhp_sample(3, 1.01 * z, P, "plain", 1.01)
