@@ -52,6 +52,7 @@ _ROW_TAIL = 1e-18  # squared row deficit at which a Fredholm section ends
 # a lone N factors at most 15 rows more than its own section
 _WINDOW = 16
 _MAX_ENTRIES = 1 << 23  # largest Fredholm B, 67 MB; its QR peaks near twice that
+_NEGLIGIBLE = 2.0**-60  # a row of B^T reading orders only below this, relative, is left out
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,12 @@ def _factor(params: QParams, first_part: bool, f: int) -> tuple[int, int, int, n
     m = cut - top
     if m <= 0 or start >= f + _WINDOW:
         return span, cut, start, None
-    # row k of B^T is d_{N-k} .. d_{N-k+m-1}: a window read back from d_N, a view
+    # row k of B^T is d_{N-k} .. d_{N-k+m-1}: a window read back from d_N, a
+    # view; the rows from the first whose orders all lie below _NEGLIGIBLE
+    # times the largest are left out
     b_t = sliding_window_view(np.concatenate([np.zeros(m), d]), m)[top + m - 1 :: -1]
-    return span, cut, start, np.linalg.qr(b_t, mode="r")
+    low = int(np.argmax(np.abs(d) >= _NEGLIGIBLE * np.abs(d).max()))  # first order kept
+    return span, cut, start, np.linalg.qr(b_t[: max(m, top + m - 1 - low)], mode="r")
 
 
 def _fredholm(params: QParams, N: int, first_part: bool) -> float:

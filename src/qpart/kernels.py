@@ -280,15 +280,19 @@ def _lag_sum(table: tuple[int, np.ndarray], r, s) -> float:
     tr, ts = twice(r), twice(s)
     span, c = table
     size = len(c)
-    start = min(max((tr + 1) // 2 + span + 1, 0), size - 1)  # index of order r + 1/2
-    d = min(max((ts - tr) // 2, -size), size)  # past the table's length every c_n pairs with 0
+    # clamped by conditionals, which cost less than min and max: a kept entry
+    # is mostly call overhead
+    start = (tr + 1) // 2 + span + 1  # index of order r + 1/2
+    start = 0 if start < 0 else size - 1 if start >= size else start
+    d = (ts - tr) // 2  # past the table's length every c_n pairs with 0
+    d = -size if d < -size else size if d > size else d
     kept = _KEPT.get((id(c), d))
     if kept is None or start < kept[1]:
         terms = c.take(np.arange(start + d, size + d), mode="clip")  # c_{n+d}, n >= r + 1/2
         terms *= c[start:]  # in place, sparing a second array
         kept = c, start, np.add.accumulate(terms[::-1])  # np.cumsum, less its overhead
         _KEPT.keep((id(c), d), kept)
-    return float(kept[2][size - 1 - start])
+    return kept[2].item(size - 1 - start)
 
 
 def kernel_matrix(params: QParams, rows: Sequence, cols: Sequence) -> np.ndarray:

@@ -22,9 +22,10 @@ All OPUC data come from one Szego recursion with an a-posteriori precision
 check, run in the standard library's `decimal` under a limit of _MAX_DPS
 working digits and one of _MAX_WORK digit-operations; `op_sequence` is its
 one public entry, and the tests check it against mpmath determinants. Its
-one record of runs, _longest, keeps each point's longest for shorter requests.
-A run keeps the Verblunsky data x_n, not the polynomials: `rhp_sample`
-evaluates pi_n by the same recursion in floats.
+one record of runs, _longest, keeps each point's longest for shorter requests,
+and the state that continues its pair of runs to a longer one. A run keeps
+the Verblunsky data x_n, not the polynomials: `rhp_sample` evaluates pi_n
+by the same recursion in floats.
 The q-P_V variables come from it alone, and the relation above is checked
 on them, not iterated: forward iteration loses the digits (README).
 The comparisons made on these objects are in `qpart.checks`, but for
@@ -73,9 +74,9 @@ _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
 _LONGEST_POINTS = 64   # points _longest keeps, the oldest dropped first
 _FLOOR = 2.0**-27      # |v_n| below which a recurrence residual checks nothing
 
-# (variant, params) -> (run, dps): the longest certified run at the point, and
-# the digits of the first run of the pair that settled it; op_sequence writes it
-_longest: dict[tuple[str, QParams], tuple[OPSequence, int]] = {}
+# (variant, params) -> the _Pair that settled the point's longest certified
+# run; op_sequence writes it
+_longest: dict[tuple[str, QParams], _Pair] = {}
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,20 @@ class OPSequence:
     x: tuple[float, ...]         # x_n = pi_n(0) = (-1)^n Z_n^{(1)} / Z_n
     kappa_sq: tuple[float, ...]  # kappa_n^2 = 1 / E_n = Z_n / Z_{n+1}
     log_z: tuple[float, ...]     # log Z_n, Z_n the n x n Toeplitz determinant
+
+
+@dataclass(frozen=True)
+class _Pair:
+    """A point's longest certified run and what continues the pair of runs
+    that settled it, O(top) decimals: at (0.97, 0.7), top 90, 0.1 MB."""
+
+    run: OPSequence
+    dps: int         # digits of the pair's first run, the digits it settled at
+    c: list          # moments c_0 .. c_{2t+1} at run.dps digits, t the top first certified
+    lo: tuple        # (pi_top, E_top) of the first run
+    hi: tuple        # (pi_top, E_top) of the second run
+    ratio: Decimal   # the running product prod_{k <= top} E_k(lo) / E_k(hi)
+    log_z: Decimal   # log Z_{top+1} of the second run
 
 
 @dataclass(frozen=True)
@@ -229,13 +244,16 @@ def _dps_for(variant: str, params: QParams, top: int) -> int:
     of the estimate from its top to this one."""
     start = _estimate(variant, params, top)
     if kept := _longest.get((variant, params)):
-        start = math.ceil(kept[1] * start / _estimate(variant, params, len(kept[0].x) - 1))
+        start = math.ceil(kept.dps * start / _estimate(variant, params, len(kept.run.x) - 1))
     return start
 
 
-def _szego(c: list, dps: int) -> tuple | None:
-    """One run of the recursion over the moments c_0 .. c_top at dps digits:
-    lists x and E, or None if some E_n rounded to zero or below.
+def _szego(c: list, dps: int, state: tuple | None) -> tuple | None:
+    """One run of the recursion over the moments c_0 .. c_top at dps digits,
+    from pi_0 = 1 and E_0 = c_0, or, given a run's state (pi_n, E_n), n <
+    top, on from it: lists x and E of the rows it adds (x_0 = 1 and E_0
+    first, from the start) and the state (pi_top, E_top), or None if some
+    E_n rounded to zero or below.
 
     pi_{n+1}(z) = z pi_n(z) + x_{n+1} pi_n^*(z), pi_n^* the reversed
     polynomial, with x_{n+1} = -<z pi_n, 1> / E_n fixed by orthogonality to 1
@@ -245,53 +263,95 @@ def _szego(c: list, dps: int) -> tuple | None:
     """
     with decimal.localcontext(_context(dps)):
         c = [+v for v in c]  # to the run's digits: a product costs by its operands'
-        x, e, a = [Decimal(1)], [c[0]], [Decimal(1)]  # a: pi_n, low to high
-        for n in range(len(c) - 1):
-            xn = -sum(map(operator.mul, a, c[1 : n + 2])) / e[n]
+        a, en = state or ([Decimal(1)], c[0])  # a: pi_n, low to high
+        x, e = ([], []) if state else ([Decimal(1)], [en])
+        for n in range(len(a) - 1, len(c) - 1):
+            xn = -sum(map(operator.mul, a, c[1 : n + 2])) / en
             a = [s + xn * t for s, t in zip([0, *a], [*a[::-1], 0])]
+            en *= 1 - xn * xn
             x.append(xn)
-            e.append(e[n] * (1 - xn * xn))
-            if e[-1] <= 0:
+            e.append(en)
+            if en <= 0:
                 return None
-    return x, e
+    return x, e, (a, en)
 
 
-def _log_z(e: list, dps: int) -> list:
-    """log Z_0 .. log Z_{top+1} of a run at dps digits from its E_0 .. E_top,
-    log Z_{n+1} = log Z_n + log E_n, at the precision the floats need.
+@lru_cache(maxsize=64)
+def _ln10(prec: int) -> Decimal:
+    """log 10 to prec + 2 digits."""
+    return Decimal(10).ln(_context(prec + 2))
 
-    No log E_n is below 0, since E_n falls to E_inf = 1, so log Z_n >= log
-    c_0 for n >= 1. Each log E_n is rounded to an absolute error below
-    tol / (top + 1), tol = max(_AGREE^2, 1e-21 log c_0), so every log Z_n
+
+def _ln(v: Decimal, ctx: decimal.Context) -> Decimal:
+    """log v, v > 0, at the precision p of ctx, within 4 units of 10^(w - p),
+    for any w with 10^w >= 2.31 (|exponent of v| + 1) > |log v|.
+
+    With v rounded to p digits, v = m 10^e, 1 <= m < 10, and y the float
+    log of float(m), log v = e log 10 + y + log(1 + d), d = m e^-y - 1,
+    and log(1 + d) = d - d^2/2 to within |d|^3/3 < 1e-46: the two float
+    roundings leave |d| < 6e-16. One exp at p digits costs about half of
+    libmpdec's correctly rounded ln (16 against 32 us at 30 digits). The
+    error is the rounding of v (half a unit of 10^(1 - p) relative, at most
+    of 10^(w - p) absolute, as w >= 1), of m e^-y (one unit of 10^(1 - p)),
+    of log 10 (1/40 of a unit in e log 10) and of the three sums and the
+    product (a half unit each).
+    """
+    with decimal.localcontext(ctx):
+        v = +v
+        e = v.adjusted()
+        m = v.scaleb(-e)
+        y = Decimal(math.log(float(m)))
+        d = m * (-y).exp() - 1
+        return e * _ln10(ctx.prec) + y + (d - d * d / 2)
+
+
+def _log_z(e: list, dps: int, top: int, log_z: Decimal, log_c0: float | None) -> list:
+    """log Z_{n+1} .. log Z_{top+1} of a run at dps digits from its E_n ..
+    E_top and log Z_n, log Z_{k+1} = log Z_k + log E_k, at the precision
+    the floats need. log_c0 is log Z_1 = log c_0, None if n = 0, where the
+    first log is it.
+
+    No log E_k is below 0, since E_k falls to E_inf = 1, so log Z_k >= log
+    c_0 for k >= 1. Each log E_k is rounded to an absolute error below
+    tol / (top + 1), tol = max(_AGREE^2, 1e-21 log c_0), so every log Z_k
     is within 1e-21 relative or _AGREE^2 absolute, far below a float's
-    rounding. E_n is rounded to the log's precision first: libmpdec's ln
-    reads every digit of its operand, so at 1,300 working digits a log of a
-    full E_n costs up to 0.3 s whatever its own precision.
+    rounding; a run continued from a shorter top adds at most tol more,
+    since its earlier logs were rounded for that top. E_k is rounded to the
+    log's precision first: libmpdec reads every digit of its operand, so at
+    1,300 working digits a log of a full E_k cost up to 0.3 s whatever its
+    own precision.
     """
     # |ln v| < 2.31 (|exponent of v| + 1) <= 10^whole, so whole + frac
-    # digits round it to an absolute error below tol / (top + 1); a guard
-    # digit keeps the roundings of v and of ln v each under a tenth
-    log_z, tol = [Decimal(0)], _AGREE**2
+    # digits bound `_ln`'s error by 4 units of 10^-frac < tol / (top + 1);
+    # a guard digit keeps it under 4 tenths
+    logs = []
     with decimal.localcontext(_context(dps)):
         for v in e:
+            tol = _AGREE**2 if log_c0 is None else max(_AGREE**2, 1e-21 * log_c0)
             whole = math.ceil(math.log10(2.31 * (abs(v.adjusted()) + 1)))
-            ctx = _context(min(dps, whole + math.ceil(math.log10(len(e) / tol))) + 1)
-            log_z.append(log_z[-1] + ctx.plus(v).ln(ctx))
-            tol = max(tol, 1e-21 * float(log_z[1]))
-    return log_z
+            ctx = _context(min(dps, whole + math.ceil(math.log10((top + 1) / tol))) + 1)
+            log_z += _ln(v, ctx)
+            logs.append(log_z)
+            if log_c0 is None:
+                log_c0 = float(log_z)
+    return logs
 
 
-def _agree(lo: tuple, hi: tuple) -> bool:
-    """Whether x and E of two runs agree to _AGREE relative, and log Z to
-    _AGREE absolute, in the current context. The log Z_{n+1} of the two
-    runs differ by the log of the product of E_k(lo) / E_k(hi) over k <= n,
-    so that running product stays within exp(+-_AGREE), and no log is taken."""
+def _agree(lo: tuple, hi: tuple, ratio: Decimal) -> Decimal | None:
+    """The running product of E_k(lo) / E_k(hi) over the rows of two runs,
+    from ratio, if their x and E agree to _AGREE relative, and log Z to
+    _AGREE absolute, in the current context; None if not. The log Z_{n+1}
+    of the two runs differ by the log of the product over k <= n, so that
+    product stays within exp(+-_AGREE), and no log is taken."""
     agree = Decimal(_AGREE)
     if not all(abs(a - b) <= agree * abs(b) for a, b in [*zip(lo[0], hi[0]), *zip(lo[1], hi[1])]):
-        return False
+        return None
     low, high = (-agree).exp(), agree.exp()
-    ratios = accumulate((a / b for a, b in zip(lo[1], hi[1])), operator.mul)
-    return all(low <= r <= high for r in ratios)
+    for a, b in zip(lo[1], hi[1]):
+        ratio *= a / b
+        if not low <= ratio <= high:
+            return None
+    return ratio
 
 
 def _float(v: Decimal) -> float:
@@ -310,15 +370,38 @@ def _refused(top: int, dps: int) -> str:
     return ""
 
 
-def _certified(variant: str, params: QParams, top: int) -> tuple[OPSequence, int]:
+def _settle(variant: str, params: QParams, c: list, lo_dps: int, lo: tuple | None,
+            hi: tuple | None, kept: _Pair | None) -> _Pair | None:
+    """The _Pair of two runs at lo_dps and 1.5 lo_dps digits over the
+    moments c, from the start or on from kept, if both ran and agree; None
+    if not. The second run alone takes logs, of its new E_n only."""
+    dps = lo_dps * 3 // 2
+    with decimal.localcontext(_context(dps)):
+        ratio = lo and hi and _agree(lo, hi, kept.ratio if kept else Decimal(1))
+        if not ratio:
+            return None
+        x, e, state = hi
+        run = kept.run if kept else OPSequence(variant, params, dps, (), (), (0.0,))  # log Z_0 = 0
+        top = len(run.x) + len(e) - 1
+        log_z = _log_z(e, dps, top, kept.log_z if kept else Decimal(0),
+                       run.log_z[1] if kept else None)
+        run = OPSequence(variant=variant, params=params, dps=dps,
+                         x=run.x + tuple(map(_float, x)),
+                         kappa_sq=run.kappa_sq + tuple(_float(1 / v) for v in e),
+                         log_z=run.log_z + tuple(map(_float, log_z)))
+    return _Pair(run=run, dps=lo_dps, c=c, lo=lo[2], hi=state, ratio=ratio, log_z=log_z[-1])
+
+
+def _certified(variant: str, params: QParams, top: int) -> _Pair:
     """Runs at dps and 1.5 dps until x and E of two runs agree
     relatively and then their log Z absolutely, which is relative in Z; the
-    second run of that pair alone takes logs. Returns that run and the
-    digits of the pair's first run, the digits it settled at. The very
-    first run reads the second's moments, rounded to its own digits,
-    instead of summing its own: an error of the moments, common to both
-    runs, escapes the comparison, but it is one at the second run's digits,
-    a third more than the pair shows the runs need."""
+    second run of that pair alone takes logs. Returns the _Pair of that
+    pair, whose dps is the digits it settled at. The very first run reads
+    the second's moments, rounded to its own digits, instead of summing its
+    own: an error of the moments, common to both runs, escapes the
+    comparison, but it is one at the second run's digits, a third more than
+    the pair shows the runs need. The moments run to 2 top + 1, one series
+    and 2 top + 1 downward steps, so that the pair can be continued."""
     dps, what = _dps_for(variant, params, top), f"Szego recursion ({variant}, {params}, top {top})"
     if why := _refused(top, dps * 3 // 2):
         raise NonconvergenceError(f"{what} needs {why}")
@@ -326,24 +409,32 @@ def _certified(variant: str, params: QParams, top: int) -> tuple[OPSequence, int
     while not (why := _refused(top, dps * 3 // 2)):
         lo_dps, dps = dps, dps * 3 // 2
         with decimal.localcontext(_context(dps)):
-            c = _moments(variant, top, q, xi)
+            c = _moments(variant, 2 * top + 1, q, xi)
         if lo_dps == start:
-            lo = _szego(c, lo_dps)
-        hi = _szego(c, dps)
-        with decimal.localcontext(_context(dps)):
-            if lo and hi and _agree(lo, hi):
-                x, e = hi
-                return OPSequence(
-                    variant=variant, params=params, dps=dps,
-                    x=tuple(map(_float, x)), kappa_sq=tuple(_float(1 / v) for v in e),
-                    log_z=tuple(map(_float, _log_z(e, dps))),
-                ), lo_dps
+            lo = _szego(c[: top + 1], lo_dps, None)
+        hi = _szego(c[: top + 1], dps, None)
+        if pair := _settle(variant, params, c, lo_dps, lo, hi, None):
+            return pair
         lo = hi
     raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by {dps} digits; "
                               f"the next pair needs {why}")
 
 
-@lru_cache(maxsize=32)  # kept only for perfbench's tracer, which reads its cache_info()
+def _continued(kept: _Pair, top: int) -> _Pair | None:
+    """The kept pair's two runs continued to top at their own digits, if its
+    moments reach top, a certification would start at no more digits than
+    its first run's and the pair's work is under the limit; None if not, or
+    if the new rows or the running product disagree."""
+    variant, params = kept.run.variant, kept.run.params
+    if (top >= len(kept.c) or _dps_for(variant, params, top) > kept.dps
+            or _refused(top, kept.run.dps)):
+        return None
+    c = kept.c[: top + 1]
+    return _settle(variant, params, kept.c, kept.dps, _szego(c, kept.dps, kept.lo),
+                   _szego(c, kept.run.dps, kept.hi), kept)
+
+
+@lru_cache(maxsize=0)  # caches nothing: kept only for perfbench's tracer, which reads its cache_info()
 def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     """x_n and kappa_n^2 = 1/E_n for n <= n_max + 1, log Z_n for
     n <= n_max + 2, in one shared certified run that may be longer.
@@ -352,13 +443,14 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     Simon, Orthogonal Polynomials on the Unit Circle, AMS 2005, ch. 1.5),
     top at least max(n_max + 1, _SHARED_TOP): requests up to _SHARED_TOP
     share one run per symbol, any request that the point's run in _longest
-    covers gets that run, unsliced, and a longer one certifies the run that
-    replaces it there. It runs in decimal arithmetic at the _dps_for
-    precision and at 1.5 times that, raised by 1.5 until two runs agree to
-    1e-17 relative in every value (log Z_n absolute), so the floats are
-    correct to the last bit; a run in which some E_n rounds to zero or
-    below disagrees. NonconvergenceError, before any run, if the first
-    pair would pass _MAX_DPS digits or cost more than _MAX_WORK
+    covers gets that run, unsliced, and a longer one continues the pair of
+    runs that settled it where `_continued` can, or else certifies afresh;
+    either run replaces it there. It runs in decimal arithmetic at the
+    _dps_for precision and at 1.5 times that, raised by 1.5 until two runs
+    agree to 1e-17 relative in every value (log Z_n absolute), so the
+    floats are correct to the last bit; a run in which some E_n rounds to
+    zero or below disagrees. NonconvergenceError, before any run, if the
+    first pair would pass _MAX_DPS digits or cost more than _MAX_WORK
     digit-operations, and if no two runs under both limits agree.
     """
     if variant not in OP_VARIANTS:
@@ -366,14 +458,16 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     key, top = (variant, params), max(n_max + 1, _SHARED_TOP)
-    if (kept := _longest.get(key)) and len(kept[0].x) > top:
-        return kept[0]
-    kept = _certified(variant, params, top)  # its start reads the point's run
+    kept = _longest.get(key)
+    if kept and len(kept.run.x) > top:
+        return kept.run
+    # a certification's start reads the point's kept pair
+    kept = (kept and _continued(kept, top)) or _certified(variant, params, top)
     _longest.pop(key, None)
     _longest[key] = kept
     if len(_longest) > _LONGEST_POINTS:
         del _longest[next(iter(_longest))]
-    return kept[0]
+    return kept.run
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ class QParams:
             raise ValueError(f"q must be in [0, 1), got {self.q}")
         if not (0.0 <= self.xi < 1.0):
             raise ValueError(f"xi must be in [0, 1), got {self.xi}")
+        # the dataclass hash, taken once: every cached per-point table is
+        # looked up by it, 4,800 times in a 40 x 40 kernel block
+        object.__setattr__(self, "_hash", hash((self.q, self.xi)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def macmahon(params: QParams) -> float:

@@ -193,6 +193,25 @@ class TestFredholmWindow:
         assert made.count("r") == 2
         assert gap._factor.cache_info().maxsize == 2
 
+    @pytest.mark.parametrize("q, xi, rows", [(0.9, 0.5, (68, 90)), (0.97, 0.7, (207, 255))])
+    def test_negligible_rows_are_left_out(self, fresh_factors, monkeypatch, q, xi, rows):
+        # B^T's rows past the last one reading an order at or above 2^-60 of
+        # the largest are left out of the QR (at (0.97, 0.7), first part,
+        # 207 of 401), with the log det of every nonzero row, bit for bit
+        qr, factored = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: (
+            mode == "r" and factored.append(len(a))) or qr(a, mode))
+        p = QParams(q=q, xi=xi)
+
+        def log_dets():
+            gap._factor.cache_clear()
+            return [gap._fredholm(p, n, first) for first in (True, False) for n in range(16)]
+
+        trimmed = log_dets()
+        assert tuple(factored) == rows
+        monkeypatch.setattr(gap, "_NEGLIGIBLE", 0.0)
+        assert log_dets() == trimmed
+
     def test_values_do_not_depend_on_request_order(self, fresh_factors):
         p = QParams(q=0.8, xi=0.45)  # a point no other test uses
         requests = [(v, n) for v in GAP_VARIANTS for n in range(21)]  # two windows

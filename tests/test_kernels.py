@@ -160,6 +160,19 @@ class TestQBesselKernel:
                 fresh.append(kernels._lag_sum(table, r, s))
         assert backward.tobytes() == np.array(fresh).reshape(block.shape).tobytes() == block.tobytes()
 
+    def test_benchmark_edge_block_entry_by_entry(self):
+        # the 40 x 40 block about alpha0 / eps at (0.97, 0.7), asked one
+        # q_bessel_kernel entry at a time, row by row from nothing kept, is
+        # kernel_matrix bit for bit
+        p = QParams(q=0.97, xi=0.7)
+        base = math.floor(-2.0 * math.log1p(-p.xi) / -math.log(p.q)) - 20
+        sites = [Fraction(2 * (base + i) + 1, 2) for i in range(40)]
+        kernels._KEPT.clear()
+        entries = [[q_bessel_kernel(p, r, s) for s in sites] for r in sites]
+        assert all(type(v) is float for row in entries for v in row)
+        kernels._KEPT.clear()
+        assert np.array(entries).tobytes() == kernel_matrix(p, sites, sites).tobytes()
+
     def test_kept_sums_stay_within_their_bytes(self, monkeypatch):
         # with room for two lags, the oldest are dropped as the block is
         # built, and its bits stay those of the pinned block

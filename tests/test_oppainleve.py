@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import math
+import random
 import tracemalloc
 from decimal import Decimal
 
@@ -47,9 +48,10 @@ NEAR_SCALING = [(variant, q, top) for variant in ("plain", "check")
 
 
 def _count_runs(monkeypatch) -> list:
-    """The digits of every engine run from here on."""
+    """(digits, whether it continued a kept run) of every engine run from here on."""
     runs, szego = [], oppainleve._szego
-    monkeypatch.setattr(oppainleve, "_szego", lambda c, dps: runs.append(dps) or szego(c, dps))
+    monkeypatch.setattr(oppainleve, "_szego", lambda c, dps, state: runs.append(
+        (dps, state is not None)) or szego(c, dps, state))
     return runs
 
 
@@ -102,8 +104,8 @@ class TestOPSequence:
         params = QParams(q=q, xi=xi)
         longest = op_sequence(variant, params, 60)
         assert op_sequence(variant, params, 15) is longest
-        short, _ = oppainleve._certified(variant, params, 16)
-        assert oppainleve._longest[(variant, params)][0] is longest
+        short = oppainleve._certified(variant, params, 16).run
+        assert oppainleve._longest[(variant, params)].run is longest
         assert repr((longest.x[:17], longest.kappa_sq[:17], longest.log_z[:18])) == repr(
             (short.x, short.kappa_sq, short.log_z))
 
@@ -205,10 +207,10 @@ class TestSzegoRecursion:
         params = QParams(q=0.97, xi=0.7)
         with decimal.localcontext(oppainleve._context(33)):
             c = oppainleve._moments("plain", 26, Decimal(params.q), Decimal(params.xi))
-        assert oppainleve._szego(c, 33) is None
-        want, _ = oppainleve._certified("plain", params, 26)
+        assert oppainleve._szego(c, 33, None) is None
+        want = oppainleve._certified("plain", params, 26).run
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
-        got, _ = oppainleve._certified("plain", params, 26)
+        got = oppainleve._certified("plain", params, 26).run
         assert (got.x, got.kappa_sq, got.log_z) == (want.x, want.kappa_sq, want.log_z)
 
     @pytest.mark.parametrize("variant, q, xi, top, digest", PINNED,
@@ -219,20 +221,41 @@ class TestSzegoRecursion:
         # coefficients too came from the mpmath engine that preceded the
         # decimal one: a change of arithmetic, precision schedule or store
         # keeps the near-scaling certifications and the desk point bit-identical
-        seq, _ = oppainleve._certified(variant, QParams(q=q, xi=xi), top)
+        seq = oppainleve._certified(variant, QParams(q=q, xi=xi), top).run
         got = repr((seq.x, seq.kappa_sq, seq.log_z)).encode()
         assert hashlib.sha256(got).hexdigest() == digest
 
     def test_run_holds_order_top_numbers(self, fresh_engine):
         # runs kept the top^2 / 2 coefficients of pi_0 .. pi_top, as decimals
-        # and as floats: a peak of 1.96 MB here, where x and E take 0.14 MB
+        # and as floats: a peak of 1.96 MB here, where x and E take 0.14 MB.
+        # The kept pair holds O(top) decimals: 182 moments at 207 digits,
+        # pi_90 of both runs, and the floats, 93 kB
+        params = QParams(q=0.97, xi=0.7)
+        oppainleve._symbol_digits("plain", params)
         tracemalloc.start()
         try:
-            oppainleve._certified("plain", QParams(q=0.97, xi=0.7), 90)
-            peak = tracemalloc.get_traced_memory()[1]
+            kept = oppainleve._certified("plain", params, 90)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert (len(kept.c), len(kept.lo[0]), len(kept.hi[0])) == (182, 91, 91)
         assert peak < 0.5e6
+        assert held < 0.12e6
+
+    @pytest.mark.parametrize("prec", [20, 27, 34, 45])
+    def test_log_is_within_its_bound(self, prec):
+        # against libmpdec's correctly rounded ln at 10 more digits, over
+        # 60-digit values with exponents from -400 to 400: within 4 units of
+        # 10^(w - p), 10^w >= 2.31 (|exponent| + 1)
+        rng = random.Random(prec)
+        ctx, wide = oppainleve._context(prec), oppainleve._context(prec + 10)
+        worst = 0.0
+        for _ in range(400):
+            v = Decimal(f"{rng.randrange(10**59, 10**60)}E{rng.randint(-459, 341)}")
+            w = math.ceil(math.log10(2.31 * (abs(v.adjusted()) + 1)))
+            err = abs(oppainleve._ln(v, ctx) - v.ln(wide)).scaleb(prec - w)
+            worst = max(worst, float(err))
+        assert worst <= 4
 
     def test_near_scaling_norms_positive_and_tau_relation(self):
         params = QParams(q=0.97, xi=0.7)
@@ -281,23 +304,75 @@ class TestSzegoRecursion:
         # on its first pair of runs
         runs = _count_runs(monkeypatch)
         oppainleve._certified(variant, QParams(q=q, xi=0.7), top)
-        assert runs == [runs[0], runs[0] * 3 // 2]
+        assert runs == [(runs[0][0], False), (runs[0][0] * 3 // 2, False)]
 
     @pytest.mark.parametrize("variant, q", sorted({(v, q) for v, q, _ in NEAR_SCALING}))
     def test_second_top_starts_from_the_settled_run(self, fresh_engine, monkeypatch, variant, q):
-        # top 16, then top 26 at the same point: each settles on its first pair
-        runs = _count_runs(monkeypatch)
+        # top 16, then top 26 at the same point: the pair that settled top 16
+        # runs on from its last row over the moments it summed to 33, at its
+        # own digits, with the floats of a fresh top-26 certification. Plain
+        # at q = 0.9 settles top 16 at 34 digits where top 26 starts at 44,
+        # so it certifies afresh, summing the moments again
+        params = QParams(q=q, xi=0.7)
+        oppainleve._symbol_digits(variant, params)  # its moments are not the runs'
+        runs, summed, moments = _count_runs(monkeypatch), [], oppainleve._moments
+        monkeypatch.setattr(oppainleve, "_moments",
+                            lambda *args: summed.append(args[1]) or moments(*args))
         for n_max in (10, 25):
-            op_sequence(variant, QParams(q=q, xi=0.7), n_max)
-        assert len(runs) == 4
+            got = op_sequence(variant, params, n_max)
+        first = runs[0][0]
+        if (variant, q) == ("plain", 0.9):
+            assert runs == [(34, False), (51, False), (44, False), (66, False)]
+            assert summed == [33, 53]
+        else:
+            assert runs == [(first, False), (first * 3 // 2, False),
+                            (first, True), (first * 3 // 2, True)]
+            assert summed == [33]
+        oppainleve._longest.clear()
+        want = oppainleve._certified(variant, params, 26).run
+        assert repr((got.x, got.kappa_sq, got.log_z)) == repr(
+            (want.x, want.kappa_sq, want.log_z))
+
+    def test_disagreeing_continuation_certifies_afresh(self, fresh_engine, monkeypatch):
+        # a continued first run whose new rows are off by 1e-12 disagrees
+        # with its second, and the request certifies a fresh pair from the
+        # kept pair's digits, returning that pair's floats
+        params = QParams(q=0.97, xi=0.7)
+        op_sequence("check", params, 10)
+        want = oppainleve._certified("check", params, 26).run
+        runs = _count_runs(monkeypatch)
+        kept, szego = oppainleve._longest[("check", params)], oppainleve._szego
+
+        def off(c, dps, state):
+            out = szego(c, dps, state)
+            if state is kept.lo:
+                x, e, last = out
+                return [v * (1 + Decimal("1e-12")) for v in x], e, last
+            return out
+
+        monkeypatch.setattr(oppainleve, "_szego", off)
+        got = op_sequence("check", params, 25)
+        assert [continued for _, continued in runs] == [True, True, False, False]
+        assert len(oppainleve._longest[("check", params)].c) == 54
+        assert repr((got.x, got.kappa_sq, got.log_z)) == repr(
+            (want.x, want.kappa_sq, want.log_z))
+
+    def test_every_request_reads_the_stored_run(self, fresh_engine):
+        # op_sequence's own cache returned the top-21 run to the third
+        # request, after _longest had replaced it with the top-61 one
+        params = QParams(q=0.9, xi=0.7)
+        for n_max in (20, 60, 20):
+            got = op_sequence("plain", params, n_max)
+        assert len(got.x) == 62
+        assert got is oppainleve._longest[("plain", params)].run
 
     def test_start_scales_the_settled_digits(self, fresh_engine):
         # (0.97, 0.7), plain, top 61 settles on its second pair, at 94 digits,
         # 1.5 times its estimate; a longer request starts at 1.5 times its own
         params = QParams(q=0.97, xi=0.7)
         op_sequence("plain", params, 60)
-        run, dps = oppainleve._longest[("plain", params)]
-        assert (len(run.x) - 1, dps) == (61, 94)
+        kept = oppainleve._longest[("plain", params)]
+        assert (len(kept.run.x) - 1, kept.dps) == (61, 94)
         assert oppainleve._estimate("plain", params, 61) == 63
         assert oppainleve._dps_for("plain", params, 91) == math.ceil(
             94 * oppainleve._estimate("plain", params, 91) / 63)

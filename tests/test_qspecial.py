@@ -2,6 +2,7 @@
 q-series of `qpart.checks` that the special verify rows and the tail
 comparators read, against mpmath references."""
 
+import dataclasses
 import decimal
 import math
 from decimal import Decimal
@@ -235,3 +236,15 @@ class TestQParams:
 
     def test_hashable(self):
         assert hash(QParams(q=0.5, xi=0.3)) == hash(QParams(q=0.5, xi=0.3))
+
+    def test_hash_taken_once_is_the_dataclass_hash(self):
+        # the hash is taken in __post_init__, and it, equality and repr stay
+        # those of a frozen dataclass over (q, xi)
+        a, b = QParams(q=0.97, xi=0.7), QParams(q=0.97, xi=0.7)
+        assert hash(a) == hash((0.97, 0.7))
+        assert a == b and a is not b and {a: 1}[b] == 1
+        assert a != QParams(q=0.97, xi=0.5) and a != (0.97, 0.7)
+        assert repr(a) == "QParams(q=0.97, xi=0.7)"
+        assert [f.name for f in dataclasses.fields(a)] == ["q", "xi"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.q = 0.5
