@@ -68,6 +68,7 @@ _WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
 _SIGN = {"x": 1, "y": -1}  # the sign e of each Painleve branch
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
+_MARGIN = round(-math.log10(_AGREE))  # 17: the digits a pair's second run adds to its first
 _MAX_DPS = 10_000  # working digits past which the engine gives up
 _MAX_WORK = 5e8   # top^2 x digits: the decimal digit-operations of a pair of runs
 _QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
@@ -370,52 +371,49 @@ def _refused(top: int, dps: int) -> str:
     return ""
 
 
-def _settle(variant: str, params: QParams, c: list, lo_dps: int, lo: tuple | None,
-            hi: tuple | None, kept: _Pair | None) -> _Pair | None:
-    """The _Pair of two runs at lo_dps and 1.5 lo_dps digits over the
-    moments c, from the start or on from kept, if both ran and agree; None
-    if not. The second run alone takes logs, of its new E_n only."""
-    dps = lo_dps * 3 // 2
-    with decimal.localcontext(_context(dps)):
+def _settle(variant: str, params: QParams, c: list, dps: int, top: int,
+            kept: _Pair | None) -> _Pair | None:
+    """The _Pair of two runs over the moments c_0 .. c_top at dps and dps +
+    _MARGIN digits, from the start or on from kept, if both ran and agree;
+    None if not. The second run alone takes logs, of its new E_n only."""
+    fine = dps + _MARGIN
+    lo = _szego(c[: top + 1], dps, kept and kept.lo)
+    hi = _szego(c[: top + 1], fine, kept and kept.hi)
+    with decimal.localcontext(_context(fine)):
         ratio = lo and hi and _agree(lo, hi, kept.ratio if kept else Decimal(1))
         if not ratio:
             return None
         x, e, state = hi
-        run = kept.run if kept else OPSequence(variant, params, dps, (), (), (0.0,))  # log Z_0 = 0
-        top = len(run.x) + len(e) - 1
-        log_z = _log_z(e, dps, top, kept.log_z if kept else Decimal(0),
+        run = kept.run if kept else OPSequence(variant, params, 0, (), (), (0.0,))  # log Z_0 = 0
+        log_z = _log_z(e, fine, top, kept.log_z if kept else Decimal(0),
                        run.log_z[1] if kept else None)
-        run = OPSequence(variant=variant, params=params, dps=dps,
+        run = OPSequence(variant=variant, params=params, dps=fine,
                          x=run.x + tuple(map(_float, x)),
                          kappa_sq=run.kappa_sq + tuple(_float(1 / v) for v in e),
                          log_z=run.log_z + tuple(map(_float, log_z)))
-    return _Pair(run=run, dps=lo_dps, c=c, lo=lo[2], hi=state, ratio=ratio, log_z=log_z[-1])
+    return _Pair(run=run, dps=dps, c=c, lo=lo[2], hi=state, ratio=ratio, log_z=log_z[-1])
 
 
 def _certified(variant: str, params: QParams, top: int) -> _Pair:
-    """Runs at dps and 1.5 dps until x and E of two runs agree
-    relatively and then their log Z absolutely, which is relative in Z; the
-    second run of that pair alone takes logs. Returns the _Pair of that
-    pair, whose dps is the digits it settled at. The very first run reads
-    the second's moments, rounded to its own digits, instead of summing its
-    own: an error of the moments, common to both runs, escapes the
-    comparison, but it is one at the second run's digits, a third more than
-    the pair shows the runs need. The moments run to 2 top + 1, one series
-    and 2 top + 1 downward steps, so that the pair can be continued."""
+    """Fresh pairs of runs at d and d + _MARGIN digits, over moments summed
+    at d + _MARGIN, d raised by half for each, until x and E of a pair agree
+    relatively and then their log Z absolutely, which is relative in Z.
+    Returns the _Pair that settled, whose dps is d. Both runs read the same
+    moments: their error escapes the comparison, but it sits _MARGIN digits
+    below what the first run resolves. The moments run to 2 top + 1, one
+    series and 2 top + 1 downward steps, so that the pair can be continued.
+    Each limit is checked at 1.5 d before the pair at d, so the refusals
+    stand where runs at 1.5 d put them."""
     dps, what = _dps_for(variant, params, top), f"Szego recursion ({variant}, {params}, top {top})"
     if why := _refused(top, dps * 3 // 2):
         raise NonconvergenceError(f"{what} needs {why}")
-    q, xi, start = Decimal(params.q), Decimal(params.xi), dps
+    q, xi = Decimal(params.q), Decimal(params.xi)
     while not (why := _refused(top, dps * 3 // 2)):
-        lo_dps, dps = dps, dps * 3 // 2
-        with decimal.localcontext(_context(dps)):
+        with decimal.localcontext(_context(dps + _MARGIN)):
             c = _moments(variant, 2 * top + 1, q, xi)
-        if lo_dps == start:
-            lo = _szego(c[: top + 1], lo_dps, None)
-        hi = _szego(c[: top + 1], dps, None)
-        if pair := _settle(variant, params, c, lo_dps, lo, hi, None):
+        if pair := _settle(variant, params, c, dps, top, None):
             return pair
-        lo = hi
+        dps = dps * 3 // 2
     raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by {dps} digits; "
                               f"the next pair needs {why}")
 
@@ -427,11 +425,9 @@ def _continued(kept: _Pair, top: int) -> _Pair | None:
     if the new rows or the running product disagree."""
     variant, params = kept.run.variant, kept.run.params
     if (top >= len(kept.c) or _dps_for(variant, params, top) > kept.dps
-            or _refused(top, kept.run.dps)):
+            or _refused(top, kept.dps * 3 // 2)):
         return None
-    c = kept.c[: top + 1]
-    return _settle(variant, params, kept.c, kept.dps, _szego(c, kept.dps, kept.lo),
-                   _szego(c, kept.run.dps, kept.hi), kept)
+    return _settle(variant, params, kept.c, kept.dps, top, kept)
 
 
 @lru_cache(maxsize=0)  # caches nothing: kept only for perfbench's tracer, which reads its cache_info()
@@ -445,13 +441,14 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     share one run per symbol, any request that the point's run in _longest
     covers gets that run, unsliced, and a longer one continues the pair of
     runs that settled it where `_continued` can, or else certifies afresh;
-    either run replaces it there. It runs in decimal arithmetic at the
-    _dps_for precision and at 1.5 times that, raised by 1.5 until two runs
-    agree to 1e-17 relative in every value (log Z_n absolute), so the
-    floats are correct to the last bit; a run in which some E_n rounds to
-    zero or below disagrees. NonconvergenceError, before any run, if the
-    first pair would pass _MAX_DPS digits or cost more than _MAX_WORK
-    digit-operations, and if no two runs under both limits agree.
+    either run replaces it there. A pair runs in decimal arithmetic at d
+    digits and at d + _MARGIN = d + 17, d from _dps_for and raised by half
+    for each fresh pair, until its two runs agree to 1e-17 relative in
+    every value (log Z_n absolute), so the floats are correct to the last
+    bit; a run in which some E_n rounds to zero or below disagrees.
+    NonconvergenceError, before any run, if the first pair would pass
+    _MAX_DPS digits or cost more than _MAX_WORK digit-operations, each
+    checked at 1.5 d, and if no pair under both limits agrees.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")

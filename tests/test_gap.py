@@ -100,6 +100,19 @@ class TestGapProbability:
         want = gap_probability(query, "toeplitz")
         assert gap_probability(query, "fredholm") == pytest.approx(want, rel=1e-12)
 
+    def test_fredholm_matches_toeplitz_on_a_grid(self):
+        # q = 0.3, 0.35, .., 0.9 by xi = 0.05, 0.105, .., 0.6 (a step that
+        # misses the points other tests keep cold), N = 0..10, both variants.
+        # The largest relative gap on this grid is 2.3e-12, at (0.9, 0.6),
+        # first part, N = 0 (P = 1.7e-15), where the Toeplitz route is
+        # 7.5e-15 off a 60-digit determinant; below xi = 0.545 it is 5.0e-14
+        grid = [GapQuery(variant, n, QParams(q=i / 20, xi=(10 + 11 * j) / 200))
+                for i in range(6, 19) for j in range(11) for variant in GAP_VARIANTS
+                for n in range(11)]
+        want = [gap_probability(query, "toeplitz") for query in grid]
+        got = [gap_probability(query, "fredholm") for query in grid]
+        assert got == pytest.approx(want, rel=5e-12)
+
     def test_fredholm_builds_one_table_per_params(self):
         p = QParams(q=0.9, xi=0.45)  # a point no other test uses
         before = _j_gen.cache_info().misses

@@ -41,10 +41,18 @@ PINNED = [  # variant, q, xi, top, sha256 of repr((x, kappa_sq, log_z))
     ("check", 0.5, 0.3, 16, "b1c6cbfba2353dc1da31cbbefa18e36395e05d0f75799f266d56540243ca5e4e"),
     ("check", 0.5, 0.3, 26, "7e639a3f6d27cd4658b5ec96e21f2ab0617fc507c45e55fb44531798b06fffd7"),
     ("plain", 0.1, 0.05, 40, "6513c6e30b6c0fa86a3bb19c1c2f4efcc560a95b17010d1185af1215ef50f7c2"),
+    # first runs of 145 to 347 digits, where d + 17 and 1.5 d differ most
+    ("plain", 0.999, 0.5, 61, "3684b4163076706dc8eb7eeb4ed12d809013d7d1f0ae173a738877b731c33827"),
+    ("check", 0.999, 0.5, 61, "660666e30ac02fec9996748c365618540c820c24891aef7558ace9303be28063"),
+    ("plain", 0.995, 0.7, 150, "b882e66df591999feeb5abfd959b59703179d13b0e8262f96bcf191b8aaf48c5"),
+    ("plain", 0.99, 0.7, 100, "e3a1bfc5d5a287dfe3aee8c99a90924a2d937c4b7085a385e72a811166071c06"),
+    # settles only on its second pair, at 94 digits
+    ("plain", 0.97, 0.7, 61, "b2f5ffe89ed5fd6be79aa9c6eba083543a1007161639a1ba1de8a6c984a13844"),
 ]
 POINTS = [P, QParams(q=0.7, xi=0.5), QParams(q=0.9, xi=0.5)]
 NEAR_SCALING = [(variant, q, top) for variant in ("plain", "check")
                 for q in (0.9, 0.95, 0.97) for top in (16, 26)]
+CONTINUED = [(10, 25, 40), (3, 20, 60), (25, 10, 33)]  # n_max of successive requests
 
 
 def _count_runs(monkeypatch) -> list:
@@ -301,10 +309,10 @@ class TestSzegoRecursion:
     @pytest.mark.parametrize("variant, q, top", NEAR_SCALING)
     def test_first_pair_settles_near_scaling(self, fresh_engine, monkeypatch, variant, q, top):
         # each of the benchmark's twelve certifications at xi = 0.7 settles
-        # on its first pair of runs
+        # on its first pair of runs, the second 17 digits past the first
         runs = _count_runs(monkeypatch)
         oppainleve._certified(variant, QParams(q=q, xi=0.7), top)
-        assert runs == [(runs[0][0], False), (runs[0][0] * 3 // 2, False)]
+        assert runs == [(runs[0][0], False), (runs[0][0] + 17, False)]
 
     @pytest.mark.parametrize("variant, q", sorted({(v, q) for v, q, _ in NEAR_SCALING}))
     def test_second_top_starts_from_the_settled_run(self, fresh_engine, monkeypatch, variant, q):
@@ -322,14 +330,30 @@ class TestSzegoRecursion:
             got = op_sequence(variant, params, n_max)
         first = runs[0][0]
         if (variant, q) == ("plain", 0.9):
-            assert runs == [(34, False), (51, False), (44, False), (66, False)]
+            assert runs == [(34, False), (51, False), (44, False), (61, False)]
             assert summed == [33, 53]
         else:
-            assert runs == [(first, False), (first * 3 // 2, False),
-                            (first, True), (first * 3 // 2, True)]
+            assert runs == [(first, False), (first + 17, False),
+                            (first, True), (first + 17, True)]
             assert summed == [33]
         oppainleve._longest.clear()
         want = oppainleve._certified(variant, params, 26).run
+        assert repr((got.x, got.kappa_sq, got.log_z)) == repr(
+            (want.x, want.kappa_sq, want.log_z))
+
+    @pytest.mark.parametrize("n_maxes", CONTINUED, ids=["-".join(map(str, c)) for c in CONTINUED])
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.9, 0.7), (0.97, 0.7)])
+    @pytest.mark.parametrize("variant", ["plain", "check"])
+    def test_growing_requests_end_at_a_fresh_certification(self, fresh_engine, variant,
+                                                           q, xi, n_maxes):
+        # whether each longer request continued the kept pair or certified
+        # afresh, the final run holds the floats of a fresh certification at
+        # its top
+        params = QParams(q=q, xi=xi)
+        for n_max in n_maxes:
+            got = op_sequence(variant, params, n_max)
+        oppainleve._longest.clear()
+        want = oppainleve._certified(variant, params, len(got.x) - 1).run
         assert repr((got.x, got.kappa_sq, got.log_z)) == repr(
             (want.x, want.kappa_sq, want.log_z))
 
