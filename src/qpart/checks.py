@@ -32,7 +32,8 @@ from .qspecial import QParams
 PLANE_PARTITIONS = (1, 1, 3, 6)  # of k = 0..3
 LAX_PROBES = (0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j)
 _MP_DPS = 30  # digits of the mp q-series
-_RADIUS_OFFSET = 1e-2  # contour distance from the circle for the jump's boundary values
+_RADIUS_OFFSET = 1e-2  # contour distance from the circle: the side of each boundary value
+_WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
 
 
 def macmahon_coeffs(ks: Sequence[int]) -> float:
@@ -319,7 +320,7 @@ def rhp_det(p: QParams, ns: Sequence[int]) -> float:
 def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
     """Largest entry of |Y_n(0) - [[x_n, 1/kappa_n^2], [-kappa_{n-1}^2, x_n]]|. Y_n(0)
     comes first: where kappa_n^2 underflows to 0.0, at q = 0.9999, xi = 0.5, the
-    sample's weight product does not converge, and the row fails as such."""
+    sample refuses Y_n(0)_12 = E_n as an overflow, and the row fails as such."""
     dev = 0.0
     for n in ns:
         y = op.rhp_sample(n, 0.0 + 0.0j, p, "plain", 1.0)
@@ -332,17 +333,17 @@ def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
 
 def rhp_jump(p: QParams, probes: Sequence[tuple[int, float, str]]) -> float:
     """Largest |Y_+ - Y_- J| over (n, angle, variant) probes, at z = e^{i angle}
-    with J = [[1, z^{-n} w(z)], [0, 1]] and w the variant's weight. Both
-    boundary values are taken exactly at z: the quadrature contour is
-    deformed to radius 1 -/+ _RADIUS_OFFSET, which the analyticity of the
-    integrand in the annulus between the weight poles permits. The + value
-    uses the outer contour (z inside), the - value the inner one."""
+    with J = [[1, z^{-n} w(z)], [0, 1]] and w the variant's weight in product
+    form. Both boundary values are taken exactly at z, from the sample's moment
+    series, the same for every contour between the weight's poles: the + value
+    with z inside the contour of radius 1 + _RADIUS_OFFSET, the - value with z
+    outside that of radius 1 - _RADIUS_OFFSET. So two weight evaluators meet."""
     residuals = []
     for n, angle, variant in probes:
         z = cmath.exp(1j * angle)
         y_plus = op.rhp_sample(n, z, p, variant, 1.0 + _RADIUS_OFFSET)
         y_minus = op.rhp_sample(n, z, p, variant, 1.0 - _RADIUS_OFFSET)
-        wz = complex(qs.circle_weight(op._WEIGHT[variant], p, np.array([z]))[0])
+        wz = complex(qs.circle_weight(_WEIGHT[variant], p, np.array([z]))[0])
         jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
         residuals.append(float(np.max(np.abs(y_plus - y_minus @ jump))))
     return max(residuals)

@@ -24,8 +24,8 @@ working digits and one of _MAX_WORK digit-operations; `op_sequence` is its
 one public entry, and the tests check it against mpmath determinants. Its
 one record of runs, _longest, keeps each point's longest for shorter requests,
 and the state that continues its pair of runs to a longer one. A run keeps
-the Verblunsky data x_n, not the polynomials: `rhp_sample` evaluates pi_n
-by the same recursion in floats.
+the Verblunsky data x_n, not the polynomials: `rhp_sample` runs the same
+recursion to pi_n in decimal, over the moments the run kept.
 The q-P_V variables come from it alone, and the relation above is checked
 on them, not iterated: forward iteration loses the digits (README).
 The comparisons made on these objects are in `qpart.checks`, but for
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import _j_gen
-from .qspecial import NonconvergenceError, QParams, _context, circle_weight
+from .qspecial import NonconvergenceError, QParams, _context
 
 __all__ = [
     "OPSequence",
@@ -64,14 +64,12 @@ __all__ = [
 ]
 
 OP_VARIANTS = ("plain", "check")
-_WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
 _SIGN = {"x": 1, "y": -1}  # the sign e of each Painleve branch
 _SHARED_TOP = 16   # every request up to this index shares one run per symbol
 _AGREE = 1e-17     # relative agreement that certifies a working precision
 _MARGIN = round(-math.log10(_AGREE))  # 17: the digits a pair's second run adds to its first
 _MAX_DPS = 10_000  # working digits past which the engine gives up
 _MAX_WORK = 5e8   # top^2 x digits: the decimal digit-operations of a pair of runs
-_QUADRATURE = 2048     # circle points of the Riemann-Hilbert Cauchy transforms
 _LONGEST_POINTS = 64   # points _longest keeps, the oldest dropped first
 _FLOOR = 2.0**-27      # |v_n| below which a recurrence residual checks nothing
 
@@ -567,17 +565,29 @@ def lax_matrices(n: int, op: OPSequence) -> LaxMatrices:
 # Riemann-Hilbert samples
 
 
-def rhp_sample(n: int, z: complex, params: QParams, variant: str, radius: float) -> np.ndarray:
-    """The 2x2 Riemann-Hilbert matrix of the variant's weight at a probe point
-    off the circle of the given radius, by quadrature on that circle.
+def _horner(coeffs: Sequence, zr: Decimal, zi: Decimal) -> tuple[Decimal, Decimal]:
+    """Re and Im of sum_k coeffs[k] z^k, z = zr + i zi, by Horner's rule."""
+    sr = si = Decimal(0)
+    for a in reversed(coeffs):
+        sr, si = sr * zr - si * zi + a, sr * zi + si * zr
+    return sr, si
 
-    Y_n(z) = [[pi_n(z),              C[w^{-n} pi_n w](z)],
-              [-k_{n-1}^2 pi*_{n-1}(z), -k_{n-1}^2 C[w^{-n} pi*_{n-1} w](z)]]
-    with C the Cauchy transform over the circle. pi_n and pi*_{n-1} are
-    evaluated by the Szego recursion in floats from the certified x_1 ..
-    x_n. The integrand is analytic in the annulus between the weight poles,
-    so the contour may be deformed off |w| = 1 to evaluate boundary values.
-    ValueError for z within 1e-12 relative of the circle: at a node the sum divides by zero.
+
+def rhp_sample(n: int, z: complex, params: QParams, variant: str, radius: float) -> np.ndarray:
+    """The 2x2 Riemann-Hilbert matrix of the variant's weight w at z, on
+    the side of the contour of the given radius that z is on:
+      Y_n(z) = [[pi_n(z),              C[u^{-n} pi_n w](z)],
+                [-k_{n-1}^2 pi*_{n-1}(z), -k_{n-1}^2 C[u^{-n} pi*_{n-1} w](z)]],
+    C[f](z) = sum_{k>=0} f_k z^k inside and -sum_{k<0} f_k z^k outside, f_k
+    = sum_j P_j c_{|k+n-j|} the Fourier coefficients of f = u^{-n} P w in the
+    moments c: the same for every contour between the poles a = xi sqrt(q)
+    and 1/a. Each entry is formed in decimal at the run's digits, pi_n by
+    `_szego` over the run's moments or fresh ones where the series reach
+    further, and rounded once. Horner's rule sums a series until
+    (a |z|^{+-1})^k < _AGREE^2: at _AGREE, rhp_det read 2.5e-9 at (0.97, 0.7).
+    ValueError for z within 1e-12 relative of the contour or where
+    a |z|^{+-1} >= 1; OverflowError where kappa_n^2 reads 0.0 (Y_n(0)_12 =
+    E_n = 1/kappa_n^2) or an entry is past the double range.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")
@@ -585,18 +595,31 @@ def rhp_sample(n: int, z: complex, params: QParams, variant: str, radius: float)
         raise ValueError("n must be >= 1")
     if abs(abs(z) - radius) <= 1e-12 * radius:
         raise ValueError(f"z = {z} lies on the contour of radius {radius}")
+    inside = abs(z) < radius
+    ratio = params.xi * math.sqrt(params.q) * (abs(z) if inside else 1 / abs(z))
+    if ratio >= 1:
+        raise ValueError(f"the Cauchy series diverge at z = {z}: a |z|^(+-1) = {ratio:.3g} >= 1")
     op = op_sequence(variant, params, n + 1)
-    k2 = op.kappa_sq[n - 1]
-
-    w = radius * np.exp(2j * math.pi * np.arange(_QUADRATURE) / _QUADRATURE)
-    u = np.append(w, z)      # the nodes, and z last
-    p = s = np.ones_like(u)  # pi_k and pi*_k at u, from k = 0
-    for x in op.x[1:n]:
-        p, s = u * p + x * s, s + x * u * p
-    p = u * p + op.x[n] * s  # pi_n, and s holds pi*_{n-1}
-    # (1/2pi i) oint f(w)/(w - z) dw with dw = i w dtheta, dtheta = 2 pi / _QUADRATURE
-    cauchy = w ** (1.0 - n) * circle_weight(_WEIGHT[variant], params, w) / (w - z) / _QUADRATURE
-    return np.array([[p[-1], cauchy @ p[:-1]], [-k2 * s[-1], -k2 * (cauchy @ s[:-1])]])
+    if not op.kappa_sq[n]:
+        raise OverflowError(f"E_{n} = 1/kappa_{n}^2 is past the double range")
+    order = math.ceil(2 * math.log(_AGREE) / math.log(ratio)) if ratio else 0
+    c = _longest[(variant, params)].c
+    with decimal.localcontext(_context(op.dps)):
+        if len(c) <= n + order:
+            c = _moments(variant, n + order, Decimal(params.q), Decimal(params.xi))
+        prev = _szego(c[:n], op.dps, None)[2]  # (pi_{n-1}, E_{n-1})
+        pi_n = _szego(c[: n + 1], op.dps, prev)[2][0]
+        zr, zi = Decimal(z.real), Decimal(z.imag)
+        ur, ui = (zr, zi) if inside else (zr / (zr * zr + zi * zi), -zi / (zr * zr + zi * zi))
+        ks = range(order + 1) if inside else range(-1, -n - order - 1, -1)
+        y = []
+        for p in (pi_n, [-v / prev[1] for v in prev[0][::-1]]):  # pi_n, -kappa_{n-1}^2 pi*_{n-1}
+            f = [sum(pj * c[abs(k + n - j)] for j, pj in enumerate(p)) for k in ks]
+            y += [_horner(p, zr, zi), _horner(f if inside else [0, *(-v for v in f)], ur, ui)]
+    y = np.array([complex(float(re), float(im)) for re, im in y]).reshape(2, 2)
+    if not np.isfinite(y).all():
+        raise OverflowError(f"an entry of Y_{n} at z = {z} is past the double range")
+    return y
 
 
 def tau_relation_check(

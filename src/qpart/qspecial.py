@@ -1,11 +1,11 @@
 """The parameter point and the circle weights.
 
 QParams, the modified MacMahon function with its plane-partition series,
-and the circle weights I, I_check and J_gen in product form, which the
-Riemann-Hilbert quadrature reads. The kernel's q-Bessel values
-c_n = q^{n/2} J^(3)_n(2 xi; q) are the J_gen coefficients, which
-`kernels._j_gen` builds from their q-difference recurrence; the mp series
-that checks them lives in `qpart.checks`.
+and the circle weights I, I_check and J_gen in product form: the reference
+that `checks.rhp_jump` and the tests hold the moment series and tables to.
+The kernel's q-Bessel values c_n = q^{n/2} J^(3)_n(2 xi; q) are the J_gen
+coefficients, which `kernels._j_gen` builds from their q-difference
+recurrence; the mp series that checks them lives in `qpart.checks`.
 
 The products and series here are geometric for q, xi in [0,1), so binary64
 with a tail tolerance is enough. The truncation is fixed, not a setting: a
@@ -126,7 +126,7 @@ def circle_weight(weight: str, params: QParams, z: np.ndarray) -> np.ndarray:
       I_check: prod (1 + a_k z)(1 + a_k / z), the dual symbol;
       J_gen:   prod (1 - a_k / z) / (1 - a_k z), the kernel generating
                function, of modulus 1 on the circle.
-    It is the one product-form evaluator; no coefficient table reads it.
+    It is the one product-form evaluator; no table or sample reads it.
     NonconvergenceError before any work if a factor past _MAX_TERMS is at or
     above _TAIL_TOL: such a product overflows long before its last factor.
     """

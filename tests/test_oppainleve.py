@@ -273,8 +273,8 @@ class TestSzegoRecursion:
                 assert row["residual"] < 1e-9
 
     def test_raises_when_precision_never_settles(self, fresh_engine, monkeypatch):
-        # this point loses about 60 digits, so runs at 20, 30 and 45 digits
-        # disagree, and the next run would pass the limit
+        # this point loses about 60 digits, so the pairs that start at 20
+        # and 30 digits disagree, and the next, at 45, is checked at 1.5 x 45
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
         monkeypatch.setattr(oppainleve, "_MAX_DPS", 45)
         with pytest.raises(NonconvergenceError, match="by 45 digits; the next pair needs "
@@ -284,7 +284,8 @@ class TestSzegoRecursion:
     def test_stored_digits_are_refused_before_any_run(self, fresh_engine, monkeypatch):
         # two runs at top 3001 would take 3.9e10 digit-operations; the
         # slowest accepted pairs take 1.0e8 (top 100 at 9,999 digits) and
-        # 7.7e7 ((0.99, 0.7), top 330, certified at 703 digits). At top 700
+        # 7.7e7 ((0.99, 0.7), top 330, whose first run settles at 469 digits,
+        # checked at 1.5 x 469 = 703). At top 700
         # the start of 830 digits, 1.6 log10 c_0 past 25, is refused too
         monkeypatch.setattr(oppainleve, "_szego", None)
         with pytest.raises(NonconvergenceError, match=r"top 3001\) needs 3\.9e\+10 "
@@ -635,7 +636,7 @@ class TestLax:
     def test_u_shifts_rhp_solution(self):
         # Psi_{n+1}(z) = U_n(z) Psi_n(z) with
         # Psi_n = diag(1, kappa_n^{-2}) Y_n diag(w, z^n); checked at a
-        # probe point via quadrature samples
+        # probe point on the samples, w from the product form
         n = 3
         z = 0.6 + 0.4j
         seq = op_sequence("plain", P, n + 2)
@@ -653,6 +654,31 @@ class TestLax:
         lhs = psi(n + 1)
         rhs = m.u(z) @ psi(n)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+
+def _tolerance(check_id: str) -> float:
+    """The tolerance of the verify row check_id."""
+    return next(c.tolerance for c in checks.CHECKS if c.check_id == check_id)
+
+
+def _trapezoid_nodes(variant, q, xi, count):
+    """The nodes u_j = e^{2 pi i j / count} of the unit circle and the
+    trapezoid weights w(u_j) / count at 40 digits, w the variant's weight in
+    product form: on the circle (1 -+ a_k u)(1 -+ a_k / u) = 1 + a_k^2 -+ 2
+    a_k cos theta, a_k = xi q^{k+1/2}, taken while a_k is above 1e-40. The
+    weights at theta and -theta are equal, so each is formed once."""
+    with mp.workdps(40):
+        q, xi = mp.mpf(q), mp.mpf(xi)
+        sign, a = (-1 if variant == "plain" else 1), [xi * mp.sqrt(q)]
+        while a[-1] > mp.mpf(10) ** -40:
+            a.append(a[-1] * q)
+        half = []
+        for j in range(count // 2 + 1):
+            cos = mp.cospi(mp.mpf(2 * j) / count)
+            f = mp.fprod(1 + b * b + sign * 2 * b * cos for b in a)
+            half.append((f if variant == "check" else 1 / f) / count)
+        nodes = [mp.expjpi(mp.mpf(2 * j) / count) for j in range(count)]
+        return nodes, half + half[-2:0:-1]
 
 
 class TestRHP:
@@ -689,9 +715,58 @@ class TestRHP:
     @pytest.mark.parametrize("z", [1.0 + 0.0j, complex(np.exp(2j * np.pi * 5 / 2048))],
                              ids=["one", "node-5"])
     def test_probe_on_the_contour_raises(self, z):
-        # at a node w = z the Cauchy sum divided by zero, and the sample was
-        # a NaN matrix with only a RuntimeWarning
+        # a probe on the contour is on neither side; when the sample was a
+        # quadrature, at a node w = z its sum divided by zero, and the sample
+        # was a NaN matrix with only a RuntimeWarning
         with pytest.raises(ValueError, match="lies on the contour"):
             rhp_sample(3, z, P, "plain", 1.0)
         with pytest.raises(ValueError, match="lies on the contour"):
             rhp_sample(3, 1.01 * z, P, "plain", 1.01)
+
+    def test_contour_past_a_pole(self):
+        # the weight's poles at (0.97, 0.7) are at a = 0.69 and 1/a = 1.45.
+        # The quadrature summed over a contour of radius 2, past 1/a, and
+        # returned det Y - 1 = 2.7e14; the series give the Y of every contour
+        # between the poles with z = 1.3 inside, so radius 1.4 gives it too
+        params = QParams(q=0.97, xi=0.7)
+        y = rhp_sample(3, 1.3, params, "plain", 2.0)
+        assert abs(np.linalg.det(y) - 1.0) <= _tolerance("painleve.rhp_det")
+        assert np.array_equal(y, rhp_sample(3, 1.3, params, "plain", 1.4))
+        # outside a contour of radius 0.2 the series in 1/z diverge at
+        # z = 0.5, where the quadrature returned det Y - 1 = 3.1e11
+        with pytest.raises(ValueError, match=r"diverge at z = 0\.5: a \|z\|\^\(\+-1\) = 1\.38 >= 1"):
+            rhp_sample(3, 0.5, params, "plain", 0.2)
+
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.9, 0.5)])
+    @pytest.mark.parametrize("variant", ["plain", "check"])
+    def test_cauchy_column_matches_a_trapezoid_reference(self, variant, q, xi):
+        # Y_12 = C[u^{-n} pi_n w] and Y_22 = -C[u^{-n} pi*_{n-1} w] / E_{n-1}
+        # against a 256-node trapezoid sum at 40 digits over the product-form
+        # weight in mp, with pi_n from mp.det and E_{n-1} = <pi_{n-1},
+        # u^{n-1}> from the same sum. Its error is near a^256 (a = xi
+        # sqrt(q) <= 0.48) and |z|^{+-256}, far below 1e-40, so the two differ
+        # by their roundings: the largest measured is 1.8e-16, within the
+        # 2^-52 that a unit in the last place of each part allows
+        ref = _mp_det_reference(variant, q, xi, 8)
+        nodes, weights = _trapezoid_nodes(variant, q, xi, 256)
+        with mp.workdps(40):
+            def cauchy(coeffs, n, z):
+                return mp.fsum(wt * u ** (1 - n) * mp.polyval(coeffs[::-1], u) / (u - z)
+                               for u, wt in zip(nodes, weights))
+
+            for n in (1, 4, 8):
+                prev = ref["monic"][n - 1]
+                e_prev = mp.re(mp.fsum(wt * u ** (1 - n) * mp.polyval(prev[::-1], u)
+                                       for u, wt in zip(nodes, weights)))
+                for z in (2.0, 0.4 + 0.3j, 0.0, -1.7 + 0.5j):
+                    y = rhp_sample(n, z, QParams(q=q, xi=xi), variant, 1.0)
+                    want = [complex(cauchy(ref["monic"][n], n, mp.mpc(z))),
+                            complex(-cauchy(prev[::-1], n, mp.mpc(z)) / e_prev)]
+                    assert [y[0, 1], y[1, 1]] == pytest.approx(want, rel=2.0**-52)
+
+    def test_rows_pass_near_q_one(self):
+        # both failed on the quadrature: rhp_det read 2.5e-8 at (0.99, 0.7)
+        # and rhp_jump 1.3e6 at (0.97, 0.7)
+        assert checks.rhp_det(QParams(q=0.99, xi=0.7), range(1, 9)) <= _tolerance("painleve.rhp_det")
+        probes = ((3, 0.7, "plain"), (5, 2.1, "check"))
+        assert checks.rhp_jump(QParams(q=0.97, xi=0.7), probes) <= _tolerance("painleve.rhp_jump")
