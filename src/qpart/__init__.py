@@ -38,7 +38,7 @@ from .oppainleve import (
     rhp_sample,
 )
 from .partitions import Partition
-from .qspecial import QParams, macmahon
+from .qspecial import QParams
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "kernel_matrix",
     "lax_matrices",
     "limit_shape",
-    "macmahon",
     "measure",
     "op_sequence",
     "painleve_trajectory",

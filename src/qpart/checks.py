@@ -7,7 +7,10 @@ the whole comparison itself. `CHECKS` is the verify table in output order.
 The acceptance tests call the same functions on their own grids. The norm
 rows and `toeplitz_vs_enumeration` sum to the enumeration gap route's one
 cutoff, `measures.ENUM_SIZE`, so verify, `gap-table` and the route read one
-hook-count table. mpmath is the reference of the `special` rows and
+hook-count table. The references that no route reads live here, beside
+their one reader: the plane-partition series of `macmahon_coeffs` and the
+circle weights I and I_check in log-sum form, which `rhp_jump` holds the
+sample's moment series to. mpmath is the reference of the `special` rows and
 `kernels.airy_diagonal` alone, and only `qpart verify` imports this module.
 """
 
@@ -34,12 +37,31 @@ LAX_PROBES = (0.4 + 0.3j, -0.7 + 0.1j, 1.3 - 0.5j, 0.2 - 0.9j, -1.1 - 0.4j)
 _MP_DPS = 30  # digits of the mp q-series
 _RADIUS_OFFSET = 1e-2  # contour distance from the circle: the side of each boundary value
 _WEIGHT = {"plain": "I", "check": "I_check"}  # circle weight of each variant
+_MACMAHON_DEGREE = 64  # degree of the exact plane-partition series
+
+
+def macmahon_series_coefficient(k: int) -> int:
+    """Exact integer coefficient of q^k in prod_{n>=1} (1 - q^n)^{-n}.
+
+    Counts plane partitions of k. Expanded by repeated polynomial division
+    over the integers, truncated at degree k: the factors with n > k do not
+    reach it.
+    """
+    if k < 0 or k > _MACMAHON_DEGREE:
+        raise ValueError(f"k must lie in [0, {_MACMAHON_DEGREE}]")
+    coeffs = [0] * (k + 1)
+    coeffs[0] = 1
+    for n in range(1, k + 1):
+        for _ in range(n):
+            # multiply by 1/(1 - q^n): running prefix sums with stride n
+            for i in range(n, k + 1):
+                coeffs[i] += coeffs[i - n]
+    return coeffs[k]
 
 
 def macmahon_coeffs(ks: Sequence[int]) -> float:
     """Largest |coefficient of q^k in prod (1 - q^n)^{-n} - plane partitions of k|."""
-    return float(max(abs(qs.macmahon_series_coefficient(k) - PLANE_PARTITIONS[k])
-                     for k in ks))
+    return float(max(abs(macmahon_series_coefficient(k) - PLANE_PARTITIONS[k]) for k in ks))
 
 
 def unimodular_parseval(p: QParams) -> float:
@@ -288,9 +310,11 @@ def lax_residual(p: QParams, kind: str, ns: Sequence[int]) -> float:
     """Largest Lax-pair residual over both variants, of U_n, T_n and T_{n+1}
     from `oppainleve.lax_matrices` (which raises at x_n = 0, failing every
     kind) and K_n = [[x_n, -1], [-(1 - x_n^2), -x_n]]. kind "compatibility":
-    U_n(qz) T_n(z) - T_{n+1}(z) U_n(z) and "inversion": T_n(z)^{-1} -
-    q^{-n} K_n T_n(1/(qz)) K_n at LAX_PROBES, off the real axis where the
-    origin and the pole of T_n lie; "det_k": det K_n + 1."""
+    U_n(qz) T_n(z) - T_{n+1}(z) U_n(z) and "inversion": T_n(z) q^{-n} K_n
+    T_n(1/(qz)) K_n - I, the identity T_n(z)^{-1} = q^{-n} K_n T_n(1/(qz)) K_n
+    multiplied through, since T_n inverted in binary64 loses the digits its
+    condition number takes (5e2 at (0.1, 0.3)); both at LAX_PROBES, off the
+    real axis where the origin and the pole of T_n lie; "det_k": det K_n + 1."""
     q, dev = p.q, 0.0
     for variant in op.OP_VARIANTS:
         seq = op.op_sequence(variant, p, max(ns) + 1)
@@ -304,8 +328,8 @@ def lax_residual(p: QParams, kind: str, ns: Sequence[int]) -> float:
                 worst = max(float(np.max(np.abs(m_n.u(q * z) @ m_n.t(z) - m_next.t(z) @ m_n.u(z))))
                             for z in LAX_PROBES)
             else:
-                worst = max(float(np.max(np.abs(np.linalg.inv(m_n.t(z))
-                                                - q ** (-n) * k @ m_n.t(1.0 / (q * z)) @ k)))
+                worst = max(float(np.max(np.abs(q ** (-n) * m_n.t(z) @ k @ m_n.t(1.0 / (q * z)) @ k
+                                                - np.eye(2))))
                             for z in LAX_PROBES)
             dev = max(dev, worst)
     return dev
@@ -331,20 +355,47 @@ def rhp_value_at_zero(p: QParams, ns: Sequence[int]) -> float:
     return dev
 
 
+def circle_weight(weight: str, p: QParams, angle: float) -> float:
+    """The weight I or I_check at z = e^{i angle}, from the log-sum
+    log I(z) = sum_{k>=1} u^k (z^k + z^{-k}) / (k (1 - q^k)), u = xi q^{1/2},
+    and log I_check(z) = -log I(z) at -u (B. Simon, Orthogonal Polynomials
+    on the Unit Circle, AMS 2005, ch. 6): the logs of the products
+    1 / prod_{j>=0} (1 - u q^j z)(1 - u q^j / z) and
+    prod_{j>=0} (1 + u q^j z)(1 + u q^j / z) expanded in powers of u.
+    The term bounds t_k = 2 u^k / (k (1 - q^k)) fall at least by u each, so
+    math.fsum adds the terms once t u / (1 - u) past a bound t is below
+    _TAIL_TOL: an absolute error in log w, which is relative in w. Near
+    q = 1 the product needs about 1 / (1 - q) factors, the series a few
+    dozen terms. NonconvergenceError after _MAX_TERMS terms."""
+    if weight not in _WEIGHT.values():
+        raise ValueError(f"unknown weight {weight!r}")
+    sign = 1.0 if weight == "I" else -1.0
+    u = p.xi * math.sqrt(p.q)
+    log_q = math.log(p.q) if p.q else -math.inf
+    terms = []
+    for k in range(1, qs._MAX_TERMS + 1):
+        bound = 2.0 * u**k / (k * -math.expm1(k * log_q))
+        terms.append(sign**(k + 1) * bound * math.cos(k * angle))
+        if bound * u <= qs._TAIL_TOL * (1.0 - u):
+            return math.exp(math.fsum(terms))
+    raise qs.NonconvergenceError(f"{weight} weight: {qs._MAX_TERMS} terms at {p}")
+
+
 def rhp_jump(p: QParams, probes: Sequence[tuple[int, float, str]]) -> float:
     """Largest |Y_+ - Y_- J| over (n, angle, variant) probes, at z = e^{i angle}
-    with J = [[1, z^{-n} w(z)], [0, 1]] and w the variant's weight in product
-    form. Both boundary values are taken exactly at z, from the sample's moment
-    series, the same for every contour between the weight's poles: the + value
-    with z inside the contour of radius 1 + _RADIUS_OFFSET, the - value with z
-    outside that of radius 1 - _RADIUS_OFFSET. So two weight evaluators meet."""
+    with J = [[1, z^{-n} w(z)], [0, 1]] and w the variant's weight from
+    `circle_weight`. Both boundary values are taken exactly at z, from the
+    sample's moment series, the same for every contour between the weight's
+    poles: the + value with z inside the contour of radius 1 + _RADIUS_OFFSET,
+    the - value with z outside that of radius 1 - _RADIUS_OFFSET. So two
+    weight evaluators meet."""
     residuals = []
     for n, angle, variant in probes:
         z = cmath.exp(1j * angle)
         y_plus = op.rhp_sample(n, z, p, variant, 1.0 + _RADIUS_OFFSET)
         y_minus = op.rhp_sample(n, z, p, variant, 1.0 - _RADIUS_OFFSET)
-        wz = complex(qs.circle_weight(_WEIGHT[variant], p, np.array([z]))[0])
-        jump = np.array([[1.0, z ** (-float(n)) * wz], [0.0, 1.0]])
+        jump = np.array([[1.0, z ** (-float(n)) * circle_weight(_WEIGHT[variant], p, angle)],
+                         [0.0, 1.0]])
         residuals.append(float(np.max(np.abs(y_plus - y_minus @ jump))))
     return max(residuals)
 

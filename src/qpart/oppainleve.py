@@ -400,20 +400,21 @@ def _certified(variant: str, params: QParams, top: int) -> _Pair:
     moments: their error escapes the comparison, but it sits _MARGIN digits
     below what the first run resolves. The moments run to 2 top + 1, one
     series and 2 top + 1 downward steps, so that the pair can be continued.
-    Each limit is checked at 1.5 d before the pair at d, so the refusals
-    stand where runs at 1.5 d put them."""
+    Each limit is checked at d + _MARGIN before the pair at d, the digits
+    of its second run, so no run passes them."""
     dps, what = _dps_for(variant, params, top), f"Szego recursion ({variant}, {params}, top {top})"
-    if why := _refused(top, dps * 3 // 2):
+    if why := _refused(top, dps + _MARGIN):
         raise NonconvergenceError(f"{what} needs {why}")
     q, xi = Decimal(params.q), Decimal(params.xi)
-    while not (why := _refused(top, dps * 3 // 2)):
+    while True:
         with decimal.localcontext(_context(dps + _MARGIN)):
             c = _moments(variant, 2 * top + 1, q, xi)
         if pair := _settle(variant, params, c, dps, top, None):
             return pair
+        if why := _refused(top, dps * 3 // 2 + _MARGIN):
+            raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by the pair at {dps} "
+                                      f"and {dps + _MARGIN} digits; the next pair needs {why}")
         dps = dps * 3 // 2
-    raise NonconvergenceError(f"{what} not settled to {_AGREE:g} by {dps} digits; "
-                              f"the next pair needs {why}")
 
 
 def _continued(kept: _Pair, top: int) -> _Pair | None:
@@ -423,7 +424,7 @@ def _continued(kept: _Pair, top: int) -> _Pair | None:
     if the new rows or the running product disagree."""
     variant, params = kept.run.variant, kept.run.params
     if (top >= len(kept.c) or _dps_for(variant, params, top) > kept.dps
-            or _refused(top, kept.dps * 3 // 2)):
+            or _refused(top, kept.dps + _MARGIN)):
         return None
     return _settle(variant, params, kept.c, kept.dps, top, kept)
 
@@ -446,7 +447,8 @@ def op_sequence(variant: str, params: QParams, n_max: int) -> OPSequence:
     bit; a run in which some E_n rounds to zero or below disagrees.
     NonconvergenceError, before any run, if the first pair would pass
     _MAX_DPS digits or cost more than _MAX_WORK digit-operations, each
-    checked at 1.5 d, and if no pair under both limits agrees.
+    checked at its second run's d + _MARGIN, and if no pair under both
+    limits agrees.
     """
     if variant not in OP_VARIANTS:
         raise ValueError(f"variant must be one of {OP_VARIANTS}")

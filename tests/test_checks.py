@@ -1,11 +1,15 @@
 """The verify table of `qpart.checks` and the checks away from the desk point."""
 
+import math
+
+import numpy as np
 import pytest
 from mpmath import mp
 
 from qpart import checks, gap, measures
 from qpart.oppainleve import tail_comparator
 from qpart.qspecial import NonconvergenceError, QParams
+from reference_fft import product_weight
 
 NEAR = QParams(q=0.97, xi=0.7)
 
@@ -172,3 +176,32 @@ def test_one_stats_table_per_verify():
         _check(check_id).report(p)
     gap.gap_probability(gap.GapQuery("length", 3, p), "enumeration")
     assert measures._enum_stats.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.7, 0.5), (0.9, 0.5), (0.97, 0.7), (0.99, 0.7)])
+def test_circle_weight_matches_the_product_form(q, xi):
+    # the log-sum against the product at ten circle points; measured before
+    # the log-sum went in, the relative difference was at most 1.2e-15 at
+    # the desk point and 3.0e-14 at (0.99, 0.7), where |log w| reaches 177
+    p = QParams(q=q, xi=xi)
+    for weight in ("I", "I_check"):
+        for angle in (0.0, 0.3, 0.7, 1.3, 2.1, math.pi / 2, 2.9, math.pi, -0.7, 5.0):
+            want = complex(product_weight(weight, p, np.array([np.exp(1j * angle)]))[0])
+            assert abs(checks.circle_weight(weight, p, angle) - want) <= 1e-13 * abs(want)
+
+
+def test_circle_weight_reaches_past_the_product_limit():
+    # the product of up to 10,000 factors refused at (0.998, 0.5), and the
+    # jump row read null; the log-sum takes a few dozen terms, and the row
+    # reads the jump's residual, 8.1e244, far past its tolerance
+    p = QParams(q=0.998, xi=0.5)
+    with pytest.raises(NonconvergenceError):
+        product_weight("I", p, np.array([1j]))
+    assert checks.circle_weight("I", p, 0.7) > 1e150
+    row = _check("painleve.rhp_jump").report(p)
+    assert isinstance(row["measured"], float) and not row["pass"]
+
+
+def test_circle_weight_is_one_where_u_is_zero():
+    for p in (QParams(q=0.0, xi=0.3), QParams(q=0.5, xi=0.0)):
+        assert checks.circle_weight("I", p, 0.7) == checks.circle_weight("I_check", p, 0.7) == 1.0

@@ -83,12 +83,12 @@ class TestVerify:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("q, xi, sha", [
-        ("0.5", "0.3", "17c5cbcbedbef6ff2185628e0f151bb75f2da934d6c00c3b5b5cf552f91d73c4"),
-        ("0.9", "0.5", "4f1fbee27b454cc8f8a20210ddf727081fb435da2045b0c111e79addf5a90b42"),
+        ("0.5", "0.3", "81b01c1133dea1a78e970189588568bd7e2fe8c126dcfb24ce76d5deccc71e66"),
+        ("0.9", "0.5", "884294551fa24e8eb3408dec24a462a542a5a8dac226b949419cbd1394755623"),
     ], ids=["0.5-0.3", "0.9-0.5"])
     def test_painleve_suite_is_pinned(self, q, xi, sha, capsys):
-        # the JSON as it read once the Riemann-Hilbert sample formed every
-        # entry in decimal from the engine's moments, not by a float quadrature
+        # the JSON as it read once the jump row read the log-sum weight and
+        # the inversion row multiplied T_n by its inverse's closed form
         code, out, err = run(["verify", "--suite", "painleve", "--q", q, "--xi", xi], capsys)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha
@@ -182,14 +182,14 @@ class TestGapTable:
             assert row["max_discrepancy"] < 1e-6
 
     def test_run_past_the_stored_digit_limit_exits_2(self, capsys, monkeypatch):
-        # the row N = 3000 needs two runs of 3.9e10 digit-operations; the
+        # the row N = 3000 needs two runs of 2.6e10 digit-operations; the
         # table starts from its largest N, so it is refused before any run
         monkeypatch.setattr(oppainleve, "_szego", None)
         code, out, err = run(["gap-table", "--method", "toeplitz", "--q", "0.999", "--xi", "0.5",
                               "--n-max", "3000"], capsys)
         assert code == 2
         assert out == ""
-        assert "needs 3.9e+10 digit-operations (top^2 x 4326), past the limit of 5e+08" in err
+        assert "needs 2.6e+10 digit-operations (top^2 x 2901), past the limit of 5e+08" in err
 
     def test_sweep_certifies_one_run(self, fresh_engine, capsys, monkeypatch):
         # the largest N comes first and certifies top 61, and every smaller N
@@ -275,7 +275,7 @@ class TestPainleveTable:
 
     def test_n_max_past_guard_exits_2(self, capsys, monkeypatch):
         # the table's one index guard is the engine's digit limit: top 401 at
-        # the desk point needs 36,655 digits and is refused before any run
+        # the desk point needs 24,454 digits and is refused before any run
         monkeypatch.setattr(oppainleve, "_szego", None)
         code, out, err = run(["painleve", "--n-max", "400"], capsys)
         assert code == 2
@@ -291,7 +291,7 @@ class TestPainleveTable:
         code, out, err = run(["painleve", "--n-max", "10000000"], capsys)
         assert code == 2
         assert out == ""
-        assert "top 10000001) needs 22577262033468 digits, past the limit of 10000" in err
+        assert "top 10000001) needs 15051508022329 digits, past the limit of 10000" in err
         assert len(calls) <= 1
 
     @pytest.mark.parametrize("branch", ["x", "y"])

@@ -5,6 +5,7 @@ import pkgutil
 import pytest
 
 import qpart
+from qpart import qspecial
 
 MODULES = [qpart] + [importlib.import_module(f"qpart.{m.name}")
                      for m in pkgutil.iter_modules(qpart.__path__)]
@@ -37,3 +38,12 @@ def test_comparisons_live_in_checks(module):
     found = {f"{module.__name__}.{name}" for name in public
              if name.endswith(("_check", "_checks", "_residual", "_residuals"))}
     assert found <= set(CHECK_EXEMPT)
+
+
+def test_qspecial_keeps_no_reference():
+    # the circle-weight evaluator and the plane-partition series live in
+    # qpart.checks, beside their readers, and the product form in the tests;
+    # M itself overflowed near q = 1, where log_macmahon does not
+    assert not {"macmahon", "macmahon_series_coefficient", "circle_weight", "WEIGHTS",
+                "np", "numpy"} & set(vars(qspecial))
+    assert "macmahon" not in qpart.__all__ and not hasattr(qpart, "macmahon")

@@ -1,3 +1,4 @@
+import collections
 import decimal
 import hashlib
 import math
@@ -11,6 +12,7 @@ from mpmath import mp
 
 from qpart import checks, oppainleve
 from qpart.oppainleve import (
+    LaxMatrices,
     lax_matrices,
     op_sequence,
     painleve_trajectory,
@@ -20,7 +22,7 @@ from qpart.oppainleve import (
     tau_relation_check,
 )
 from qpart.qspecial import NonconvergenceError, QParams
-from reference_fft import circle_fft
+from reference_fft import circle_fft, product_weight
 
 P = QParams(q=0.5, xi=0.3)
 PINNED = [  # variant, q, xi, top, sha256 of repr((x, kappa_sq, log_z))
@@ -273,38 +275,49 @@ class TestSzegoRecursion:
                 assert row["residual"] < 1e-9
 
     def test_raises_when_precision_never_settles(self, fresh_engine, monkeypatch):
-        # this point loses about 60 digits, so the pairs that start at 20
-        # and 30 digits disagree, and the next, at 45, is checked at 1.5 x 45
+        # this point loses about 60 digits, so the pair at 20 and 37 digits
+        # disagrees, and the next, at 30, would run its second run at 47
         monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
         monkeypatch.setattr(oppainleve, "_MAX_DPS", 45)
-        with pytest.raises(NonconvergenceError, match="by 45 digits; the next pair needs "
-                                                      "67 digits, past the limit of 45"):
+        with pytest.raises(NonconvergenceError, match="by the pair at 20 and 37 digits; the next "
+                                                      "pair needs 47 digits, past the limit of 45"):
             op_sequence("plain", QParams(q=0.41, xi=0.23), 4)
 
+    def test_no_run_passes_the_digit_limit(self, fresh_engine, monkeypatch):
+        # each limit is checked at the digits of the pair's second run: with
+        # the limit at 45, the runs at 30 and 47 that followed the pair at 20
+        # and 37 are not made
+        runs = _count_runs(monkeypatch)
+        monkeypatch.setattr(oppainleve, "_dps_for", lambda *args: 20)
+        monkeypatch.setattr(oppainleve, "_MAX_DPS", 45)
+        with pytest.raises(NonconvergenceError):
+            op_sequence("plain", QParams(q=0.41, xi=0.23), 15)
+        assert runs and max(dps for dps, _ in runs) <= 45
+
     def test_stored_digits_are_refused_before_any_run(self, fresh_engine, monkeypatch):
-        # two runs at top 3001 would take 3.9e10 digit-operations; the
+        # two runs at top 3001 would take 2.6e10 digit-operations; the
         # slowest accepted pairs take 1.0e8 (top 100 at 9,999 digits) and
-        # 7.7e7 ((0.99, 0.7), top 330, whose first run settles at 469 digits,
-        # checked at 1.5 x 469 = 703). At top 700
-        # the start of 830 digits, 1.6 log10 c_0 past 25, is refused too
+        # 5.3e7 ((0.99, 0.7), top 330, whose pair settles at 469 and 486
+        # digits). At top 800 the start of 830 digits, 1.6 log10 c_0 past
+        # 25, is refused too
         monkeypatch.setattr(oppainleve, "_szego", None)
-        with pytest.raises(NonconvergenceError, match=r"top 3001\) needs 3\.9e\+10 "
-                                                      r"digit-operations \(top\^2 x 4326\), "
+        with pytest.raises(NonconvergenceError, match=r"top 3001\) needs 2\.6e\+10 "
+                                                      r"digit-operations \(top\^2 x 2901\), "
                                                       r"past the limit of 5e\+08"):
             op_sequence("plain", QParams(q=0.999, xi=0.5), 3000)
-        with pytest.raises(NonconvergenceError, match=r"top 700\) needs 6\.1e\+08 "
-                                                      r"digit-operations \(top\^2 x 1245\)"):
-            op_sequence("plain", QParams(q=0.999, xi=0.5), 699)
-        assert oppainleve._refused(100, 9999) == oppainleve._refused(330, 703) == ""
+        with pytest.raises(NonconvergenceError, match=r"top 800\) needs 5\.4e\+08 "
+                                                      r"digit-operations \(top\^2 x 847\)"):
+            op_sequence("plain", QParams(q=0.999, xi=0.5), 799)
+        assert oppainleve._refused(100, 9999) == oppainleve._refused(330, 486) == ""
 
     def test_stored_digits_bound_the_raised_precision(self, fresh_engine, monkeypatch):
-        # (0.97, 0.7), plain, top 61 starts at 63 digits and settles only at
-        # 141, after runs at 63 and 94; a limit of 61^2 x 94 digit-operations
-        # stops it before that pair
+        # (0.97, 0.7), plain, top 61 starts at 63 digits and settles only on
+        # the pair at 94 and 111, after the one at 63 and 80; a limit of
+        # 61^2 x 94 digit-operations stops it before that pair
         monkeypatch.setattr(oppainleve, "_MAX_WORK", 61 * 61 * 94)
-        with pytest.raises(NonconvergenceError, match=r"by 94 digits; the next pair needs "
-                                                      r"5\.2e\+05 digit-operations "
-                                                      r"\(top\^2 x 141\)"):
+        with pytest.raises(NonconvergenceError, match=r"by the pair at 63 and 80 digits; the "
+                                                      r"next pair needs 4\.1e\+05 digit-operations "
+                                                      r"\(top\^2 x 111\)"):
             oppainleve._certified("plain", QParams(q=0.97, xi=0.7), 61)
 
     @pytest.mark.parametrize("variant, q, top", NEAR_SCALING)
@@ -563,7 +576,7 @@ class TestPainleveTrajectories:
     def test_n_max_past_guard_raises(self, fresh_engine, monkeypatch):
         # the one index guard is the engine's digit limit, before any run
         monkeypatch.setattr(oppainleve, "_szego", None)
-        with pytest.raises(NonconvergenceError, match="needs 36655 digits, past the limit"):
+        with pytest.raises(NonconvergenceError, match="needs 24454 digits, past the limit"):
             painleve_trajectory("x", "determinant", P, 400)
 
     def test_input_validation(self):
@@ -607,15 +620,21 @@ class TestLax:
             assert checks.lax_residual(params, "inversion", ns) < 1e-8
             assert checks.lax_residual(params, "det_k", ns) <= 1e-12
 
-    @pytest.mark.parametrize("kind, inverses", [("compatibility", 0), ("inversion", 100),
-                                                ("det_k", 0)])
-    def test_each_row_computes_its_own_kind(self, kind, inverses, monkeypatch):
-        # every Lax row once ran all three residuals; only inversion inverts
-        # T_n, at 5 probes, 10 indices and 2 variants
-        calls, inv = [], np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    @pytest.mark.parametrize("kind, want", [("compatibility", {"t": 200, "u": 200}),
+                                            ("inversion", {"t": 200}), ("det_k", {})])
+    def test_each_row_computes_its_own_kind(self, kind, want, monkeypatch):
+        # every Lax row once ran all three residuals; at 5 probes, 10 indices
+        # and 2 variants, compatibility evaluates T and U twice a probe and
+        # inversion T_n twice. No row inverts T_n: in binary64 that left
+        # 6.9e-7 of the identity at (0.3, 0.3), and the inversion row failed
+        calls = collections.Counter()
+        for name in ("t", "u"):
+            method = getattr(LaxMatrices, name)
+            monkeypatch.setattr(LaxMatrices, name, lambda self, z, name=name, method=method:
+                                calls.update([name]) or method(self, z))
+        monkeypatch.setattr(np.linalg, "inv", None)
         checks.lax_residual(P, kind, range(1, 11))
-        assert len(calls) == inverses
+        assert calls == want
 
     def test_t_pole_locations(self):
         seq_p = op_sequence("plain", P, 4)
@@ -641,9 +660,7 @@ class TestLax:
         z = 0.6 + 0.4j
         seq = op_sequence("plain", P, n + 2)
         m = lax_matrices(n, seq)
-        from qpart.qspecial import circle_weight
-
-        w = complex(circle_weight("I", P, np.array([z]))[0])
+        w = complex(product_weight("I", P, np.array([z]))[0])
 
         def psi(k):
             y = rhp_sample(k, z, P, "plain", 1.0)

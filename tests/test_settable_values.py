@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "qpart").glob("*.py"))
 SETTABLE = {"defaulted parameters": 7, "defaulted dataclass fields": 0,
             "add_argument calls": 11, "environment reads": 0}
-LINES = 2505  # of LIBRARY, as wc -l counts them
+LINES = 2490  # of LIBRARY, as wc -l counts them
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
