@@ -122,31 +122,68 @@ def negative_order_reflection(p: QParams, ns: Sequence[int]) -> float:
 
 
 def _log_qp_inf(x, q):
-    """log (x; q)_inf = -sum_{k>=1} x^k / (k (1 - q^k)) for mp 0 <= x < 1. The
-    terms fall at least by x each, so the sum stops once the tail bound
-    t x / (1 - x) past a term t is below the working precision. The product
-    needs about 1/(1 - q) factors, the series a few hundred terms."""
+    """log (x; q)_inf for mp 0 <= x < 1 and 0 <= q < 1, in whichever of two
+    forms is shorter; each takes about ln(eps) / ln(base) terms, so the one
+    with the smaller base. Both sum positive terms t (in the sign of -log)
+    until a bound of the tail past t is below the working precision:
+    - sum_{k>=0} -log1p(-x q^k), the product, base q: the term past t is
+      at most q t, so the tail at most t q / (1 - q); about 30 terms at
+      q = 0.3;
+    - sum_{k>=1} x^k / (k (1 - q^k)), base x: each term at least a factor x
+      below the one before, so the tail at most t x / (1 - x). Near q = 1
+      the product needs about 1/(1 - q) factors, the series a few hundred
+      terms.
+    NonconvergenceError after _MAX_TERMS terms, as where q and x are both
+    near 1."""
+    product = q < x
     total = mp.zero
     for k in range(1, qs._MAX_TERMS + 1):
-        term = x**k / (k * (1 - q**k))
+        if product:
+            term, base = -mp.log1p(-x * q ** (k - 1)), q
+        else:
+            term, base = x**k / (k * (1 - q**k)), x
         total -= term
-        if term * x <= mp.eps * (1 - x) * abs(total):
+        if term * base <= mp.eps * (1 - base) * abs(total):
             return total
-    raise qs.NonconvergenceError(f"log (x; q)_inf: {qs._MAX_TERMS} terms at x = {float(x)}")
+    raise qs.NonconvergenceError(f"log (x; q)_inf: {qs._MAX_TERMS} terms at x = {float(x)}, "
+                                 f"q = {float(q)}")
+
+
+def _phi_zeros(b, q, z):
+    """2phi1(0, 0; b; q, z) = sum_n a_n z^n, a_n = 1 / ((q;q)_n (b;q)_n), for
+    mp 0 <= z < 1. Summed directly (`_phi`) it takes about ln(eps) / ln(z)
+    terms. Where q < z, a_n is summed past its limit a_inf = 1 / ((q;q)_inf
+    (b;q)_inf) instead, in about ln(eps) / ln(q) terms: the sum is
+    a_inf / (1 - z) + sum_n (a_n - a_inf) z^n. a_n rises to a_inf and
+    misses the factors 1 - q^k, k > n, and 1 - b q^k, k >= n, of its
+    denominator, whose product is at least 1 - (q + b) q^n / (1 - q); so
+    a_n - a_inf <= a_inf (q + b) q^n / (1 - q), and the tail past n is at
+    most a_inf (q + b) q^{n+1} / (1 - q)^2."""
+    if q >= z:
+        return _phi([0, 0], [b], q, z)
+    a_inf = mp.exp(-_log_qp_inf(q, q) - _log_qp_inf(b, q))
+    total, a_n, z_n = a_inf / (1 - z), mp.one, mp.one
+    for n in range(qs._MAX_TERMS):
+        total += (a_n - a_inf) * z_n
+        if a_inf * (q + b) * q ** (n + 1) <= mp.eps * (1 - q) ** 2 * total:
+            return total
+        a_n /= (1 - q ** (n + 1)) * (1 - b * q**n)
+        z_n *= z
+    raise qs.NonconvergenceError(f"2phi1(0, 0; b; q, z): {qs._MAX_TERMS} terms at q = {float(q)}")
 
 
 def modified_bessel_relation(p: QParams, ns: Sequence[int]) -> float:
     """Largest relative |I2_n - (u^2; q)_inf I1_n| at 2u, u = xi, from Jackson's
     series: I1_n(2u) and I2_n(2u) are (q^{n+1};q)_inf / (q;q)_inf u^n times
-    2phi1(0, 0; q^{n+1}; q, u^2) and 0phi1(-; q^{n+1}; q, q^{n+1} u^2), in mp.
-    The common prefactor cancels, and 0phi1 >= 1."""
+    2phi1(0, 0; q^{n+1}; q, u^2) (`_phi_zeros`) and 0phi1(-; q^{n+1}; q,
+    q^{n+1} u^2), in mp. The common prefactor cancels, and 0phi1 >= 1."""
     with mp.workdps(_MP_DPS):
         q, u2 = mp.mpf(p.q), mp.mpf(p.xi) ** 2
         pref = mp.exp(_log_qp_inf(u2, q))
         dev = mp.zero
         for n in ns:
             b = q ** (n + 1)
-            i1, i2 = _phi([0, 0], [b], q, u2), _phi([], [b], q, b * u2)
+            i1, i2 = _phi_zeros(b, q, u2), _phi([], [b], q, b * u2)
             dev = max(dev, abs(i2 - pref * i1) / i2)
         return float(dev)
 

@@ -7,11 +7,14 @@ summed by length and by first part, so every N and both variants are a lookup.
 The enumeration route truncates at sizes <= `measures.ENUM_SIZE` and reads
 no tail bound; the mass it misses is the verify row `measures.norm_squared`.
 
-The Toeplitz route is exp(log Z_N - log M), log Z_N from the certified
-Szego recursion (`oppainleve.op_sequence`), so it does not overflow
-near q = 1. The Toeplitz determinants themselves, and the shifted ones the
-Painleve variables are built from, are read off that recursion: Z_N =
-exp(log Z_N) and Z_N^(1) = (-1)^N x_N Z_N.
+The Toeplitz route is P_N = Z_N / M, read off the certified Szego
+recursion (`oppainleve.op_sequence`), which forms it in decimal from its
+second run's log Z_N and E_N and the decimal log M
+(`qspecial._log_macmahon`) and rounds it once, so it neither overflows
+near q = 1 nor loses the digits of log M (566 at (0.97, 0.7)) to a float
+subtraction. The Toeplitz determinants themselves, and the shifted
+ones the Painleve variables are built from, are read off that recursion:
+Z_N = exp(log Z_N) and Z_N^(1) = (-1)^N x_N Z_N.
 
 The Fredholm route is det(1 - K) in Gram form, B B^T over a section B of
 the J_gen table (`_fredholm`), its log det from a QR: relative digits, and
@@ -41,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .kernels import _j_gen
 from .measures import ENUM_SIZE, _squared_table
 from .oppainleve import op_sequence
-from .qspecial import NonconvergenceError, QParams, log_macmahon
+from .qspecial import NonconvergenceError, QParams
 
 __all__ = ["GapQuery", "gap_probability"]
 
@@ -123,14 +126,14 @@ def _fredholm(params: QParams, N: int, first_part: bool) -> float:
 def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
     """P[l(lambda) <= N] or P[lambda_1 <= N] for the squared-type measure.
 
-    method "toeplitz": exp(log Z_N - log M(xi;q)) with the variant's symbol;
+    method "toeplitz": Z_N / M(xi;q) with the variant's symbol, the engine's
+      `OPSequence.gap`, within half an ulp and 1e-19 relative;
     method "fredholm": the kernel's Fredholm determinant, exp of `_fredholm`;
     method "enumeration": the sum over partitions up to ENUM_SIZE, a table lookup.
     """
     if method == "toeplitz":
         variant = "plain" if query.variant == "length" else "check"
-        log_z = op_sequence(variant, query.params, query.N).log_z[query.N]
-        return math.exp(log_z - log_macmahon(query.params))
+        return op_sequence(variant, query.params, query.N).gap[query.N]
     if method == "fredholm":
         return math.exp(_fredholm(query.params, query.N, query.variant == "first-part"))
     if method == "enumeration":

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import _j_gen
-from .qspecial import NonconvergenceError, QParams, _context
+from .qspecial import NonconvergenceError, QParams, _context, _log_macmahon
 
 __all__ = [
     "OPSequence",
@@ -81,7 +81,7 @@ _longest: dict[tuple[str, QParams], _Pair] = {}
 @dataclass(frozen=True)
 class OPSequence:
     """A certified Szego run, as _longest keeps it: x and kappa_sq for n <= top,
-    log_z for n <= top + 1, top at least max(n_max + 1, _SHARED_TOP)."""
+    log_z and gap for n <= top + 1, top at least max(n_max + 1, _SHARED_TOP)."""
 
     variant: str
     params: QParams
@@ -89,6 +89,7 @@ class OPSequence:
     x: tuple[float, ...]         # x_n = pi_n(0) = (-1)^n Z_n^{(1)} / Z_n
     kappa_sq: tuple[float, ...]  # kappa_n^2 = 1 / E_n = Z_n / Z_{n+1}
     log_z: tuple[float, ...]     # log Z_n, Z_n the n x n Toeplitz determinant
+    gap: tuple[float, ...]       # P_n = Z_n / M(xi; q), the gap probability (`_gaps`)
 
 
 @dataclass(frozen=True)
@@ -353,6 +354,23 @@ def _agree(lo: tuple, hi: tuple, ratio: Decimal) -> Decimal | None:
     return ratio
 
 
+def _gaps(log_z: Decimal, e: list, log_m: Decimal) -> list:
+    """P_k = Z_k / M(xi; q) for k = n, n + 1, .., rounded once to floats,
+    from a run's decimal log Z_n and its E_n, E_{n+1}, ..: P_n = exp(log Z_n
+    - log M), the difference first to 22 decimal places (0 <= log Z_n <=
+    log M, so 23 digits past log M's first do), since libmpdec reads every
+    digit of an exp's operand, and P_{k+1} = P_k E_k, E_k = Z_{k+1} / Z_k,
+    one exp per call. Exp and products run at 25 digits, so a run of up to
+    10^4 rows leaves each P_k within half a unit of its last bit and 1e-19
+    relative, past the errors of the two logs: 1e-21 log c_0 or _AGREE^2
+    (`_log_z`) and 1e-20 (`_log_macmahon`)."""
+    ctx = _context(25)
+    p = [_context(23 + max(0, log_m.adjusted())).subtract(log_z, log_m).exp(ctx)]
+    for v in e:
+        p.append(ctx.multiply(p[-1], v))
+    return [float(v) for v in p]
+
+
 def _float(v: Decimal) -> float:
     # an exact zero reads +0.0 (x_n = -0 / E_n where the symbol is 1), while
     # a value below the double range keeps its sign, as -0.0 if negative
@@ -373,7 +391,8 @@ def _settle(variant: str, params: QParams, c: list, dps: int, top: int,
             kept: _Pair | None) -> _Pair | None:
     """The _Pair of two runs over the moments c_0 .. c_top at dps and dps +
     _MARGIN digits, from the start or on from kept, if both ran and agree;
-    None if not. The second run alone takes logs, of its new E_n only."""
+    None if not. The second run alone takes logs, of its new E_n only, and
+    each new P_n = Z_n / M is rounded once from the decimals (`_gaps`)."""
     fine = dps + _MARGIN
     lo = _szego(c[: top + 1], dps, kept and kept.lo)
     hi = _szego(c[: top + 1], fine, kept and kept.hi)
@@ -382,13 +401,16 @@ def _settle(variant: str, params: QParams, c: list, dps: int, top: int,
         if not ratio:
             return None
         x, e, state = hi
-        run = kept.run if kept else OPSequence(variant, params, 0, (), (), (0.0,))  # log Z_0 = 0
+        gap = _gaps(kept.log_z if kept else Decimal(0), e, _log_macmahon(params))
+        # log Z_0 = 0 and P_0 = 1 / M
+        run = kept.run if kept else OPSequence(variant, params, 0, (), (), (0.0,), (gap[0],))
         log_z = _log_z(e, fine, top, kept.log_z if kept else Decimal(0),
                        run.log_z[1] if kept else None)
         run = OPSequence(variant=variant, params=params, dps=fine,
                          x=run.x + tuple(map(_float, x)),
                          kappa_sq=run.kappa_sq + tuple(_float(1 / v) for v in e),
-                         log_z=run.log_z + tuple(map(_float, log_z)))
+                         log_z=run.log_z + tuple(map(_float, log_z)),
+                         gap=run.gap + tuple(gap[1:]))
     return _Pair(run=run, dps=dps, c=c, lo=lo[2], hi=state, ratio=ratio, log_z=log_z[-1])
 
 
@@ -575,6 +597,38 @@ def _horner(coeffs: Sequence, zr: Decimal, zi: Decimal) -> tuple[Decimal, Decima
     return sr, si
 
 
+@lru_cache(maxsize=8)
+def _far_moments(variant: str, params: QParams, dps: int, top: int) -> list:
+    """The moments c_0 .. c_top at dps digits, for `rhp_sample`'s series
+    that reach past the run's own: summed once per point and length."""
+    with decimal.localcontext(_context(dps)):
+        return _moments(variant, top, Decimal(params.q), Decimal(params.xi))
+
+
+def _series_order(c: list, a: Decimal, q: Decimal, s: Decimal, n: int, e: int) -> int | None:
+    """The order K at which `rhp_sample` cuts a Cauchy series in s^k over
+    the moments c, for a polynomial of degree at most n: s = |z| inside
+    (e = 0) or 1/|z| outside (e = n). None if c is too short to show it.
+
+    The moments are positive, and term by term in their series (`_moments`)
+    c_{m+1} <= c_m a / (1 - q^{m+1}), a = xi sqrt(q), for either symbol. So
+    from m = L = K + 1 on they fall at least by rho = a / (1 - q^{L+1}), and
+    where rho s < 1 the terms past K, sum_j p_j c_{|k+n-j|} s^k, add to at
+    most c_L s^{L+e} max(1, rho)^n / (1 - rho s) times sum_j |p_j|. K is
+    the least order that puts this below _AGREE^2 c_0 sum_j |p_j|. Near
+    q = 1 the moments first fall far slower than a^m: at (0.999, 0.1),
+    n = 1, z = 2, K is 88, where (a/|z|)^K is below _AGREE^2 from K = 27."""
+    tol = Decimal(_AGREE) ** 2 * c[0]
+    q_l, s_l = q, s**e if e else Decimal(1)  # q^{L+1} and s^{L+e} as L runs from 1
+    for L in range(1, len(c)):
+        q_l *= q
+        s_l *= s
+        rho = a / (1 - q_l)
+        if rho * s < 1 and c[L] * s_l * max(1, rho) ** n <= tol * (1 - rho * s):
+            return L - 1
+    return None
+
+
 def rhp_sample(n: int, z: complex, params: QParams, variant: str, radius: float) -> np.ndarray:
     """The 2x2 Riemann-Hilbert matrix of the variant's weight w at z, on
     the side of the contour of the given radius that z is on:
@@ -584,9 +638,12 @@ def rhp_sample(n: int, z: complex, params: QParams, variant: str, radius: float)
     = sum_j P_j c_{|k+n-j|} the Fourier coefficients of f = u^{-n} P w in the
     moments c: the same for every contour between the poles a = xi sqrt(q)
     and 1/a. Each entry is formed in decimal at the run's digits, pi_n by
-    `_szego` over the run's moments or fresh ones where the series reach
-    further, and rounded once. Horner's rule sums a series until
-    (a |z|^{+-1})^k < _AGREE^2: at _AGREE, rhp_det read 2.5e-9 at (0.97, 0.7).
+    `_szego` over the run's moments or longer ones (`_far_moments`) where
+    the series reach further, and rounded once. Horner's rule sums each
+    series to the order of `_series_order`, which bounds its tail by
+    _AGREE^2 c_0 times the polynomial's coefficient sum; cut where
+    (a |z|^{+-1})^k fell below _AGREE^2, as if c_m fell like a^m from m = 0,
+    rhp_det read 3.2e-5 at (0.999, 0.1), where c_27 / c_0 = 10^-0.7.
     ValueError for z within 1e-12 relative of the contour or where
     a |z|^{+-1} >= 1; OverflowError where kappa_n^2 reads 0.0 (Y_n(0)_12 =
     E_n = 1/kappa_n^2) or an entry is past the double range.
@@ -604,11 +661,13 @@ def rhp_sample(n: int, z: complex, params: QParams, variant: str, radius: float)
     op = op_sequence(variant, params, n + 1)
     if not op.kappa_sq[n]:
         raise OverflowError(f"E_{n} = 1/kappa_{n}^2 is past the double range")
-    order = math.ceil(2 * math.log(_AGREE) / math.log(ratio)) if ratio else 0
     c = _longest[(variant, params)].c
     with decimal.localcontext(_context(op.dps)):
-        if len(c) <= n + order:
-            c = _moments(variant, n + order, Decimal(params.q), Decimal(params.xi))
+        a = Decimal(params.xi) * Decimal(params.q).sqrt()
+        s = Decimal(abs(z)) if inside else 1 / Decimal(abs(z))
+        while ((order := _series_order(c, a, Decimal(params.q), s, n, 0 if inside else n)) is None
+               or len(c) <= n + order):
+            c = _far_moments(variant, params, op.dps, 2 * len(c))
         prev = _szego(c[:n], op.dps, None)[2]  # (pi_{n-1}, E_{n-1})
         pi_n = _szego(c[: n + 1], op.dps, prev)[2][0]
         zr, zi = Decimal(z.real), Decimal(z.imag)

@@ -1,17 +1,20 @@
 """The parameter point and the modified MacMahon function.
 
 QParams, the decimal context the engines run in, and log M(xi; q), which
-the Toeplitz gap route and the squared measure's normalization read. The
-circle weights are read through their moments and coefficient tables
-(`oppainleve._moments`, `kernels._j_gen`); their log-sum evaluator, the
-plane-partition series and the mp q-series that check them live in
-`qpart.checks`, and the product form in the tests' `reference_fft`.
+the Szego engine's Toeplitz gap probabilities read in decimal and the
+squared measure's normalization as a float. The circle weights are read
+through their moments and coefficient tables (`oppainleve._moments`,
+`kernels._j_gen`); their log-sum evaluator, the plane-partition series
+and the mp q-series that check them live in `qpart.checks`, and the
+product form in the tests' `reference_fft`.
 
-The series here and in `kernels` and `checks` are geometric for q, xi in
-[0, 1), so binary64 with a tail tolerance is enough. The truncation is
-fixed, not a setting: a series stops once its tail is below _TAIL_TOL, the
-unit roundoff of binary64 (a tighter value changes no bit, a looser one
-only adds error), and raises NonconvergenceError after _MAX_TERMS terms.
+The float series in `kernels` and `checks` are geometric for q, xi in
+[0, 1), so binary64 with a tail tolerance is enough (log M is summed in
+decimal, as the engine subtracts it from its decimal log Z_N). Their
+truncation is fixed, not a setting: a series stops once its tail is below
+_TAIL_TOL, the unit roundoff of binary64 (a tighter value changes no bit,
+a looser one only adds error), and raises NonconvergenceError after
+_MAX_TERMS terms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 __all__ = [
@@ -29,6 +33,7 @@ __all__ = [
 
 _TAIL_TOL = 1e-16
 _MAX_TERMS = 10_000
+_LOG_M_DIGITS = 20  # log M's relative and absolute error is below 10^-this
 
 
 def _context(dps: int) -> decimal.Context:
@@ -65,20 +70,42 @@ class QParams:
 
 
 @lru_cache(maxsize=64)
-def log_macmahon(params: QParams) -> float:
+def _log_macmahon(params: QParams) -> Decimal:
     """log M(xi;q) = -sum_{n>=1} n log(1 - xi^2 q^n)
-    = sum_{n>=1} xi^{2n} / (n (2 sinh(n log q / 2))^2).
+    = sum_{n>=1} r^n / (n (1 - q^n)^2), r = xi^2 q, in decimal, within
+    10^-_LOG_M_DIGITS relative and absolute: the one log-M series, which
+    the Szego engine subtracts from its decimal log Z_N and whose float is
+    `log_macmahon`. Cached per point.
 
-    Near q = 1 the product needs O(1/(1-q)) factors, the series a handful of
-    terms. These are positive, each at most xi^2 q times the one before, so
-    math.fsum adds them once the tail bound t xi^2 q / (1 - xi^2 q) past a
-    term t is below _TAIL_TOL times the first. At q = 0 all terms are 0.
-    Cached per point, as the Toeplitz gap route asks it once per N."""
-    half_log_q = 0.5 * math.log(params.q) if params.q else -math.inf
-    ratio = params.xi**2 * params.q
-    terms = []
-    for n in range(1, _MAX_TERMS + 1):
-        terms.append(params.xi ** (2 * n) / (n * (2.0 * math.sinh(n * half_log_q))**2))
-        if terms[-1] * ratio <= _TAIL_TOL * (1.0 - ratio) * terms[0]:
-            return math.fsum(terms)
+    1 - q^n is formed as (1 - q) s_n, s_n = 1 + q s_{n-1} = sum_{j<n} q^j,
+    so nothing cancels near q = 1; every term and partial sum is positive.
+    Term n + 1 is at most r times term n, so the tail past a term t is at
+    most t r / (1 - r), and so is log M past the first, U. The series runs
+    at D + 6 digits, D = _LOG_M_DIGITS + ceil(log10 max(U, 1)), until that
+    tail is below 10^-(D + 6) of the sum: a term n carries at most 5n + 9
+    roundings, the sum one more per term, and 6 _MAX_TERMS + 9 half units of
+    10^-(D + 5) are below 10^-D. Near q = 1 the product needs O(1/(1-q))
+    factors, the series a few dozen terms (79 at (0.97, 0.7)). At q = 0 or
+    xi = 0 all terms are 0. NonconvergenceError after _MAX_TERMS terms."""
+    r_float = params.xi**2 * params.q
+    bound = r_float / ((1.0 - params.q) ** 2 * (1.0 - r_float))  # U
+    digits = _LOG_M_DIGITS + math.ceil(math.log10(max(bound, 1.0)))
+    with decimal.localcontext(_context(digits + 6)):
+        q, xi = Decimal(params.q), Decimal(params.xi)
+        r, scale = xi * xi * q, (1 - q) ** 2
+        tol = Decimal(1).scaleb(-digits - 6) * (1 - r)
+        r_n, s_n, total = r, Decimal(1), Decimal(0)
+        for n in range(1, _MAX_TERMS + 1):
+            term = r_n / (n * scale * s_n * s_n)
+            total += term
+            if term * r <= tol * total:
+                return total
+            r_n *= r
+            s_n = 1 + q * s_n
     raise NonconvergenceError(f"log_macmahon: {_MAX_TERMS} terms at {params}")
+
+
+def log_macmahon(params: QParams) -> float:
+    """log M(xi;q), the float of `_log_macmahon`, correctly rounded but for
+    ties: the normalization of the squared-type measure."""
+    return float(_log_macmahon(params))

@@ -6,8 +6,9 @@ pinned, not the value: the bits are pinned at two points by
 `test_painleve_suite_is_pinned`, and a value near its tolerance would make
 this test depend on the BLAS build. A row that starts to pass fails the
 test as much as one that stops, so a mend shows in the diff of ATLAS. The
-grid is the twelve points of ROADMAP's net-state table; all twelve take
-about 6 s in one process, 1.5 s of it at (0.998, 0.5).
+grid is the twelve points of ROADMAP's net-state table and two of its
+corners; all fourteen take about 7 s in one process, 1.7 s of it at
+(0.998, 0.5).
 """
 
 import pytest
@@ -17,9 +18,9 @@ from qpart.qspecial import QParams
 
 _ROUTES = {"gap.toeplitz_vs_enumeration": "fail", "gap.toeplitz_vs_fredholm": "fail"}
 _NORMS = {"measures.norm_mixed": "fail", "measures.norm_squared": "fail"}
-# the rows that fail from (0.97, 0.9) to (0.998, 0.5)
-_NEAR_ONE = {"gap.z_infinity": "fail", **_NORMS,
-             "painleve.rhp_jump": "fail", "painleve.rhp_value_at_zero": "fail"}
+# the rows that fail from (0.97, 0.9) to (0.998, 0.5); rhp_jump fails at
+# (0.97, 0.9) alone since the sample's series are cut by the moments' decay
+_NEAR_ONE = {"gap.z_infinity": "fail", **_NORMS, "painleve.rhp_value_at_zero": "fail"}
 
 ATLAS = {
     (0.1, 0.3): {"painleve.lax_inversion": "fail"},
@@ -30,7 +31,7 @@ ATLAS = {
     (0.9, 0.9): {**_ROUTES, **_NORMS},
     (0.97, 0.7): {**_ROUTES, **_NORMS, "gap.z_infinity": "fail",
                   "painleve.rhp_value_at_zero": "fail"},
-    (0.97, 0.9): {**_ROUTES, **_NEAR_ONE},
+    (0.97, 0.9): {**_ROUTES, **_NEAR_ONE, "painleve.rhp_jump": "fail"},
     # false passes: both route rows read 0.0 at the next three points, and
     # toeplitz_vs_enumeration at (0.9999, 0.5), since every gap route there
     # returns 0.0 (ROADMAP item 10)
@@ -45,6 +46,12 @@ ATLAS = {
                     "special.gen_fn_coefficients": "null",
                     "special.modified_bessel_relation": "null",
                     "special.negative_order_reflection": "null"},
+    # modified_bessel_relation read null at x = xi^2 = 0.998, where the
+    # series in x of log (x; q)_inf and the direct 2phi1 ran out of terms
+    (0.3, 0.999): {},
+    # rhp_det read 3.2e-5 with the series cut as if c_m fell like a^m; the
+    # route rows read 0.0 here too, false passes
+    (0.999, 0.1): {"gap.z_infinity": "fail", **_NORMS},
 }
 
 

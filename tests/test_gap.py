@@ -176,16 +176,47 @@ def fresh_factors():
 
 def _mp_gap_reference(variant, q, xi, n_top):
     """P_N = det T_N / M(xi;q), N <= n_top, from moments summed term by term
-    and mp.det at 60 digits, as tests/test_oppainleve.py builds its reference."""
+    and mp.det at 60 digits, as tests/test_oppainleve.py builds its reference.
+    At (0.97, 0.7) it agrees with the same at 120 digits to 5e-43."""
     symbol = "plain" if variant == "length" else "check"
     with mp.workdps(60):
         mq, mxi = mp.mpf(q), mp.mpf(xi)
         c = [_series_moment(symbol, mq, mxi, m) for m in range(n_top)]
-        # terms past n = 2000 are below 1e-80 for q <= 0.9
-        log_m = -mp.fsum(n * mp.log(1 - mxi * mxi * mq**n) for n in range(1, 2000))
+        # the factors past q^n = 1e-80 are left out
+        log_m = -mp.fsum(n * mp.log(1 - mxi * mxi * mq**n)
+                         for n in range(1, math.ceil(80 * math.log(10) / -math.log(q))))
         z = [mp.mpf(1)] + [mp.det(mp.matrix([[c[abs(j - i)] for j in range(n)] for i in range(n)]))
                            for n in range(1, n_top + 1)]
         return [float(v / mp.exp(log_m)) for v in z]
+
+
+class TestToeplitzDigits:
+    @pytest.mark.parametrize("q, xi", [(0.5, 0.3), (0.9, 0.5), (0.97, 0.7)])
+    @pytest.mark.parametrize("variant", GAP_VARIANTS)
+    def test_within_two_ulp_of_the_mp_reference(self, variant, q, xi):
+        # exp of float log Z_N - float log M was up to 604 ulp off at
+        # (0.97, 0.7), where log M = 566, and 16 ulp at (0.9, 0.5)
+        want = _mp_gap_reference(variant, q, xi, 10)
+        got = [gap_probability(GapQuery(variant, n, QParams(q=q, xi=xi))) for n in range(11)]
+        assert max(abs(g - w) / math.ulp(w) for g, w in zip(got, want)) <= 2.0
+
+    def test_one_past_the_edge_near_q_one(self):
+        # at (0.99, 0.7) the float subtraction returned 1.0000000000009095 at
+        # N = 135, 165 and 200, where log P is -3.3e-23, -2.7e-60 and -2.3e-118,
+        # and P - 1 = -4.129e-10 at N = 120 for -4.144e-10
+        p = QParams(q=0.99, xi=0.7)
+        for n in (135, 165, 200):
+            assert gap_probability(GapQuery("length", n, p)) == 1.0
+        # log P_N = sum_{k>N} (k - N) log(1 - x_k^2), in mp at 60 digits over
+        # the run's x_k, each within half an ulp: a value of P_120 within
+        # 1e-25 that never forms log M
+        x = op_sequence("plain", p, 200).x
+        with mp.workdps(60):
+            want = mp.exp(mp.fsum((k - 120) * mp.log1p(-mp.mpf(x[k]) ** 2)
+                                  for k in range(121, len(x))))
+        got = gap_probability(GapQuery("length", 120, p))
+        assert abs(got - want) <= math.ulp(got)
+        assert got - 1.0 == pytest.approx(-4.144e-10, rel=1e-3)
 
 
 class TestFredholmWindow:

@@ -781,6 +781,33 @@ class TestRHP:
                             complex(-cauchy(prev[::-1], n, mp.mpc(z)) / e_prev)]
                     assert [y[0, 1], y[1, 1]] == pytest.approx(want, rel=2.0**-52)
 
+    @pytest.mark.parametrize("q, xi", [(0.999, 0.1), (0.999, 0.3)])
+    @pytest.mark.parametrize("variant", ["plain", "check"])
+    def test_series_reach_the_slow_moments(self, variant, q, xi):
+        # cut where (a |z|^{+-1})^k fell below 1e-34, as if c_m fell like a^m
+        # from m = 0, the series left det Y_n(2) - 1 at 3.2e-5 (0.999, 0.1)
+        # and 3.1e-8 (0.999, 0.3), plain, and 5.5e-7 at 0.3 + 0.2i (0.999,
+        # 0.1); cut by the moments' tail bound, the largest reads 3.3e-16
+        params = QParams(q=q, xi=xi)
+        for z in (2.0 + 0.0j, 0.3 + 0.2j):
+            dets = [np.linalg.det(rhp_sample(n, z, params, variant, 1.0)) for n in range(1, 9)]
+            assert max(abs(d - 1.0) for d in dets) <= 1e-15
+
+    def test_series_order_bounds_the_tail(self):
+        # at (0.999, 0.1), n = 1, z = 2: c_27 / c_0 = 10^-0.7, and the order
+        # that a^k alone gave was 27
+        with decimal.localcontext(oppainleve._context(60)):
+            q, xi = Decimal(0.999), Decimal(0.1)
+            a = xi * q.sqrt()
+            c = oppainleve._moments("plain", 200, q, xi)
+            order = oppainleve._series_order(c, a, q, Decimal(0.5), 1, 1)
+            assert order == 88
+            assert oppainleve._series_order(c[:order + 1], a, q, Decimal(0.5), 1, 1) is None
+            assert c[27] / c[0] > Decimal("0.1")
+            # past the order, every moment within the bound: c_m <= c_L rho^(m - L)
+            rho = a / (1 - q ** (order + 2))
+            assert all(c[m] <= c[order + 1] * rho ** (m - order - 1) for m in range(order + 1, 201))
+
     def test_rows_pass_near_q_one(self):
         # both failed on the quadrature: rhp_det read 2.5e-8 at (0.99, 0.7)
         # and rhp_jump 1.3e6 at (0.97, 0.7)
