@@ -127,13 +127,17 @@ def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
     """P[l(lambda) <= N] or P[lambda_1 <= N] for the squared-type measure.
 
     method "toeplitz": Z_N / M(xi;q) with the variant's symbol, the engine's
-      `OPSequence.gap`, within half an ulp and 1e-19 relative;
+      `OPSequence.gap`, faithfully rounded while log c_0 < 1e4 (`_gaps`);
+      NonconvergenceError where log M does not converge;
     method "fredholm": the kernel's Fredholm determinant, exp of `_fredholm`;
     method "enumeration": the sum over partitions up to ENUM_SIZE, a table lookup.
     """
     if method == "toeplitz":
         variant = "plain" if query.variant == "length" else "check"
-        return op_sequence(variant, query.params, query.N).gap[query.N]
+        p = op_sequence(variant, query.params, query.N).gap[query.N]
+        if math.isnan(p):
+            raise NonconvergenceError(f"log_macmahon did not converge at {query.params}")
+        return p
     if method == "fredholm":
         return math.exp(_fredholm(query.params, query.N, query.variant == "first-part"))
     if method == "enumeration":

@@ -89,7 +89,7 @@ class OPSequence:
     x: tuple[float, ...]         # x_n = pi_n(0) = (-1)^n Z_n^{(1)} / Z_n
     kappa_sq: tuple[float, ...]  # kappa_n^2 = 1 / E_n = Z_n / Z_{n+1}
     log_z: tuple[float, ...]     # log Z_n, Z_n the n x n Toeplitz determinant
-    gap: tuple[float, ...]       # P_n = Z_n / M(xi; q), the gap probability (`_gaps`)
+    gap: tuple[float, ...]       # P_n = Z_n / M(xi; q) (`_gaps`), nan where log M refuses
 
 
 @dataclass(frozen=True)
@@ -355,15 +355,18 @@ def _agree(lo: tuple, hi: tuple, ratio: Decimal) -> Decimal | None:
 
 
 def _gaps(log_z: Decimal, e: list, log_m: Decimal) -> list:
-    """P_k = Z_k / M(xi; q) for k = n, n + 1, .., rounded once to floats,
+    """P_k = Z_k / M(xi; q) for k = n, n + 1, .., each rounded to a float,
     from a run's decimal log Z_n and its E_n, E_{n+1}, ..: P_n = exp(log Z_n
     - log M), the difference first to 22 decimal places (0 <= log Z_n <=
     log M, so 23 digits past log M's first do), since libmpdec reads every
     digit of an exp's operand, and P_{k+1} = P_k E_k, E_k = Z_{k+1} / Z_k,
-    one exp per call. Exp and products run at 25 digits, so a run of up to
-    10^4 rows leaves each P_k within half a unit of its last bit and 1e-19
-    relative, past the errors of the two logs: 1e-21 log c_0 or _AGREE^2
-    (`_log_z`) and 1e-20 (`_log_macmahon`)."""
+    one exp per call. Before the float, P_k is within the absolute errors
+    of log Z_n, at most 2 max(_AGREE^2, 1e-21 log c_0) (`_log_z`; a
+    continued run adds one), and of log M, 1e-20 (`_log_macmahon`), plus
+    1e-22 + (k - n + 1) 1e-24, relative: the rounding of the difference and
+    one per product at 25 digits. That is below 2^-54 while log c_0 is below
+    1e4 and a run has fewer than 10^4 rows, so the float is faithfully
+    rounded, within an ulp of P_k, but not always correctly rounded."""
     ctx = _context(25)
     p = [_context(23 + max(0, log_m.adjusted())).subtract(log_z, log_m).exp(ctx)]
     for v in e:
@@ -392,7 +395,8 @@ def _settle(variant: str, params: QParams, c: list, dps: int, top: int,
     """The _Pair of two runs over the moments c_0 .. c_top at dps and dps +
     _MARGIN digits, from the start or on from kept, if both ran and agree;
     None if not. The second run alone takes logs, of its new E_n only, and
-    each new P_n = Z_n / M is rounded once from the decimals (`_gaps`)."""
+    each new P_n = Z_n / M is rounded once from the decimals (`_gaps`), nan
+    where log M does not converge."""
     fine = dps + _MARGIN
     lo = _szego(c[: top + 1], dps, kept and kept.lo)
     hi = _szego(c[: top + 1], fine, kept and kept.hi)
@@ -401,7 +405,10 @@ def _settle(variant: str, params: QParams, c: list, dps: int, top: int,
         if not ratio:
             return None
         x, e, state = hi
-        gap = _gaps(kept.log_z if kept else Decimal(0), e, _log_macmahon(params))
+        try:
+            gap = _gaps(kept.log_z if kept else Decimal(0), e, _log_macmahon(params))
+        except NonconvergenceError:  # x, kappa_sq and log_z do not read M
+            gap = [math.nan] * (len(e) + 1)
         # log Z_0 = 0 and P_0 = 1 / M
         run = kept.run if kept else OPSequence(variant, params, 0, (), (), (0.0,), (gap[0],))
         log_z = _log_z(e, fine, top, kept.log_z if kept else Decimal(0),

@@ -80,26 +80,41 @@ def _log_macmahon(params: QParams) -> Decimal:
     1 - q^n is formed as (1 - q) s_n, s_n = 1 + q s_{n-1} = sum_{j<n} q^j,
     so nothing cancels near q = 1; every term and partial sum is positive.
     Term n + 1 is at most r times term n, so the tail past a term t is at
-    most t r / (1 - r), and so is log M past the first, U. The series runs
-    at D + 6 digits, D = _LOG_M_DIGITS + ceil(log10 max(U, 1)), until that
-    tail is below 10^-(D + 6) of the sum: a term n carries at most 5n + 9
-    roundings, the sum one more per term, and 6 _MAX_TERMS + 9 half units of
-    10^-(D + 5) are below 10^-D. Near q = 1 the product needs O(1/(1-q))
-    factors, the series a few dozen terms (79 at (0.97, 0.7)). At q = 0 or
-    xi = 0 all terms are 0. NonconvergenceError after _MAX_TERMS terms."""
+    most t r / (1 - r), and so is log M past the first, U. With D =
+    _LOG_M_DIGITS + ceil(log10 max(U, 1)), the series runs until that tail
+    is below 10^-(D + 6) of the sum. Near q = 1 the product needs
+    O(1/(1-q)) factors, the series a few dozen terms (79 at (0.97, 0.7)).
+    At q = 0 or xi = 0 all terms are 0.
+
+    The float sum this replaced stopped at the first term t with
+    t r <= _TAIL_TOL (1 - r) t_1 and refused past _MAX_TERMS terms. This
+    stop is at most D - 10 decades further down, and terms fall at least by
+    r, so it comes at most m = ceil((D - 10) ln 10 / -ln r) terms after
+    that one: NonconvergenceError where the float stop is not reached in
+    _MAX_TERMS terms, and no sooner (17,510 terms may run at (0.995,
+    0.9999)). A term n carries at most 5n + 9 roundings and the sum one
+    more per term, so B = _MAX_TERMS + m terms carry at most 6B + 9 half
+    units of 10^-(w - 1) at w digits, below 10^-D where w = D + 1 + the
+    digit count of 3B + 5 (D + 6 up to B = 33,331)."""
     r_float = params.xi**2 * params.q
     bound = r_float / ((1.0 - params.q) ** 2 * (1.0 - r_float))  # U
     digits = _LOG_M_DIGITS + math.ceil(math.log10(max(bound, 1.0)))
-    with decimal.localcontext(_context(digits + 6)):
+    past = math.ceil((digits - 10) * math.log(10) / -math.log(r_float)) if r_float else 0  # m
+    terms = _MAX_TERMS + past  # B
+    with decimal.localcontext(_context(digits + 1 + len(str(3 * terms + 5)))):
         q, xi = Decimal(params.q), Decimal(params.xi)
         r, scale = xi * xi * q, (1 - q) ** 2
         tol = Decimal(1).scaleb(-digits - 6) * (1 - r)
         r_n, s_n, total = r, Decimal(1), Decimal(0)
-        for n in range(1, _MAX_TERMS + 1):
+        for n in range(1, terms + 1):
             term = r_n / (n * scale * s_n * s_n)
             total += term
             if term * r <= tol * total:
                 return total
+            if n == 1:
+                float_stop = Decimal(_TAIL_TOL) * (1 - r) * term
+            elif n == _MAX_TERMS and term * r > float_stop:
+                break
             r_n *= r
             s_n = 1 + q * s_n
     raise NonconvergenceError(f"log_macmahon: {_MAX_TERMS} terms at {params}")

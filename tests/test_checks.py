@@ -191,17 +191,26 @@ def test_circle_weight_matches_the_product_form(q, xi):
 
 
 def test_circle_weight_reaches_past_the_product_limit():
-    # the product of up to 10,000 factors refused at (0.998, 0.5), and the
-    # jump row read null; the log-sum takes a few dozen terms, and the row
-    # reads the jump's residual. That was 8.1e244 while the sample's series
-    # stopped short of the moments' decay; it reads 0.0 now, the jump term
-    # (6.9e164 at n = 3) being below the last bit of the entries (1.5e243)
+    # the product of up to 10,000 factors refused at (0.998, 0.5), where the
+    # log-sum takes a few dozen terms. The row still does not pass: the jump
+    # term (6.9e164 at n = 3) is below the last bit of the entries (1.5e243),
+    # so no probe checks the jump and the row reads null, where it read 0.0
+    # once the sample's series were summed to their last bit
     p = QParams(q=0.998, xi=0.5)
     with pytest.raises(NonconvergenceError):
         product_weight("I", p, np.array([1j]))
     assert checks.circle_weight("I", p, 0.7) > 1e150
     row = _check("painleve.rhp_jump").report(p)
-    assert isinstance(row["measured"], float)
+    assert row["measured"] is None and not row["pass"]
+
+
+def test_rhp_jump_skips_probes_below_the_entries_last_bit():
+    # at (0.97, 0.7) the n = 5 check probe's jump term, 7.6e-7, is below the
+    # last bit of its entries (4.1e9), the n = 3 plain probe's is not
+    p = QParams(q=0.97, xi=0.7)
+    assert checks.rhp_jump(p, [(5, 2.1, "check")]) is None
+    assert checks.rhp_jump(p, [(3, 0.7, "plain"), (5, 2.1, "check")]) == checks.rhp_jump(
+        p, [(3, 0.7, "plain")]) <= 1e-6
 
 
 def test_circle_weight_is_one_where_u_is_zero():

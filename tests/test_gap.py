@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from qpart import gap
+from qpart import gap, oppainleve
 from qpart.gap import GAP_VARIANTS, METHODS, GapQuery, gap_probability
 from qpart.kernels import _j_gen
 from qpart.measures import ENUM_SIZE, QPPSquared, _squared_table, measure
@@ -217,6 +217,22 @@ class TestToeplitzDigits:
         got = gap_probability(GapQuery("length", 120, p))
         assert abs(got - want) <= math.ulp(got)
         assert got - 1.0 == pytest.approx(-4.144e-10, rel=1e-3)
+
+    def test_engine_runs_where_log_m_refuses(self, fresh_engine, monkeypatch):
+        # x, kappa_sq and log_z do not read M: a log-M refusal leaves them
+        # bit for bit and the gaps nan, and only the route raises
+        want = op_sequence("plain", P, 10)
+        oppainleve._longest.clear()
+        op_sequence.cache_clear()
+
+        def refuse(params):
+            raise NonconvergenceError("log_macmahon: 10000 terms")
+        monkeypatch.setattr(oppainleve, "_log_macmahon", refuse)
+        got = op_sequence("plain", P, 10)
+        assert repr((got.x, got.kappa_sq, got.log_z)) == repr((want.x, want.kappa_sq, want.log_z))
+        assert all(math.isnan(v) for v in got.gap)
+        with pytest.raises(NonconvergenceError, match="log_macmahon"):
+            gap_probability(GapQuery("length", 5, P))
 
 
 class TestFredholmWindow:

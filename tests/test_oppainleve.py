@@ -99,6 +99,12 @@ class TestOPSequence:
             lhs = math.exp(seq.log_z[n + 1] + seq.log_z[n - 1] - 2 * seq.log_z[n])
             assert lhs == pytest.approx(1.0 - seq.x[n] ** 2, rel=1e-11)
 
+    def test_runs_where_log_m_sums_past_ten_thousand_terms(self, fresh_engine):
+        # every run forms its gaps from log M, which at r = xi^2 q = 0.9948
+        # sums about 12,000 terms; it refused at 10,000, and with it the run
+        seq = op_sequence("plain", QParams(q=0.995, xi=0.9999), 5)
+        assert len(seq.x) > 5 and all(0.0 <= v <= 1.0 for v in seq.gap)
+
     def test_guard(self):
         with pytest.raises(ValueError):
             op_sequence("plain", P, -1)

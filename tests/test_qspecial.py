@@ -109,6 +109,21 @@ class TestMacmahon:
             got = log_macmahon(QParams(q=q, xi=xi))
             assert got == pytest.approx(float(want), rel=rel, abs=0)
 
+    def test_log_where_r_is_near_one(self):
+        # r = xi^2 q = 0.9948: the float sum stopped 1e-16 below its first
+        # term after about 4,450 terms, the decimal one 33 digits down needs
+        # about 12,000, past the 10,000 it was first given; both forms
+        # summed in mpmath to 1e-35
+        q, xi = 0.995, 0.9999
+        with mpmath.workdps(40):
+            mq, r = mpmath.mpf(q), mpmath.mpf(xi) ** 2 * mpmath.mpf(q)
+            want, n, term = mpmath.mpf(0), 0, mpmath.mpf(1)
+            while term > mpmath.mpf(10) ** -35 * want:
+                n += 1
+                term = r**n / (n * (1 - mq**n) ** 2)
+                want += term
+        assert log_macmahon(QParams(q=q, xi=xi)) == pytest.approx(float(want), rel=2.0**-52)
+
     def test_series_coefficients(self):
         assert [checks.macmahon_series_coefficient(k) for k in range(4)] == [1, 1, 3, 6]
 

@@ -95,7 +95,8 @@ class TestReachedRefusals:
             oppainleve.rhp_sample(2, 1e200 + 0j, P, "plain", 1.0)
 
     def test_log_macmahon_term_limit(self):
-        # terms fall by xi^2 q = 0.9987 each: about 62,000 to 35 digits
+        # terms fall by xi^2 q = 0.9987 each: the float stop, 1e-16 below
+        # the first term, is not reached in 10,000 of them
         with pytest.raises(NonconvergenceError, match="log_macmahon: 10000 terms"):
             log_macmahon(QParams(q=0.999, xi=0.9999))
 
