@@ -5,7 +5,7 @@ sweeps and returns the measured residual (the yes/no monotonicity checks
 return 0.0 or 1.0). It builds the paper's objects from the library and makes
 the whole comparison itself. `CHECKS` is the verify table in output order.
 The acceptance tests call the same functions on their own grids. The norm
-rows and `toeplitz_vs_enumeration` sum to the enumeration gap route's one
+rows and `gap.toeplitz_vs_enumeration` sum to the enumeration gap route's one
 cutoff, `measures.ENUM_SIZE`, so verify, `gap-table` and the route read one
 hook-count table. The references that no route reads live here, beside
 their one reader: the plane-partition series of `macmahon_coeffs` and the
@@ -256,9 +256,9 @@ def kernel_symmetry(p: QParams, ks: Sequence[int]) -> float:
 
 
 def edge_constants(p: QParams) -> float:
-    """Deviation of the limit shape's alpha0, beta0 from -2 log(1 - xi), xi/(1 - xi)^2."""
+    """Deviation of the limit shape's edge b, beta0 from -2 log(1 - xi), xi/(1 - xi)^2."""
     shape = kernels.limit_shape(p.xi)
-    return max(abs(shape.alpha0 + 2.0 * math.log(1.0 - p.xi)),
+    return max(abs(shape.b + 2.0 * math.log(1.0 - p.xi)),
                abs(shape.beta0 - p.xi / (1.0 - p.xi) ** 2))
 
 
@@ -270,8 +270,10 @@ def airy_diagonal(x: float) -> float:
 
 def _route_difference(p: QParams, method: str, ns: Sequence[int]) -> float:
     """Largest |a - b| / max(|a|, |b|) of the Toeplitz route a and the method's
-    b, over both variants and N in ns. Relative, so that two tiny values that
-    differ in every digit do not pass: near q = 1 both are below 1e-160."""
+    b, over both variants and N in ns: "fredholm", the kernel's determinant in
+    Gram form, or "enumeration", the partition sum to measures.ENUM_SIZE.
+    Relative, so that two tiny values that differ in every digit do not
+    pass: near q = 1 both are below 1e-160."""
     dev = 0.0
     for variant in gap.GAP_VARIANTS:
         for n in ns:
@@ -281,28 +283,15 @@ def _route_difference(p: QParams, method: str, ns: Sequence[int]) -> float:
     return dev
 
 
-def toeplitz_vs_fredholm(p: QParams, ns: Sequence[int]) -> float:
-    """The relative difference of the Toeplitz and Fredholm routes: the
-    symbol's Toeplitz determinant against the kernel's Fredholm determinant
-    in Gram form."""
-    return _route_difference(p, "fredholm", ns)
-
-
-def toeplitz_vs_enumeration(p: QParams, ns: Sequence[int]) -> float:
-    """The relative difference of the Toeplitz route and the partition sum to
-    measures.ENUM_SIZE."""
-    return _route_difference(p, "enumeration", ns)
-
-
 def z_infinity(p: QParams, n: int) -> float:
     """|Z_n / M - 1|: the length gap probability at N = n against 1."""
-    return abs(gap.gap_probability(gap.GapQuery("length", n, p)) - 1.0)
+    return abs(gap.gap_probability(gap.GapQuery("length", n, p), "toeplitz") - 1.0)
 
 
 def gap_monotone(p: QParams, variant: str, n_max: int) -> float:
-    """0.0 if the gap probabilities for N <= n_max are nondecreasing up to
-    1e-13, else 1.0."""
-    vals = [gap.gap_probability(gap.GapQuery(variant, n, p)) for n in range(n_max + 1)]
+    """0.0 if the Toeplitz route's gap probabilities for N <= n_max are
+    nondecreasing up to 1e-13, else 1.0."""
+    vals = [gap.gap_probability(gap.GapQuery(variant, n, p), "toeplitz") for n in range(n_max + 1)]
     return 0.0 if all(b >= a - 1e-13 for a, b in zip(vals, vals[1:])) else 1.0
 
 
@@ -464,19 +453,16 @@ class Check:
 
     def report(self, p: QParams) -> dict:
         """The verify row at p; it passes when |measured| <= tolerance. A
-        series that does not converge, a division that p makes singular or a
-        float that overflows there fails the row, with measured None, and
-        stderr names the row and the cause in the CLI's words; so does a
-        function that returns None, having nothing to measure at p."""
+        refusal of `qspecial.REFUSALS` at p (a series that does not converge,
+        a division that p makes singular, a float that overflows there) fails
+        the row, with measured None, and stderr names the row and the refusal
+        in its words; so does a function returning None, with nothing to measure."""
         try:
             measured = self.fn(*(p if a is POINT else a for a in self.args))
             if measured is None:
                 print(f"qpart: {self.check_id}: nothing to measure at this point", file=sys.stderr)
-        except (qs.NonconvergenceError, ZeroDivisionError, OverflowError) as exc:
-            why = ("did not converge" if isinstance(exc, qs.NonconvergenceError) else
-                   "singular at this point" if isinstance(exc, ZeroDivisionError) else
-                   "overflow at this point")
-            print(f"qpart: {self.check_id}: {why}: {exc}", file=sys.stderr)
+        except tuple(qs.REFUSALS) as exc:
+            print(f"qpart: {self.check_id}: {qs.refusal(exc)}: {exc}", file=sys.stderr)
             measured = None
         return {"check_id": self.check_id, "paper_ref": self.paper_ref,
                 "measured": measured, "tolerance": self.tolerance,
@@ -493,10 +479,10 @@ CHECKS = (
     Check("gap.monotone_length", _MONOTONE, 0.0, gap_monotone, (POINT, "length", 10)),
     Check("gap.toeplitz_vs_enumeration",
           "determinant route equals the direct partition sum",
-          1e-6, toeplitz_vs_enumeration, (POINT, range(5))),
+          1e-6, _route_difference, (POINT, "enumeration", range(5))),
     Check("gap.toeplitz_vs_fredholm",
           "determinant of the symbol matrix equals the kernel determinant",
-          1e-10, toeplitz_vs_fredholm, (POINT, range(5))),
+          1e-10, _route_difference, (POINT, "fredholm", range(5))),
     Check("gap.z_infinity", "Z_N approaches the squared-type normalization",
           1e-10, z_infinity, (POINT, 30)),
     Check("kernels.airy_diagonal", "K_Airy(0,0) = Ai'(0)^2", 1e-14, airy_diagonal, (0.0,)),

@@ -9,11 +9,11 @@ comparison it reports is computed, and mpmath. A `painleve` row has no
 residual (null) below the floor of `oppainleve.recurrence_residuals`.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parameter
-error, a series, grid or precision that did not converge, a division
-that is singular at the given (q, xi), a float that overflows there, or
-an output file that cannot be written. A `verify` row whose own series
-does not converge, or that the point makes singular or overflow, is a
-failed check: it reads measured null, stderr names it, and every other
+error, an output file that cannot be written, or one of the refusals of
+`qspecial.REFUSALS`: a series, grid or precision that does not converge,
+a division singular at the given (q, xi), a float that overflows there.
+A `verify` row that the point so refuses is a failed check: it reads
+measured null, stderr names it in the refusal's words, and every other
 row is still reported. So does a recurrence row with every v_n below the
 floor, which has nothing to measure. Output is deterministic.
 """
@@ -29,7 +29,7 @@ import sys
 from . import gap as gap_mod
 from . import kernels as kern_mod
 from . import oppainleve as op_mod
-from .qspecial import NonconvergenceError, QParams
+from .qspecial import REFUSALS, QParams, refusal
 
 SUITES = ("special", "measures", "kernels", "gap", "painleve", "all")
 
@@ -165,12 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, QParams(q=args.q, xi=args.xi))
     except ValueError as exc:
         print(f"qpart: parameter error: {exc}", file=sys.stderr)
-    except NonconvergenceError as exc:
-        print(f"qpart: did not converge: {exc}", file=sys.stderr)
-    except ZeroDivisionError as exc:
-        print(f"qpart: singular at this point: {exc}", file=sys.stderr)
-    except OverflowError as exc:
-        print(f"qpart: overflow at this point: {exc}", file=sys.stderr)
+    except tuple(REFUSALS) as exc:
+        print(f"qpart: {refusal(exc)}: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"qpart: cannot write output: {exc}", file=sys.stderr)
     return 2

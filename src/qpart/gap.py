@@ -51,8 +51,8 @@ __all__ = ["GapQuery", "gap_probability"]
 GAP_VARIANTS = ("length", "first-part")
 METHODS = ("toeplitz", "fredholm", "enumeration")
 _ROW_TAIL = 1e-18  # squared row deficit at which a Fredholm section ends
-# N per Fredholm factor: N <= 10, as gap-table and verify ask, takes one, and
-# a lone N factors at most 15 rows more than its own section
+# N per Fredholm factor: the N <= 10 of gap-table, verify and the benchmark's
+# gap-sweep take one, and a lone N factors at most 15 rows more than its section
 _WINDOW = 16
 _MAX_ENTRIES = 1 << 23  # largest Fredholm B, 67 MB; its QR peaks near twice that
 _NEGLIGIBLE = 2.0**-60  # a row of B^T reading orders only below this, relative, is left out
@@ -123,8 +123,8 @@ def _fredholm(params: QParams, N: int, first_part: bool) -> float:
     return 2.0 * float(np.sum(np.log(np.abs(np.diagonal(r)))))
 
 
-def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
-    """P[l(lambda) <= N] or P[lambda_1 <= N] for the squared-type measure.
+def gap_probability(query: GapQuery, method: str) -> float:
+    """P[l(lambda) <= N] or P[lambda_1 <= N] of the squared-type measure by method:
 
     method "toeplitz": Z_N / M(xi;q) with the variant's symbol, the engine's
       `OPSequence.gap`, faithfully rounded while log c_0 < 1e4 (`_gaps`);
@@ -136,7 +136,7 @@ def gap_probability(query: GapQuery, method: str = "toeplitz") -> float:
         variant = "plain" if query.variant == "length" else "check"
         p = op_sequence(variant, query.params, query.N).gap[query.N]
         if math.isnan(p):
-            raise NonconvergenceError(f"log_macmahon did not converge at {query.params}")
+            raise NonconvergenceError(f"log_macmahon at {query.params}")
         return p
     if method == "fredholm":
         return math.exp(_fredholm(query.params, query.N, query.variant == "first-part"))

@@ -387,19 +387,18 @@ class LimitShape:
     xi: float
     a: float
     b: float
-    alpha0: float
     beta0: float
     rho: Callable[[float], float]
     omega: Callable[[float], float]
 
 
 def limit_shape(xi: float) -> LimitShape:
-    """Macroscopic density rho and profile Omega of the squared-type measure."""
+    """Macroscopic density rho and profile Omega of the squared-type measure on
+    [a, b]; its right end b = -2 log(1 - xi) is the edge alpha0 of the Airy scaling."""
     if not (0.0 <= xi < 1.0):
         raise ValueError("xi must be in [0, 1)")
     a = -2.0 * math.log1p(xi)
     b = -2.0 * math.log1p(-xi)
-    alpha0 = -2.0 * math.log1p(-xi)
     beta0 = xi / (1.0 - xi) ** 2
 
     def rho(x: float) -> float:
@@ -424,7 +423,7 @@ def limit_shape(xi: float) -> LimitShape:
         integral = 0.5 * t_x * (b - a) * float(_LEGENDRE_W @ f)
         return x - 2.0 * a - 2.0 * integral
 
-    return LimitShape(xi=xi, a=a, b=b, alpha0=alpha0, beta0=beta0, rho=rho, omega=omega)
+    return LimitShape(xi=xi, a=a, b=b, beta0=beta0, rho=rho, omega=omega)
 
 
 # Airy function by the standard Maclaurin pair: f'' = x f with
@@ -495,7 +494,7 @@ def scaling_probe(
 
     kind="bulk_sine": K at positions -x/log q + u, -x/log q + v (rounded to the
     lattice) against sin(pi rho (u-v)) / (pi (u-v)); x must lie in (a, b).
-    kind="edge_airy": cube-root rescaled kernel at the spectral edge against
+    kind="edge_airy": cube-root rescaled kernel at the edge b / (-log q) against
     the Airy kernel at (x, y). Reports trends; the limits come with no rate.
     """
     if kind not in ("bulk_sine", "edge_airy"):
@@ -517,7 +516,7 @@ def scaling_probe(
             target = sine_kernel(shape.rho(x), u - v)
         else:
             scale = (shape.beta0 / eps) ** (1.0 / 3.0)
-            base = shape.alpha0 / eps
+            base = shape.b / eps
             r = _nearest_half_integer(base + scale * x)
             s = _nearest_half_integer(base + scale * y)
             got = scale * q_bessel_kernel(params, r, s)

@@ -65,7 +65,11 @@ __all__ = [
 
 OP_VARIANTS = ("plain", "check")
 _SIGN = {"x": 1, "y": -1}  # the sign e of each Painleve branch
-_SHARED_TOP = 16   # every request up to this index shares one run per symbol
+# requests up to this index share one run per symbol. A top of 11 took the
+# benchmark's gap-sweep (N <= 10) from 0.0523 to 0.0461 s and near-scaling
+# (n <= 25) from 0.0414 to 0.0460 s (medians of 10 fresh-process pairs on a
+# shared 2-core VM; 8 of 10 faster, 6 of 10 slower): 16 is the compromise
+_SHARED_TOP = 16
 _AGREE = 1e-17     # relative agreement that certifies a working precision
 _MARGIN = round(-math.log10(_AGREE))  # 17: the digits a pair's second run adds to its first
 _MAX_DPS = 10_000  # working digits past which the engine gives up

@@ -29,6 +29,7 @@ __all__ = [
     "QParams",
     "NonconvergenceError",
     "log_macmahon",
+    "refusal",
 ]
 
 _TAIL_TOL = 1e-16
@@ -47,6 +48,18 @@ def _context(dps: int) -> decimal.Context:
 class NonconvergenceError(RuntimeError):
     """A truncated series, product or iteration used up its term, grid, span,
     section or precision budget before its tail fell below the fixed tolerance."""
+
+
+# the refusals a point can bring about, in the words qpart prints for them:
+# `cli.main` exits 2 with one, and a `checks.Check` row fails with it
+REFUSALS = {NonconvergenceError: "did not converge",
+            ZeroDivisionError: "singular at this point",
+            OverflowError: "overflow at this point"}
+
+
+def refusal(exc: Exception) -> str:
+    """The words of REFUSALS for exc, an instance of one of its kinds."""
+    return next(why for kind, why in REFUSALS.items() if isinstance(exc, kind))
 
 
 @dataclass(frozen=True)

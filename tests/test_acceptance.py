@@ -75,8 +75,8 @@ def test_criterion_03_determinantal_law():
 def test_criterion_04_gap_three_way():
     t0 = time.time()
     grid = [QParams(q=q, xi=xi) for xi in (0.1, 0.3, 0.5) for q in (0.3, 0.5, 0.7)]
-    dev_tf = max(checks.toeplitz_vs_fredholm(p, range(7)) for p in grid)
-    dev_te = max(checks.toeplitz_vs_enumeration(p, range(7)) for p in grid)
+    dev_tf = max(checks._route_difference(p, "fredholm", range(7)) for p in grid)
+    dev_te = max(checks._route_difference(p, "enumeration", range(7)) for p in grid)
     elapsed = time.time() - t0
     ok = dev_tf <= 1e-10 and dev_te <= 1e-6 and elapsed < 60.0
     _report(4, "gap three-way", ok,

@@ -6,8 +6,8 @@ pinned, not the value: the bits are pinned at two points by
 `test_painleve_suite_is_pinned`, and a value near its tolerance would make
 this test depend on the BLAS build. A row that starts to pass fails the
 test as much as one that stops, so a mend shows in the diff of ATLAS. The
-grid is the twelve points of ROADMAP's net-state table and two of its
-corners; all fourteen take about 7 s in one process, 1.7 s of it at
+grid is the twelve points of ROADMAP's net-state table and four of its
+corners; all sixteen take about 7.5 s in one process, 1.7 s of it at
 (0.998, 0.5).
 """
 
@@ -54,6 +54,12 @@ ATLAS = {
     # rhp_det read 3.2e-5 with the series cut as if c_m fell like a^m; the
     # route rows read 0.0 here too, false passes, and rhp_jump null
     (0.999, 0.1): {"gap.z_infinity": "fail", **_NORMS, "painleve.rhp_jump": "null"},
+    # the Lax inversion at small q reads 0.89 (ROADMAP item 19)
+    (0.01, 0.3): {"painleve.lax_inversion": "fail"},
+    # rhp_jump measures its plain probe, 2.2e-16; the check probe's jump
+    # term is below the last bit of its entries
+    (0.99, 0.3): {**_ROUTES, "gap.z_infinity": "fail", **_NORMS,
+                  "painleve.rhp_value_at_zero": "fail"},
 }
 
 

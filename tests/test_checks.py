@@ -75,7 +75,7 @@ def test_toeplitz_vs_fredholm_holds_at_stressed_point():
 def test_toeplitz_vs_enumeration_fails_near_scaling():
     # both routes are below 1e-160 at N <= 4 here, and an absolute |a - c|
     # passed at 5.0e-163; relatively they differ in every digit
-    assert checks.toeplitz_vs_enumeration(NEAR, range(5)) > 1e-6
+    assert _check("gap.toeplitz_vs_enumeration").report(NEAR)["measured"] > 1e-6
 
 
 def test_toeplitz_vs_enumeration_reads_the_route_cutoff():
@@ -89,7 +89,7 @@ def test_toeplitz_vs_enumeration_reads_the_route_cutoff():
             a, c = (gap.gap_probability(query, m) for m in ("toeplitz", "enumeration"))
             want = max(want, abs(a - c) / max(a, c))
     assert want > 0.04
-    assert checks.toeplitz_vs_enumeration(p, range(5)) == want
+    assert _check("gap.toeplitz_vs_enumeration").report(p)["measured"] == want
 
 
 def test_parseval_holds_near_scaling():

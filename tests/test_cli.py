@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qpart import oppainleve
+from qpart import oppainleve, qspecial
 from qpart.cli import build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(argv, capsys):
@@ -461,3 +462,34 @@ class TestParser:
         reasons = [line.split(": ")[2] for line in err.splitlines()]
         assert {why: reasons.count(why) for why in set(reasons)} == failing
         assert "Traceback" not in err
+
+
+class TestRefusalWords:
+    @pytest.mark.parametrize("kind, point, suite, row, command", [
+        # the Fredholm section at N = 0 is past its entry limit
+        (qspecial.NonconvergenceError, ["--q", "0.9999", "--xi", "0.5"], "gap",
+         "gap.toeplitz_vs_fredholm", ["gap-table", "--method", "fredholm", "--n-max", "0"]),
+        # x_n = 0 divides the x recurrence's residual
+        (ZeroDivisionError, ["--q", "0.5", "--xi", "0"], "painleve",
+         "painleve.x_recurrence_residual", ["painleve", "--n-max", "13"]),
+        # q^{-n/2} of the y branch leaves the float range
+        (OverflowError, ["--q", "1e-30", "--xi", "0.3"], "painleve",
+         "painleve.y_recurrence_residual", ["painleve", "--branch", "y", "--n-max", "13"]),
+    ], ids=["nonconvergence", "singular", "overflow"])
+    def test_a_row_and_a_command_name_a_refusal_alike(self, kind, point, suite, row, command,
+                                                      capsys):
+        # the command exits 2 and the verify row fails, at the same cause,
+        # and both print the words of qspecial.REFUSALS
+        code, out, err = run([*command, *point], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qpart: {qspecial.REFUSALS[kind]}: ")
+        code, out, row_err = run(["verify", "--suite", suite, *point], capsys)
+        assert code == 1
+        assert {r["check_id"]: r["measured"] for r in json.loads(out)}[row] is None
+        assert err.replace("qpart: ", f"qpart: {row}: ", 1) in row_err.splitlines(keepends=True)
+
+    def test_the_words_have_one_home(self):
+        # cli.main and checks.Check.report read them from qspecial alone
+        library = sorted((ROOT / "src" / "qpart").glob("*.py"))
+        for words in qspecial.REFUSALS.values():
+            assert [p.name for p in library if words in p.read_text()] == ["qspecial.py"]

@@ -54,8 +54,8 @@ class TestGapProbability:
         )
 
     def test_n0_both_variants_agree(self):
-        a = gap_probability(GapQuery(variant="length", N=0, params=P))
-        b = gap_probability(GapQuery(variant="first-part", N=0, params=P))
+        a = gap_probability(GapQuery(variant="length", N=0, params=P), "toeplitz")
+        b = gap_probability(GapQuery(variant="first-part", N=0, params=P), "toeplitz")
         assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["length", "first-part"])
@@ -126,11 +126,11 @@ class TestGapProbability:
         # squared-type weight is not transpose invariant; the two variants
         # must differ at some N
         vals_l = [
-            gap_probability(GapQuery(variant="length", N=n, params=P))
+            gap_probability(GapQuery(variant="length", N=n, params=P), "toeplitz")
             for n in range(1, 4)
         ]
         vals_f = [
-            gap_probability(GapQuery(variant="first-part", N=n, params=P))
+            gap_probability(GapQuery(variant="first-part", N=n, params=P), "toeplitz")
             for n in range(1, 4)
         ]
         assert vals_l != pytest.approx(vals_f, rel=1e-6)
@@ -138,18 +138,23 @@ class TestGapProbability:
     def test_probabilities_in_unit_interval(self):
         for variant in ("length", "first-part"):
             for n in range(0, 9):
-                v = gap_probability(GapQuery(variant=variant, N=n, params=P))
+                v = gap_probability(GapQuery(variant=variant, N=n, params=P), "toeplitz")
                 assert -1e-12 <= v <= 1.0 + 1e-12
 
     def test_monotone_and_saturating(self):
         for variant in ("length", "first-part"):
-            vals = [gap_probability(GapQuery(variant, n, P)) for n in range(13)]
+            vals = [gap_probability(GapQuery(variant, n, P), "toeplitz") for n in range(13)]
             assert all(b >= a - 1e-13 for a, b in zip(vals, vals[1:]))
             assert vals[-1] == pytest.approx(1.0, abs=1e-10)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             gap_probability(GapQuery(variant="length", N=1, params=P), "bogus")
+
+    def test_every_caller_names_the_route(self):
+        # there is no default route: a bare call took the Toeplitz one
+        with pytest.raises(TypeError, match="method"):
+            gap_probability(GapQuery(variant="length", N=1, params=P))
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -197,7 +202,8 @@ class TestToeplitzDigits:
         # exp of float log Z_N - float log M was up to 604 ulp off at
         # (0.97, 0.7), where log M = 566, and 16 ulp at (0.9, 0.5)
         want = _mp_gap_reference(variant, q, xi, 10)
-        got = [gap_probability(GapQuery(variant, n, QParams(q=q, xi=xi))) for n in range(11)]
+        got = [gap_probability(GapQuery(variant, n, QParams(q=q, xi=xi)), "toeplitz")
+               for n in range(11)]
         assert max(abs(g - w) / math.ulp(w) for g, w in zip(got, want)) <= 2.0
 
     def test_one_past_the_edge_near_q_one(self):
@@ -206,7 +212,7 @@ class TestToeplitzDigits:
         # and P - 1 = -4.129e-10 at N = 120 for -4.144e-10
         p = QParams(q=0.99, xi=0.7)
         for n in (135, 165, 200):
-            assert gap_probability(GapQuery("length", n, p)) == 1.0
+            assert gap_probability(GapQuery("length", n, p), "toeplitz") == 1.0
         # log P_N = sum_{k>N} (k - N) log(1 - x_k^2), in mp at 60 digits over
         # the run's x_k, each within half an ulp: a value of P_120 within
         # 1e-25 that never forms log M
@@ -214,7 +220,7 @@ class TestToeplitzDigits:
         with mp.workdps(60):
             want = mp.exp(mp.fsum((k - 120) * mp.log1p(-mp.mpf(x[k]) ** 2)
                                   for k in range(121, len(x))))
-        got = gap_probability(GapQuery("length", 120, p))
+        got = gap_probability(GapQuery("length", 120, p), "toeplitz")
         assert abs(got - want) <= math.ulp(got)
         assert got - 1.0 == pytest.approx(-4.144e-10, rel=1e-3)
 
@@ -232,7 +238,7 @@ class TestToeplitzDigits:
         assert repr((got.x, got.kappa_sq, got.log_z)) == repr((want.x, want.kappa_sq, want.log_z))
         assert all(math.isnan(v) for v in got.gap)
         with pytest.raises(NonconvergenceError, match="log_macmahon"):
-            gap_probability(GapQuery("length", 5, P))
+            gap_probability(GapQuery("length", 5, P), "toeplitz")
 
 
 class TestFredholmWindow:

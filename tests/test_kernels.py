@@ -437,9 +437,11 @@ class TestLimitShape:
         )
 
     def test_edge_constants(self):
+        # the edge alpha0 = -2 log(1 - xi) is the support's right end b
+        assert "alpha0" not in kernels.LimitShape.__dataclass_fields__
         for xi in (0.1, 0.4, 0.7):
             shape = limit_shape(xi)
-            assert shape.alpha0 == pytest.approx(
+            assert shape.b == pytest.approx(
                 -2.0 * math.log(1.0 - xi), rel=1e-14
             )
             assert shape.beta0 == pytest.approx(
